@@ -5,7 +5,7 @@ harness.
 Exit codes: 0 pass, 1 usage or parameter error, 2 verification failure,
 3 I/O error.  All numeric output is printed with 17 significant digits so
 files round-trip exactly and identical configurations produce identical
-bytes, independent of FRACSPLINE_THREADS.
+bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import _threads
 from .clifford import Paravector
 from .errors import (
     EmptyAdmissibleSetError,
@@ -111,11 +110,14 @@ def _parse_grid(spec: str):
 
 
 def _parse_complex(spec: str) -> complex:
-    parts = str(spec).split(",")
+    try:
+        parts = [float(p) for p in str(spec).split(",")]
+    except ValueError as exc:
+        raise UsageError(f"complex order must be numeric re or re,im, got {spec!r}") from exc
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(parts[0], 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(parts[0], parts[1])
     raise UsageError(f"complex order must be re or re,im, got {spec!r}")
 
 
@@ -192,8 +194,7 @@ def run_eval(args) -> int:
     if fam == "exponential":
         _require(args.a is not None, "exponential family needs --a a1,a2,...")
         weights = ExponentialWeights.coerce(_parse_tuple(args.a))
-        rows = _threads.map_ordered(
-            lambda x: (x, eval_exp_bspline(weights, x), weights.order), xs)
+        rows = [(x, eval_exp_bspline(weights, x), weights.order) for x in xs]
         header = ["x", "value", "terms_used"]
         lines = [",".join(header)]
         for x, val, terms in rows:
@@ -204,15 +205,14 @@ def run_eval(args) -> int:
         a = _parse_tuple(args.a)
         _require(len(a) == 1, "complex-exponential family takes a single --a value")
         z = _parse_complex(args.z)
-        rows = _threads.map_ordered(
-            lambda x: (x, eval_ez(a[0], z, x), series_terms(x)), xs)
+        rows = [(x, eval_ez(a[0], z, x), series_terms(x)) for x in xs]
         header = ["x", "value_re", "value_im", "terms_used"]
         lines = [",".join(header)]
         for x, val, terms in rows:
             lines.append(",".join([_fmt(x), _fmt(val.real), _fmt(val.imag), str(terms)]))
     else:
         order = _order_from_args(args)
-        results = _threads.map_ordered(order.evaluate, xs)
+        results = [order.evaluate(x) for x in xs]
         if fam in ("classical", "fractional"):
             header = ["x", "value", "terms_used"]
             lines = [",".join(header)]
@@ -318,8 +318,11 @@ def _read_signal_csv(path: str) -> SampledSignal:
             continue  # header row
         if len(cells) < 2:
             raise SignalFormatError(f"line {line_no + 1}: need columns x,value")
-        xs.append(float(cells[0]))
-        vals.append(float(cells[1]))
+        try:
+            xs.append(float(cells[0]))
+            vals.append(float(cells[1]))
+        except ValueError as exc:
+            raise SignalFormatError(f"line {line_no + 1}: {exc}") from exc
     if len(xs) < 2:
         raise SignalFormatError("input signal needs at least two samples")
     xs = np.asarray(xs)
@@ -471,14 +474,17 @@ def _merge_config(args, argv) -> None:
             raise UsageError(f"unknown config key {key!r}")
         if dest in passed:
             continue
-        if dest in ("n", "K"):
-            value = int(value)
-        elif dest in ("alpha", "tol"):
-            value = float(value)
-        elif isinstance(value, (list, tuple)):
-            value = ",".join(str(v) for v in value)
-        elif not isinstance(value, str):
-            value = str(value)
+        try:
+            if dest in ("n", "K"):
+                value = int(value)
+            elif dest in ("alpha", "tol"):
+                value = float(value)
+            elif isinstance(value, (list, tuple)):
+                value = ",".join(str(v) for v in value)
+            elif not isinstance(value, str):
+                value = str(value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config key {key!r} needs a number, got {value!r}") from exc
         setattr(args, dest, value)
 
 

@@ -454,6 +454,13 @@ def subalgebra_div(a0, a1, b0, b1):
     return (a0 * b0 + a1 * b1) / den, (a1 * b0 - a0 * b1) / den
 
 
+def subalgebra_from_idempotent(p, q):
+    """Pair (alpha, beta) of the complexified element alpha + beta u whose
+    images under u -> i and u -> -i are p and q (the idempotent split
+    C (x) span{1, u} = C + C): alpha = (p + q)/2, beta = (p - q)/(2i)."""
+    return (p + q) / 2, (p - q) / 2j
+
+
 def _principal_log(z: complex) -> complex:
     if z == 0:
         raise DomainError("log of zero")

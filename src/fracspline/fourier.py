@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .clifford import HypercomplexExponent, Paravector
+from .clifford import HypercomplexExponent, Paravector, subalgebra_from_idempotent
 from .errors import GridResolutionError, OrderError, ParameterError
 from .splines import ExponentialWeights
 
@@ -78,14 +78,15 @@ def omega_a_fn(a: float, omega):
     return complex(out[0]) if scalar else out
 
 
-def _principal_power(base, exponent: complex):
+def _principal_power(base, exponent):
     """base^exponent elementwise via the principal log, with 0 -> 0
-    (valid because every exponent here has positive real part)."""
+    (valid because every exponent here has positive real part).  An array
+    of exponents gives one row per exponent and takes the log once."""
     b = np.atleast_1d(np.asarray(base, dtype=complex))
     zero = b == 0
     safe = np.where(zero, 1.0, b)
-    out = np.exp(exponent * np.log(safe))
-    out[zero] = 0.0
+    out = np.exp(np.multiply.outer(exponent, np.log(safe)))
+    out[..., zero] = 0.0
     return out
 
 
@@ -133,23 +134,18 @@ def hat_ez(a: float, z, omega):
 def hat_bupsilon_components(upsilon: Paravector, omega):
     """Component arrays (alpha, beta) of the hypercomplex transform
     Omega(w)^Y = Omega^{x0} (cos(|v| log Omega) + u sin(|v| log Omega)),
-    meaning alpha + beta u.  Zeros of Omega map to (0, 0)."""
+    meaning alpha + beta u.  Zeros of Omega map to (0, 0).
+
+    The idempotent split takes Omega^Y to the pair of complex powers
+    Omega^z and Omega^{conj z}, z = x0 + i|v|."""
     dec = HypercomplexExponent.from_paravector(upsilon)
     if not dec.x0 > 1:
         raise OrderError(
             f"hypercomplex transform needs scalar part > 1, got {dec.x0:g}"
         )
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    om = omega_fn(w)
-    zero = om == 0
-    safe = np.where(zero, 1.0, om)
-    logom = np.log(safe)
-    mod = np.exp(dec.x0 * logom)
-    theta = dec.vnorm * logom
-    alpha = mod * np.cos(theta)
-    beta = mod * np.sin(theta)
-    alpha[zero] = 0.0
-    beta[zero] = 0.0
+    om = omega_fn(np.atleast_1d(np.asarray(omega, dtype=float)))
+    z = complex(dec.x0, dec.vnorm)
+    alpha, beta = subalgebra_from_idempotent(*_principal_power(om, [z, z.conjugate()]))
     return alpha, beta, dec
 
 

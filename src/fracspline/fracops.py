@@ -19,6 +19,10 @@ left-hand side into two principal powers is only valid where
 arg(base1) + arg(base2) stays in (-pi, pi], and points where a factor
 vanishes (so its log does not exist) are excluded and reported rather
 than silently patched.
+
+The three complex-order identities are one check: the damped one weights
+atom k by e^{-ak}, and the hypercomplex one is the complex one at the
+conjugate pair x0 +- i|v|, the idempotent split of span{1, u} (x) C.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .clifford import (
     HypercomplexExponent,
     Paravector,
     hc_power,
-    subalgebra_mul,
+    subalgebra_from_idempotent,
 )
 from .errors import (
     ConditioningWarning,
@@ -47,13 +51,8 @@ from .errors import (
     RangeOverflowError,
     SignalFormatError,
 )
-from .fourier import FrequencyGrid, hat_en, omega_a_fn, omega_fn
-from .specialfn import (
-    binom_complex_sequence,
-    binom_hc_pair_sequence,
-    gamma,
-    gamma_hc,
-)
+from .fourier import FrequencyGrid, _principal_power, hat_en, omega_a_fn, omega_fn
+from .specialfn import binom_complex_sequence, gamma, gamma_hc
 from .splines import ExponentialWeights
 
 __all__ = [
@@ -232,8 +231,9 @@ def shifted_frac_derivative(a: float, z, signal: SampledSignal) -> SampledSignal
 class AtomSum:
     """Coefficients of a Dirac comb sum c_k delta(. - k), stored per shift.
 
-    components has one row per shift; scalar sums have one column, values
-    in the commuting subalgebra span{1, u} have two (along 1 and along u).
+    components has one row per shift and one column per sum; a sum with
+    values in the commuting subalgebra span{1, u} is kept as two columns,
+    either along (1, u) or as its idempotent parts (u -> i, u -> -i).
     """
 
     shifts: np.ndarray
@@ -329,58 +329,50 @@ def _admissible_split(base1: np.ndarray, base2: np.ndarray, omegas: np.ndarray):
     return admissible, excluded
 
 
-def _pow_array(base: np.ndarray, exponent: complex) -> np.ndarray:
-    out = np.zeros(base.shape, dtype=complex)
-    nz = np.abs(base) > 0
-    out[nz] = np.exp(exponent * np.log(base[nz]))
-    return out
-
-
-def _pow_pair_array(base: np.ndarray, x0: float, vnorm: float):
-    """Component pair of base^Y for a complex base array and the
-    decomposed real exponent Y = x0 + |v| u."""
-    alpha = np.zeros(base.shape, dtype=complex)
-    beta = np.zeros(base.shape, dtype=complex)
-    nz = np.abs(base) > 0
-    logb = np.log(base[nz])
-    mod = np.exp(x0 * logb)
-    theta = vnorm * logb
-    alpha[nz] = mod * np.cos(theta)
-    beta[nz] = mod * np.sin(theta)
-    return alpha, beta
-
-
 def _float_fuzz(*scales: float) -> float:
     return 64.0 * np.finfo(float).eps * (1.0 + max(scales, default=0.0))
 
 
-def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
-    """Check (iw)^z Omega(w)^z against the truncated exponential sum of the
-    alternating binomial atom coefficients."""
-    z = complex(z)
-    if not z.real > 1:
-        raise OrderError(f"verification needs re z > 1, got {z!r}")
+def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
+                           base1: np.ndarray, base2: np.ndarray, exponents,
+                           damping: float = 0.0):
+    """Check (base1 base2)^e = sum_{k<=K} (-1)^k binom(e,k) e^{-damping k}
+    e^{-ikw} for each exponent e at once, one atom-sum column per exponent.
+
+    The residual is the root mean square of the column moduli: for the
+    conjugate pair (z, conj z) that is the modulus of the (1, u) components.
+    The first dropped atom bounds the truncation tail: geometrically with
+    ratio e^{-damping} once K + 1 >= 2|z|, else by the k^{-re z - 1} decay
+    of the binomials.
+    Returns the report and the left- and right-hand rows.
+    """
     if K < 1:
         raise ParameterError("truncation K must be positive")
-    om = _as_omegas(grid)
-    omv = omega_fn(om)
-    admissible, excluded = _admissible_split(1j * om, omv, om)
+    admissible, excluded = _admissible_split(base1, base2, om)
 
-    lhs = _pow_array(1j * om, z) * _pow_array(omv, z)
-    binoms = binom_complex_sequence(z, K + 1)
-    coeffs = binoms[: K + 1] * ((-1.0) ** np.arange(K + 1))
-    atoms = AtomSum(np.arange(K + 1), coeffs[:, None])
-    rhs = atoms.evaluate(om)[0]
+    lhs = _principal_power(base1, exponents) * _principal_power(base2, exponents)
+    binoms = np.stack([binom_complex_sequence(e, K + 1) for e in exponents], axis=1)
+    k = np.arange(K + 1)
+    weights = (-1.0) ** k * np.exp(-damping * k)
+    atoms = AtomSum(k, binoms[: K + 1] * weights[:, None])
+    rhs = atoms.evaluate(om)
 
-    residuals = np.abs(lhs - rhs)
+    rms = math.sqrt(len(exponents))
+    residuals = np.hypot.reduce(np.abs(lhs - rhs), axis=0) / rms
     residuals = np.where(admissible, residuals, np.nan)
     max_res = float(np.nanmax(np.where(admissible, residuals, -np.inf)))
 
-    tail = 1.1 * abs(binoms[K + 1]) * (1.0 + (K + 1) / z.real)
-    tail += _float_fuzz(float(np.max(np.abs(lhs[admissible]))), atoms.sup_norm())
-    return ResidualReport(
-        family="complex",
-        order=f"z={z.real:g}{z.imag:+g}i" if z.imag else f"z={z.real:g}",
+    z = exponents[0]
+    next_mod = abs(binoms[K + 1, 0]) * math.exp(-damping * (K + 1))
+    if damping > 0 and K + 1 >= 2.0 * abs(z):
+        tail = 1.1 * next_mod / (1.0 - math.exp(-damping))
+    else:
+        tail = 1.1 * next_mod * (1.0 + (K + 1) / z.real)
+    lhs_scale = float(np.max(np.hypot.reduce(np.abs(lhs[:, admissible]), axis=0))) / rms
+    tail += _float_fuzz(lhs_scale, atoms.sup_norm() / rms)
+    report = ResidualReport(
+        family=family,
+        order=order,
         K=K,
         omegas=om,
         residuals=residuals,
@@ -388,8 +380,31 @@ def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
         max_residual=max_res,
         tail_bound=float(tail),
         excluded_omegas=excluded,
-        extras={"atom_sum": atoms, "lhs": lhs, "rhs": rhs},
+        extras={"atom_sum": atoms},
     )
+    return report, lhs, rhs
+
+
+def _complex_order(z) -> complex:
+    z = complex(z)
+    if not z.real > 1:
+        raise OrderError(f"verification needs re z > 1, got {z!r}")
+    return z
+
+
+def _z_label(z: complex) -> str:
+    return f"z={z.real:g}{z.imag:+g}i" if z.imag else f"z={z.real:g}"
+
+
+def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
+    """Check (iw)^z Omega(w)^z against the truncated exponential sum of the
+    alternating binomial atom coefficients."""
+    z = _complex_order(z)
+    om = _as_omegas(grid)
+    report, lhs, rhs = _verify_binomial_atoms(
+        "complex", _z_label(z), K, om, 1j * om, omega_fn(om), (z,))
+    report.extras.update(lhs=lhs[0], rhs=rhs[0])
+    return report
 
 
 def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
@@ -399,46 +414,17 @@ def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     a = float(a)
     if a <= 0:
         raise ParameterError(f"damped atom identity needs a > 0, got {a:g}")
-    z = complex(z)
-    if not z.real > 1:
-        raise OrderError(f"verification needs re z > 1, got {z!r}")
+    z = _complex_order(z)
     om = _as_omegas(grid)
-    base1 = a + 1j * om
-    base2 = omega_a_fn(a, om)
-    admissible, excluded = _admissible_split(base1, base2, om)
-
-    lhs = _pow_array(base1, z) * _pow_array(base2, z)
-    binoms = binom_complex_sequence(z, K + 1)
-    signs = (-1.0) ** np.arange(K + 1)
-    coeffs = binoms[: K + 1] * signs * np.exp(-a * np.arange(K + 1))
-    atoms = AtomSum(np.arange(K + 1), coeffs[:, None])
-    rhs = atoms.evaluate(om)[0]
-
-    residuals = np.where(admissible, np.abs(lhs - rhs), np.nan)
-    max_res = float(np.nanmax(np.where(admissible, residuals, -np.inf)))
-
-    next_mod = abs(binoms[K + 1]) * math.exp(-a * (K + 1))
-    if K + 1 >= 2.0 * abs(z):
-        tail = 1.1 * next_mod / (1.0 - math.exp(-a))
-    else:
-        tail = 1.1 * next_mod * (1.0 + (K + 1) / z.real)
-    tail += _float_fuzz(float(np.max(np.abs(lhs[admissible]))), atoms.sup_norm())
-    return ResidualReport(
-        family="complex-exponential",
-        order=f"a={a:g}, z={z.real:g}{z.imag:+g}i" if z.imag else f"a={a:g}, z={z.real:g}",
-        K=K,
-        omegas=om,
-        residuals=residuals,
-        admissible=admissible,
-        max_residual=max_res,
-        tail_bound=float(tail),
-        excluded_omegas=excluded,
-        extras={
-            "atom_sum": atoms,
-            "partial_sum_modulus": float(abs(np.sum(coeffs))),
-            "coefficient_bound_scale": math.exp(abs(z - 1.0)),
-        },
+    report, _, _ = _verify_binomial_atoms(
+        "complex-exponential", f"a={a:g}, {_z_label(z)}", K, om,
+        a + 1j * om, omega_a_fn(a, om), (z,), damping=a)
+    coeffs = report.extras["atom_sum"].components[:, 0]
+    report.extras.update(
+        partial_sum_modulus=float(abs(np.sum(coeffs))),
+        coefficient_bound_scale=math.exp(abs(z - 1.0)),
     )
+    return report
 
 
 def verify_atom_identity_hc(upsilon: Paravector, K: int, grid,
@@ -459,47 +445,17 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid,
         )
     om = _as_omegas(grid)
     sign = 1.0 if multiplier == "iomega" else -1.0
-    base1 = sign * 1j * om
-    base2 = omega_fn(om)
-    admissible, excluded = _admissible_split(base1, base2, om)
-
-    a1, b1 = _pow_pair_array(base1, dec.x0, dec.vnorm)
-    a2, b2 = _pow_pair_array(base2, dec.x0, dec.vnorm)
-    lhs_a, lhs_b = subalgebra_mul(a1, b1, a2, b2)
-
-    alpha, beta, _ = binom_hc_pair_sequence(upsilon, K + 1)
-    signs = (-1.0) ** np.arange(K + 1)
-    comps = np.stack([alpha[: K + 1] * signs, beta[: K + 1] * signs], axis=1)
-    atoms = AtomSum(np.arange(K + 1), comps)
-    rhs_a, rhs_b = atoms.evaluate(om)
-
-    residuals = np.sqrt(np.abs(lhs_a - rhs_a) ** 2 + np.abs(lhs_b - rhs_b) ** 2)
-    residuals = np.where(admissible, residuals, np.nan)
-    max_res = float(np.nanmax(np.where(admissible, residuals, -np.inf)))
-
-    next_mod = math.hypot(alpha[K + 1], beta[K + 1])
-    tail = 1.1 * next_mod * (1.0 + (K + 1) / dec.x0)
-    lhs_scale = float(np.max(np.sqrt(np.abs(lhs_a[admissible]) ** 2
-                                     + np.abs(lhs_b[admissible]) ** 2)))
-    tail += _float_fuzz(lhs_scale, atoms.sup_norm())
+    z = complex(dec.x0, dec.vnorm)
     comps_label = ",".join(f"{c:g}" for c in [upsilon.s, *upsilon.v.tolist()])
-    return ResidualReport(
-        family="hypercomplex",
-        order=f"upsilon=({comps_label})",
-        K=K,
-        omegas=om,
-        residuals=residuals,
-        admissible=admissible,
-        max_residual=max_res,
-        tail_bound=float(tail),
-        excluded_omegas=excluded,
-        extras={
-            "atom_sum": atoms,
-            "multiplier": multiplier,
-            "lhs_pair": (lhs_a, lhs_b),
-            "rhs_pair": (rhs_a, rhs_b),
-        },
+    report, lhs, rhs = _verify_binomial_atoms(
+        "hypercomplex", f"upsilon=({comps_label})", K, om,
+        sign * 1j * om, omega_fn(om), (z, z.conjugate()))
+    report.extras.update(
+        multiplier=multiplier,
+        lhs_pair=subalgebra_from_idempotent(*lhs),
+        rhs_pair=subalgebra_from_idempotent(*rhs),
     )
+    return report
 
 
 def classical_atom_check(n: int, grid) -> ResidualReport:

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (
-    HypercomplexExponent,
-    Paravector,
-    hc_power,
-    subalgebra_mul,
-)
+from .clifford import HypercomplexExponent, Paravector, hc_power
 from .errors import DomainError, PoleError
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
@@ -104,53 +99,35 @@ def binom_complex_sequence(z, kmax: int) -> np.ndarray:
 def binom_hc(upsilon: Paravector, k: int) -> Paravector:
     """Hypercomplex binomial coefficient binom(Y, k).
 
-    Realizes the Gamma-ratio definition through the exact recurrence
-    binom(Y, k) = binom(Y, k-1) (Y - k + 1) / k carried out inside the
-    commuting subalgebra span{1, u}.
+    Y = x0 + |v| u lies in the commuting subalgebra span{1, u}, a copy of C
+    under u -> i, so the value is binom(x0 + i|v|, k) mapped back along u.
     """
-    a, b, dec = _binom_hc_pair(upsilon, k)
+    dec = _binom_hc_order(upsilon)
+    b = binom_complex(complex(dec.x0, dec.vnorm), k)
     if dec.u is None:
-        return Paravector(a, np.zeros(dec.n))
-    return Paravector(a, b * dec.u)
+        return Paravector(b.real, np.zeros(dec.n))
+    return Paravector(b.real, b.imag * dec.u)
 
 
-def _binom_hc_pair(upsilon: Paravector, k: int):
+def _binom_hc_order(upsilon: Paravector) -> HypercomplexExponent:
     dec = HypercomplexExponent.from_paravector(upsilon)
     if dec.x0 <= 0:
         raise DomainError(
             f"hypercomplex binomial needs scalar part > 0, got {dec.x0:g}"
         )
-    if k < 0 or k != int(k):
-        raise DomainError(f"binomial index must be a nonnegative integer, got {k!r}")
-    a, b = 1.0, 0.0
-    for j in range(1, int(k) + 1):
-        a, b = subalgebra_mul(a, b, dec.x0 - j + 1, dec.vnorm)
-        a /= j
-        b /= j
-    return a, b, dec
+    return dec
 
 
 def binom_hc_pair_sequence(upsilon: Paravector, kmax: int):
     """Component pairs (alpha_k, beta_k) of binom(Y, k) for k = 0..kmax.
 
-    alpha + beta u are the coordinates in span{1, u}; for a zero vector
-    part all beta vanish.  Returns (alpha, beta, decomposition).
+    alpha + beta u are the coordinates in span{1, u}: the real and
+    imaginary parts of binom(x0 + i|v|, k).  For a zero vector part all
+    beta vanish.  Returns (alpha, beta, decomposition).
     """
-    dec = HypercomplexExponent.from_paravector(upsilon)
-    if dec.x0 <= 0:
-        raise DomainError(
-            f"hypercomplex binomial needs scalar part > 0, got {dec.x0:g}"
-        )
-    alpha = np.empty(kmax + 1)
-    beta = np.empty(kmax + 1)
-    a, b = 1.0, 0.0
-    alpha[0], beta[0] = a, b
-    for j in range(1, kmax + 1):
-        a, b = subalgebra_mul(a, b, dec.x0 - j + 1, dec.vnorm)
-        a /= j
-        b /= j
-        alpha[j], beta[j] = a, b
-    return alpha, beta, dec
+    dec = _binom_hc_order(upsilon)
+    b = binom_complex_sequence(complex(dec.x0, dec.vnorm), kmax)
+    return b.real, b.imag, dec
 
 
 def binomial_series(upsilon: Paravector, z, N: int):

@@ -3,10 +3,21 @@
 All families here are supported on the right half line and evaluate to an
 exact 0 for x < 0.  The alternating truncated-power series are finite for
 every x because (x - k)_+ vanishes once k exceeds x, so no truncation
-heuristics are involved; compensated (Kahan) summation keeps the
-alternating cancellation under control.  For orders with re z < 3 the
-cancellation grows with x and eats significant digits roughly like
-x^{re z - 1} / B(x); beyond x ~ 50 expect only about five accurate digits.
+heuristics are involved.
+
+eval_bz holds the one series loop of the complex-order families.  The
+damped family is e^{-ax} times it, and a hypercomplex order x0 + |v| u is
+evaluated at the complex order x0 + i|v| and mapped back along u, through
+the isomorphism of span{1, u} with C.
+
+Accuracy: every term carries a relative rounding error of about eps, so
+the absolute error of a value is about eps * sum_k |t_k| however the
+terms are summed; Kahan summation removes only the error of the
+additions.  The terms alternate and cancel, so the relative error grows
+with x and with re z.  Against a 60-digit oracle it is below 1e-9 at
+x = 5.5 for z = 1.5, 2.5 + i and 4 + 0.5i, but at re z >= 3 every digit
+is lost near x = 50 (z = 4 + 0.5i: relative error 1.07 at x = 50.5).
+The loss is not reported.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .clifford import HypercomplexExponent, Paravector, subalgebra_div, subalgebra_mul
+from .clifford import HypercomplexExponent, Paravector
 from .errors import NumericError, OrderError, ParameterError
 from .specialfn import gamma
 
@@ -251,42 +262,25 @@ def eval_exp_bspline(weights, x: float, tol: float = 1e-10) -> float:
 
 
 def eval_ez(a: float, z, x: float) -> complex:
-    """Exponential B-spline of complex order, by the finite sum
+    """Exponential B-spline of complex order,
     (1/Gamma(z)) sum_l binom(z,l) (-1)^l e^{-la} e^{-a(x-l)} (x-l)_+^{z-1}.
 
-    Well defined only for damping a > 0."""
+    The two damping factors of every term multiply to e^{-ax}, so the value
+    is e^{-ax} B_z(x).  Well defined only for damping a > 0."""
     a = float(a)
     if a <= 0:
         raise ParameterError(f"complex exponential spline needs a > 0, got {a:g}")
-    z = complex(z)
-    if not z.real > 1:
-        raise OrderError(f"complex spline order must satisfy re z > 1, got {z!r}")
     x = float(x)
-    if x < 0.0:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    binom = 1.0 + 0.0j
-    zm1 = z - 1.0
-    for ell in range(int(math.floor(x)) + 1):
-        if ell > 0:
-            binom *= (z - ell + 1) / ell
-        t = x - ell
-        if t > 0.0:
-            term = binom * math.exp(-ell * a) * math.exp(-a * t) * cmath.exp(zm1 * math.log(t))
-            if ell % 2:
-                term = -term
-            total, comp = _kahan(total, comp, term)
-    return total / gamma(z)
+    value = eval_bz(z, x)
+    return value if x < 0.0 else math.exp(-a * x) * value
 
 
 def eval_bupsilon(upsilon: Paravector, x: float) -> Paravector:
-    """Hypercomplex B-spline value at x, carried out entirely in the
-    commuting subalgebra span{1, u} of the order's direction.
+    """Hypercomplex B-spline value at x.
 
-    The coefficients are the hypercomplex binomials, the powers are
-    hypercomplex powers of positive real bases, and the final division by
-    Gamma(Y) happens in the subalgebra.  The result has real components.
+    The order Y = x0 + |v| u and every quantity of its series live in the
+    commuting subalgebra span{1, u}, a copy of C under u -> i, so the value
+    is B_{x0 + i|v|}(x) mapped back along u.  The result has real components.
     """
     dec = HypercomplexExponent.from_paravector(upsilon)
     if not dec.x0 > 1:
@@ -296,34 +290,14 @@ def eval_bupsilon(upsilon: Paravector, x: float) -> Paravector:
     x = float(x)
     if x < 0.0:
         return Paravector(0.0, np.zeros(dec.n))
-    g = gamma(complex(dec.x0, dec.vnorm))
+    z = complex(dec.x0, dec.vnorm)
+    g = gamma(z)
     if g.real * g.real + g.imag * g.imag < 1e-300:
         raise NumericError("Gamma(Y) too small; division is meaningless")
-
-    x0m1 = dec.x0 - 1.0
-    tot_a = tot_b = 0.0
-    cmp_a = cmp_b = 0.0
-    ba, bb = 1.0, 0.0  # binom(Y, k) components along (1, u)
-    for k in range(int(math.floor(x)) + 1):
-        if k > 0:
-            ba, bb = subalgebra_mul(ba, bb, dec.x0 - k + 1, dec.vnorm)
-            ba /= k
-            bb /= k
-        t = x - k
-        if t > 0.0:
-            logt = math.log(t)
-            mod = math.exp(x0m1 * logt)
-            theta = dec.vnorm * logt
-            pa, pb = mod * math.cos(theta), mod * math.sin(theta)
-            ta, tb = subalgebra_mul(ba, bb, pa, pb)
-            if k % 2:
-                ta, tb = -ta, -tb
-            tot_a, cmp_a = _kahan(tot_a, cmp_a, ta)
-            tot_b, cmp_b = _kahan(tot_b, cmp_b, tb)
-    va, vb = subalgebra_div(tot_a, tot_b, g.real, g.imag)
+    value = eval_bz(z, x)
     if dec.u is None:
-        return Paravector(va, np.zeros(dec.n))
-    return Paravector(va, vb * dec.u)
+        return Paravector(value.real, np.zeros(dec.n))
+    return Paravector(value.real, value.imag * dec.u)
 
 
 def evaluate_on_grid(order: SplineOrder, xs) -> list[SplineEvalResult]:

@@ -102,6 +102,8 @@ def test_eval_usage_errors(tmp_path):
                     "--grid", "0:1:0.5"]) == 1  # order constraint
     assert run_cli(["eval", "--family", "nosuch", "--grid", "0:1:0.5"]) == 1
     assert run_cli(["eval", "--family", "classical", "--n", "3"]) == 1  # no grid
+    assert run_cli(["eval", "--family", "complex", "--z", "abc",
+                    "--grid", "0:1:0.5"]) == 1  # malformed number
 
 
 def test_eval_unwritable_path():
@@ -183,11 +185,15 @@ def test_fracop_derivative_matches_gradient(tmp_path):
     assert np.max(np.abs(data[:, 1] - np.cos(data[:, 0]))) < 1e-5
 
 
-def test_fracop_nonuniform_grid_rejected(tmp_path):
+def test_fracop_nonuniform_grid_rejected(tmp_path, capsys):
     src = tmp_path / "bad.csv"
     src.write_text("x,value\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
     assert run_cli(["fracop", "--op", "integral", "--z", "1",
                     "--input", str(src), "-o", "-"]) == 1
+    src.write_text("x,value\n0.0,1.0\n0.1,oops\n0.2,1.0\n")
+    assert run_cli(["fracop", "--op", "integral", "--z", "1",
+                    "--input", str(src), "-o", "-"]) == 1
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_fracop_missing_input_file(tmp_path):
@@ -272,6 +278,8 @@ def test_config_file_with_flag_override(tmp_path):
 def test_config_rejects_unknown_keys(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"family": "classical", "wat": 1}))
+    assert run_cli(["eval", "--config", str(conf), "--grid", "0:1:1"]) == 1
+    conf.write_text(json.dumps({"family": "classical", "n": "x"}))
     assert run_cli(["eval", "--config", str(conf), "--grid", "0:1:1"]) == 1
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -179,6 +180,19 @@ def test_hat_bupsilon_cl1_complex_oracle():
     alpha, beta, _ = hat_bupsilon_components(ups, ws)
     ref = hat_bz(2.5 + 1.0j, ws)
     assert np.max(np.abs((alpha + 1j * beta) - ref)) < 1e-12
+    # Cl(3) against Omega^{x0} (cos(|v| log Omega), sin(|v| log Omega)) at 30 digits
+    v = np.array([0.6, -0.8, 0.5])
+    vn = float(np.linalg.norm(v))
+    ws = [-5.3, -0.7, 0.004, 1.1, 2.9, 9.4]
+    alpha, beta, dec = hat_bupsilon_components(Paravector(2.5, v), ws)
+    assert np.allclose(dec.u, v / vn)
+    with mpmath.workdps(30):
+        for w, a, b in zip(ws, alpha, beta):
+            w = mpmath.mpf(w)
+            om = (1 - mpmath.exp(-1j * w)) / (1j * w)
+            log_om = mpmath.log(om)
+            assert abs(a - complex(om ** 2.5 * mpmath.cos(vn * log_om))) < 1e-14
+            assert abs(b - complex(om ** 2.5 * mpmath.sin(vn * log_om))) < 1e-14
 
 
 def test_hat_bupsilon_componentwise_conjugate_symmetry():

@@ -277,6 +277,9 @@ def test_atom_expz_coefficient_bound():
 def test_atom_expz_parameters():
     with pytest.raises(ParameterError):
         verify_atom_identity_expz(0.0, 2.5, 10, np.linspace(-3, 3, 10))
+    for K in (0, -3):
+        with pytest.raises(ParameterError):
+            verify_atom_identity_expz(1.0, 2.5, K, np.linspace(-3, 3, 10))
 
 
 # -- atom identity: hypercomplex -------------------------------------------------------------
@@ -321,6 +324,14 @@ def test_atom_hc_alternative_multiplier_breaks_identity():
     om = np.linspace(0.5, 3.0, 200)
     rep = verify_atom_identity_hc(ups, 200, om, multiplier="minus_iomega")
     assert rep.max_residual > 1e-1  # the sign choice matters
+
+
+def test_atom_hc_parameters():
+    om = np.linspace(-3, 3, 10)
+    with pytest.raises(ParameterError):
+        verify_atom_identity_hc(Paravector(2.5, [1.0]), -1, om)
+    with pytest.raises(ParameterError):
+        verify_atom_identity_hc(Paravector(2.5, [1.0]), 10, om, multiplier="bogus")
 
 
 def test_atom_hc_empty_admissible():
@@ -449,11 +460,11 @@ def test_report_json_schema():
 def test_multiplier_inverts_integral_symbol():
     # the frequency symbols of the derivative and integral of equal order
     # multiply to one wherever both are defined
-    from fracspline.fracops import _pow_array
+    from fracspline.fourier import _principal_power
     om = np.linspace(-10, 10, 201)
     om = om[om != 0]
     z = 0.7 + 0.3j
-    product = _pow_array(1j * om, z) * _pow_array(1j * om, -z)
+    product = _principal_power(1j * om, z) * _principal_power(1j * om, -z)
     assert np.max(np.abs(product - 1.0)) < 1e-13
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,11 +177,31 @@ def test_ez_integer_order_matches_convolution():
         assert abs(eval_ez(a, 2.0, x) - ref) < 1e-8, x
 
 
+def _mp_series(z, x, a=0.0):
+    """(1/Gamma(z)) sum_l binom(z,l) (-1)^l e^{-la} e^{-a(x-l)} (x-l)_+^{z-1}
+    summed term by term at 30 digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z.real, z.imag)
+        x, a = mpmath.mpf(x), mpmath.mpf(a)
+        total = mpmath.mpf(0)
+        for ell in range(int(math.floor(x)) + 1):
+            t = x - ell
+            if t > 0:
+                total += (mpmath.binomial(z, ell) * (-1) ** ell * mpmath.exp(-ell * a)
+                          * mpmath.exp(-a * t) * t ** (z - 1))
+        return complex(total / mpmath.gamma(z))
+
+
 def test_ez_equals_damped_bz():
     # the series factorizes as e^{-ax} B_z(x)
     a, z = 0.8, 2.5 + 0.5j
     for x in (0.7, 2.2, 4.9):
         assert abs(eval_ez(a, z, x) - math.exp(-a * x) * eval_bz(z, x)) < 1e-12
+    # and matches the damped series summed in high precision
+    for a in (0.8, 1.9):
+        for x in (0.7, 2.2, 4.9, 7.5):
+            ref = _mp_series(z, x, a)
+            assert abs(eval_ez(a, z, x) - ref) <= 1e-9 * abs(ref), (a, x)
 
 
 def test_ez_parameter_validation():
@@ -201,6 +222,15 @@ def test_bupsilon_complex_oracle():
         ref = eval_bz(2.5 + 1.0j, x)
         assert abs(got.s - ref.real) <= 1e-12
         assert abs(got.v[0] - ref.imag) <= 1e-12
+    # Cl(3), direction off the axes: the u part is Im B_{x0+i|v|} along v/|v|
+    v = np.array([0.6, -0.8, 0.5])
+    ups = Paravector(2.5, v)
+    vn = float(np.linalg.norm(v))
+    for x in (0.4, 1.7, 3.2, 6.8, 7.9):
+        got = eval_bupsilon(ups, x)
+        ref = _mp_series(complex(2.5, vn), x)
+        assert abs(got.s - ref.real) <= 1e-13, x
+        assert np.max(np.abs(got.v - ref.imag * v / vn)) <= 1e-13, x
 
 
 def test_bupsilon_support_and_domain():
