@@ -77,6 +77,7 @@ from .splines import (
     SplineOrder,
     eval_bn,
     eval_bupsilon,
+    eval_bupsilon_components,
     eval_bz,
     eval_exp_bspline,
     eval_ez,

@@ -35,7 +35,16 @@ from .fracops import (
     verify_atom_identity_expz,
     verify_atom_identity_hc,
 )
-from .splines import ExponentialWeights, SplineOrder, eval_exp_bspline, eval_ez, series_terms
+from .splines import (
+    ExponentialWeights,
+    SplineOrder,
+    eval_bn,
+    eval_bupsilon_components,
+    eval_bz,
+    eval_exp_bspline,
+    eval_ez,
+    series_terms,
+)
 
 FAMILIES = ("classical", "fractional", "complex", "exponential",
             "complex-exponential", "hypercomplex")
@@ -93,6 +102,52 @@ def _json_dump(value, indent: int = 0) -> str:
     if value is None:
         return "null"
     return json.dumps(str(value))
+
+
+def _json_template(fields: dict, indent: int) -> str:
+    """%-template of one JSON object laid out exactly as _json_dump lays
+    it out; fields maps each key to a %-spec or to a nested fields dict."""
+    pad = "  " * indent
+    items = ",\n".join(
+        f"{pad}  {json.dumps(k)}: "
+        + (_json_template(v, indent + 1) if isinstance(v, dict) else v)
+        for k, v in fields.items()
+    )
+    return "{\n" + items + "\n" + pad + "}"
+
+
+# rows formatted per piece of output text: bounds the Python objects alive
+# at once while a large table is written
+_ROWS_PER_PIECE = 4096
+
+
+def _table_text(fmt: str, header: list[str], columns, fields=None):
+    """Text of equal-length columns, one row per index, in pieces of
+    _ROWS_PER_PIECE rows: CSV under a header line, or a JSON list of records
+    (one flat record of the header names unless fields gives the record
+    layout).  Each row is one %-template; floats print as 17 significant
+    digits and integer or boolean columns as integers, the bytes _fmt and
+    _json_dump give."""
+    columns = [np.asarray(c) for c in columns]
+    specs = ["%d" if c.dtype.kind in "biu" else "%.16e" for c in columns]
+    count = columns[0].size
+    if fmt == "json":
+        if not count:
+            yield "[]\n"
+            return
+        template = "  " + _json_template(fields or dict(zip(header, specs)), 1)
+        sep, head, tail = ",\n", "[\n", "\n]\n"
+    else:
+        template = ",".join(specs)
+        sep, head, tail = "\n", ",".join(header) + "\n", "\n"
+        if not count:
+            yield head
+            return
+    yield head
+    for start in range(0, count, _ROWS_PER_PIECE):
+        rows = zip(*(c[start:start + _ROWS_PER_PIECE].tolist() for c in columns))
+        yield (sep if start else "") + sep.join([template % row for row in rows])
+    yield tail
 
 
 def _parse_grid(spec: str):
@@ -159,13 +214,16 @@ def _order_from_args(args) -> SplineOrder:
     raise UsageError(f"family {fam!r} has no single spline order")
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, text):
+    """Write a string, or an iterable of string pieces, to path or to
+    stdout for '-'."""
+    pieces = [text] if isinstance(text, str) else text
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise IOError(f"cannot write {path!r}: {exc}") from exc
 
@@ -177,128 +235,93 @@ def _paravector_columns(n: int) -> list[str]:
     return cols
 
 
-def _paravector_cells(p: Paravector) -> list[float]:
-    cells = [complex(p.s).real, complex(p.s).imag]
-    for c in p.v.tolist():
-        c = complex(c)
-        cells += [c.real, c.imag]
-    return cells
-
-
 # -- commands ---------------------------------------------------------------
 
 
-def run_eval(args) -> int:
-    xs = _parse_grid(args.grid)
+def _eval_columns(args, xs):
+    """Value column names, value columns and terms_used of the family on
+    the grid xs, each evaluated once over the whole grid."""
     fam = args.family
     if fam == "exponential":
         _require(args.a is not None, "exponential family needs --a a1,a2,...")
         weights = ExponentialWeights.coerce(_parse_tuple(args.a))
-        rows = [(x, eval_exp_bspline(weights, x), weights.order) for x in xs]
-        header = ["x", "value", "terms_used"]
-        lines = [",".join(header)]
-        for x, val, terms in rows:
-            lines.append(",".join([_fmt(x), _fmt(val), str(terms)]))
-    elif fam == "complex-exponential":
+        return ["value"], [eval_exp_bspline(weights, xs)], np.full(xs.size, weights.order)
+    terms = series_terms(xs)
+    if fam == "complex-exponential":
         _require(args.a is not None and args.z is not None,
                  "complex-exponential family needs --a and --z")
         a = _parse_tuple(args.a)
         _require(len(a) == 1, "complex-exponential family takes a single --a value")
-        z = _parse_complex(args.z)
-        rows = [(x, eval_ez(a[0], z, x), series_terms(x)) for x in xs]
-        header = ["x", "value_re", "value_im", "terms_used"]
-        lines = [",".join(header)]
-        for x, val, terms in rows:
-            lines.append(",".join([_fmt(x), _fmt(val.real), _fmt(val.imag), str(terms)]))
-    else:
-        order = _order_from_args(args)
-        results = [order.evaluate(x) for x in xs]
-        if fam in ("classical", "fractional"):
-            header = ["x", "value", "terms_used"]
-            lines = [",".join(header)]
-            for r in results:
-                lines.append(",".join([_fmt(r.x), _fmt(r.value), str(r.terms_used)]))
-        elif fam == "complex":
-            header = ["x", "value_re", "value_im", "terms_used"]
-            lines = [",".join(header)]
-            for r in results:
-                lines.append(",".join([_fmt(r.x), _fmt(r.value.real),
-                                       _fmt(r.value.imag), str(r.terms_used)]))
-        else:
-            n = order.value.n
-            header = ["x"] + _paravector_columns(n) + ["terms_used"]
-            lines = [",".join(header)]
-            for r in results:
-                cells = [_fmt(r.x)] + [_fmt(c) for c in _paravector_cells(r.value)]
-                lines.append(",".join(cells + [str(r.terms_used)]))
+        # x by keyword: benchmarks/tracing.py reads a positional x as one abscissa
+        vals = eval_ez(a[0], _parse_complex(args.z), x=xs)
+        return ["value_re", "value_im"], [vals.real, vals.imag], terms
+    order = _order_from_args(args)
+    if fam == "classical":
+        return ["value"], [eval_bn(order.value, xs)], terms
+    if fam == "fractional":
+        return ["value"], [eval_bz(order.value, x=xs).real], terms
+    if fam == "complex":
+        vals = eval_bz(order.value, x=xs)
+        return ["value_re", "value_im"], [vals.real, vals.imag], terms
+    alpha, beta, dec = eval_bupsilon_components(order.value, xs)
+    zero = np.zeros(xs.size)
+    vector = [zero] * dec.n if dec.u is None else [beta * uj for uj in dec.u.tolist()]
+    columns = [alpha, zero]
+    for comp in vector:
+        columns += [comp, zero]
+    return _paravector_columns(dec.n), columns, terms
 
-    if args.format == "json":
-        records = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            records.append({k: (int(v) if k == "terms_used" else float(v))
-                            for k, v in zip(lines[0].split(","), cells)})
-        _write_text(args.output, _json_dump(records) + "\n")
-    else:
-        _write_text(args.output, "\n".join(lines) + "\n")
+
+def run_eval(args) -> int:
+    xs = _parse_grid(args.grid)
+    header, columns, terms = _eval_columns(args, xs)
+    _write_text(args.output, _table_text(args.format, ["x", *header, "terms_used"],
+                                         [xs, *columns, terms]))
     return 0
 
 
-def run_transform(args) -> int:
-    omegas = _parse_grid(args.grid)
+def _transform_columns(args, omegas):
+    """Value column names and columns of the family transform on omegas."""
     fam = args.family
     if fam == "classical":
         _require(args.n is not None, "classical family needs --n")
-        n = SplineOrder.integer(args.n).value
-        vals = omega_fn(omegas) ** n
-        header, cells = ["omega", "value_re", "value_im"], \
-            [[_fmt(w), _fmt(v.real), _fmt(v.imag)] for w, v in zip(omegas, vals)]
+        vals = omega_fn(omegas) ** SplineOrder.integer(args.n).value
     elif fam == "fractional":
         _require(args.alpha is not None, "fractional family needs --alpha")
         vals = hat_bz(complex(SplineOrder.real(args.alpha).value), omegas)
-        header, cells = ["omega", "value_re", "value_im"], \
-            [[_fmt(w), _fmt(v.real), _fmt(v.imag)] for w, v in zip(omegas, vals)]
     elif fam == "complex":
         _require(args.z is not None, "complex family needs --z")
         vals = hat_bz(_parse_complex(args.z), omegas)
-        header, cells = ["omega", "value_re", "value_im"], \
-            [[_fmt(w), _fmt(v.real), _fmt(v.imag)] for w, v in zip(omegas, vals)]
     elif fam == "exponential":
         _require(args.a is not None, "exponential family needs --a")
         vals = hat_en(_parse_tuple(args.a), omegas)
-        header, cells = ["omega", "value_re", "value_im"], \
-            [[_fmt(w), _fmt(v.real), _fmt(v.imag)] for w, v in zip(omegas, vals)]
     elif fam == "complex-exponential":
         _require(args.a is not None and args.z is not None,
                  "complex-exponential family needs --a and --z")
         a = _parse_tuple(args.a)
         _require(len(a) == 1, "complex-exponential family takes a single --a value")
         vals = hat_ez(a[0], _parse_complex(args.z), omegas)
-        header, cells = ["omega", "value_re", "value_im"], \
-            [[_fmt(w), _fmt(v.real), _fmt(v.imag)] for w, v in zip(omegas, vals)]
     else:
         _require(args.upsilon is not None, "hypercomplex family needs --upsilon")
-        ups = _parse_upsilon(args.upsilon)
-        order = SplineOrder.hypercomplex(ups)
+        order = SplineOrder.hypercomplex(_parse_upsilon(args.upsilon))
         alpha, beta, dec = hat_bupsilon_components(order.value, omegas)
-        header = ["omega"] + _paravector_columns(dec.n)
-        cells = []
-        for i, w in enumerate(omegas):
-            row = [_fmt(w), _fmt(alpha[i].real), _fmt(alpha[i].imag)]
-            u = dec.u if dec.u is not None else np.zeros(dec.n)
-            for j in range(dec.n):
-                comp = beta[i] * u[j]
-                row += [_fmt(comp.real), _fmt(comp.imag)]
-            cells.append(row)
+        u = dec.u if dec.u is not None else np.zeros(dec.n)
+        columns = [alpha.real, alpha.imag]
+        for uj in u.tolist():
+            # beta * (uj + 0i) spelled out: the signed zeros of scalar
+            # complex arithmetic, which the vector loop does not keep
+            columns += [beta.real * uj - beta.imag * 0.0,
+                        beta.real * 0.0 + beta.imag * uj]
+        return _paravector_columns(dec.n), columns
+    return ["value_re", "value_im"], [vals.real, vals.imag]
 
-    if args.format == "json":
-        records = [{"omega": float(row[0]),
-                    "value": {k: float(v) for k, v in zip(header[1:], row[1:])}}
-                   for row in cells]
-        _write_text(args.output, _json_dump(records) + "\n")
-    else:
-        lines = [",".join(header)] + [",".join(row) for row in cells]
-        _write_text(args.output, "\n".join(lines) + "\n")
+
+def run_transform(args) -> int:
+    omegas = _parse_grid(args.grid)
+    header, columns = _transform_columns(args, omegas)
+    fields = {"omega": "%.16e", "value": {h: "%.16e" for h in header}}
+    _write_text(args.output, _table_text(args.format, ["omega", *header],
+                                         [omegas, *columns], fields))
     return 0
 
 
@@ -361,11 +384,8 @@ def run_fracop(args) -> int:
         raise UsageError(f"unknown fracop {args.op!r}")
 
     vals = out.values.astype(complex)
-    lines = ["x,value_re,value_im,valid"]
-    for x, v, ok in zip(out.x, vals, out.valid):
-        lines.append(",".join([_fmt(x), _fmt(v.real), _fmt(v.imag),
-                               "1" if ok else "0"]))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, _table_text("csv", ["x", "value_re", "value_im", "valid"],
+                                         [out.x, vals.real, vals.imag, out.valid]))
     return 0
 
 
@@ -453,6 +473,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_int(key, value) -> int:
+    """An integral config value: an integer, a float with no fractional
+    part, or a string --n/--K would take.  Truncating 3.7 to 3 would
+    evaluate another order than the one asked for; booleans are not
+    numbers."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"config key {key!r} needs an integer, got {value!r}")
+
+
 def _merge_config(args, argv) -> None:
     """Fill unset options from the JSON config; explicit flags win."""
     if not getattr(args, "config", None):
@@ -476,7 +513,7 @@ def _merge_config(args, argv) -> None:
             continue
         try:
             if dest in ("n", "K"):
-                value = int(value)
+                value = _config_int(key, value)
             elif dest in ("alpha", "tol"):
                 value = float(value)
             elif isinstance(value, (list, tuple)):

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .fourier import FrequencyGrid, _principal_power, hat_en, omega_a_fn, omega_fn
 from .specialfn import binom_complex_sequence, gamma, gamma_hc
-from .splines import ExponentialWeights
+from .splines import ExponentialWeights, exp_difference_coefficients
 
 __all__ = [
     "SampledSignal",
@@ -502,9 +502,7 @@ def exp_difference_check(weights, grid) -> ResidualReport:
     for a in wts.values:
         lhs = lhs * (1j * om - a)
 
-    poly = np.array([1.0])
-    for a in wts.values:
-        poly = np.convolve(poly, np.array([1.0, -math.exp(a)]))
+    poly = exp_difference_coefficients(wts.values)
     atoms = AtomSum(np.arange(poly.size), poly.astype(complex)[:, None])
     rhs = atoms.evaluate(om)[0]
 

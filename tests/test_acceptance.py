@@ -5,7 +5,11 @@ lines as they complete.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -30,7 +34,6 @@ from fracspline import (
     verify_atom_identity_expz,
     verify_atom_identity_hc,
 )
-from fracspline.cli import main as cli_main
 
 
 def report(num, ok, desc, detail=""):
@@ -238,16 +241,26 @@ def test_criterion_11_exponential_transform():
            f"DFT gap {gap:.2e}, closed-form gap {closed:.2e}, {elapsed:.2f} s")
 
 
-def test_criterion_12_cli_determinism(tmp_path, monkeypatch):
+def test_criterion_12_cli_determinism(tmp_path):
+    # the same argv run in two fresh interpreters, with different hash seeds
+    src = Path(__file__).resolve().parents[1] / "src"
+    commands = [
+        ["eval", "--family", "complex", "--z", "2.5,1", "--grid", "0:6:0.01"],
+        ["eval", "--family", "complex", "--z", "2.5,1", "--grid", "0:6:0.01",
+         "--format", "json"],
+        ["verify", "--family", "complex", "--z", "2.5,1", "--K", "200", "--tol", "1e-3"],
+    ]
     outputs = {}
-    for threads in ("1", "8"):
-        monkeypatch.setenv("FRACSPLINE_THREADS", threads)
-        ev = tmp_path / f"eval_{threads}.csv"
-        vr = tmp_path / f"verify_{threads}.json"
-        assert cli_main(["eval", "--family", "complex", "--z", "2.5,1",
-                         "--grid", "0:6:0.01", "-o", str(ev)]) == 0
-        assert cli_main(["verify", "--family", "complex", "--z", "2.5,1",
-                         "--K", "200", "--tol", "1e-3", "-o", str(vr)]) == 0
-        outputs[threads] = (ev.read_bytes(), vr.read_bytes())
-    ok = outputs["1"] == outputs["8"]
-    report(12, ok, "CLI output bytes are independent of the thread cap")
+    for seed in ("0", "1"):
+        outs = [tmp_path / f"out{seed}-{i}" for i in range(len(commands))]
+        argvs = [cmd + ["-o", str(out)] for cmd, out in zip(commands, outs)]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        script = ("import sys; from fracspline.cli import main; "
+                  f"sys.exit(max(main(a) for a in {argvs!r}))")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs[seed] = [out.read_bytes() for out in outs]
+    ok = outputs["0"] == outputs["1"]
+    report(12, ok, "CLI output bytes depend on the arguments only",
+           "eval CSV and JSON, verify; two interpreters")

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -104,6 +106,17 @@ def test_eval_usage_errors(tmp_path):
     assert run_cli(["eval", "--family", "classical", "--n", "3"]) == 1  # no grid
     assert run_cli(["eval", "--family", "complex", "--z", "abc",
                     "--grid", "0:1:0.5"]) == 1  # malformed number
+
+
+def test_eval_gamma_underflow_or_overflow_is_an_error(capsys):
+    # |Gamma(z)| underflows to 0 at |im z| = 1000 and overflows at z = 200:
+    # an error, not a traceback
+    for order in (["--family", "complex", "--z", "2.5,1e3"],
+                  ["--family", "complex-exponential", "--a", "0.5", "--z", "2.5,1e3"],
+                  ["--family", "hypercomplex", "--upsilon", "2.5,600,800"],
+                  ["--family", "fractional", "--alpha", "200"]):  # overflow
+        assert run_cli(["eval", *order, "--grid", "0:2:1"]) == 1, order
+        assert capsys.readouterr().err.startswith("error: "), order
 
 
 def test_eval_unwritable_path():
@@ -283,17 +296,134 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert run_cli(["eval", "--config", str(conf), "--grid", "0:1:1"]) == 1
 
 
-# -- thread cap determinism --------------------------------------------------------
+def test_config_rejects_non_integral_counts(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    out = tmp_path / "out.csv"
+    for n in (3.7, "3.7", True, None, [3]):
+        conf.write_text(json.dumps({"family": "classical", "n": n, "grid": "0:1:0.5"}))
+        assert run_cli(["eval", "--config", str(conf), "-o", str(out)]) == 1, n
+        assert capsys.readouterr().err.startswith("error: "), n
+    conf.write_text(json.dumps({"family": "complex", "z": "2.5", "K": 50.5}))
+    assert run_cli(["verify", "--config", str(conf), "-o", str(out)]) == 1
+    # integral values still count, whichever JSON type holds them
+    expected = None
+    for n in (3, 3.0, "3"):
+        conf.write_text(json.dumps({"family": "classical", "n": n, "grid": "0:1:0.5"}))
+        assert run_cli(["eval", "--config", str(conf), "-o", str(out)]) == 0, n
+        expected = expected or out.read_bytes()
+        assert out.read_bytes() == expected, n
 
-def test_thread_count_determinism(tmp_path, monkeypatch):
-    outs = []
-    for threads in ("1", "8"):
-        monkeypatch.setenv("FRACSPLINE_THREADS", threads)
-        out = tmp_path / f"t{threads}.csv"
-        assert run_cli(["eval", "--family", "complex", "--z", "2.5,1",
-                        "--grid", "0:6:0.01", "-o", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+
+# -- output writer -------------------------------------------------------------------
+
+EVAL_ORDERS = {
+    "classical": ["--n", "3"],
+    "fractional": ["--alpha", "2.7"],
+    "complex": ["--z", "2.5,-1"],
+    "exponential": ["--a", "1,-0.5,-0.5"],
+    "complex-exponential": ["--a", "0.7", "--z", "3.1,1.2"],
+    "hypercomplex": ["--upsilon", "2.5,1,-1,0"],
+}
+
+
+def old_serialization(header, cell_rows, json_layout):
+    """What the CLI wrote before the template writer: one _fmt per float
+    cell, and JSON through the CSV text -> float -> _json_dump round trip."""
+    from fracspline.cli import _fmt, _json_dump
+
+    def cell(key, text):
+        return str(int(text)) if key in ("terms_used", "valid") else _fmt(float(text))
+
+    lines = [",".join(header)] + [",".join(cell(k, c) for k, c in zip(header, row))
+                                  for row in cell_rows]
+    if json_layout == "eval":
+        records = [{k: (int(c) if k == "terms_used" else float(c)) for k, c in zip(header, row)}
+                   for row in cell_rows]
+    else:
+        records = [{"omega": float(row[0]),
+                    "value": {k: float(c) for k, c in zip(header[1:], row[1:])}}
+                   for row in cell_rows]
+    return "\n".join(lines) + "\n", _json_dump(records) + "\n"
+
+
+def test_writer_bytes_match_the_old_serializer(tmp_path):
+    negative_zero = 0
+    for fam, order in EVAL_ORDERS.items():
+        for cmd, grid, layout in (("eval", "--grid=-1:4:0.125", "eval"),
+                                  ("transform", "--grid=-6:6:0.25", "transform")):
+            csv_out, json_out = tmp_path / "o.csv", tmp_path / "o.json"
+            base = [cmd, "--family", fam, *order, grid]
+            if fam == "hypercomplex" and cmd == "transform":
+                base[4] = "2.5,1,-0.0,0"  # a -0.0 direction component
+            assert run_cli(base + ["-o", str(csv_out)]) == 0
+            assert run_cli(base + ["--format", "json", "-o", str(json_out)]) == 0
+            header, rows = read_csv(csv_out)
+            want_csv, want_json = old_serialization(header, rows, layout)
+            assert csv_out.read_text() == want_csv, (fam, cmd)
+            assert json_out.read_text() == want_json, (fam, cmd)
+            negative_zero += want_csv.count("-0.0000000000000000e+00")
+    assert negative_zero > 0
+
+
+def test_table_text_special_values(monkeypatch):
+    import fracspline.cli
+    from fracspline.cli import _table_text
+
+    def text(*args):
+        return "".join(_table_text(*args))
+
+    xs = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 1 / 3, np.inf, np.nan])
+    terms = np.arange(xs.size)
+    valid = np.arange(xs.size) % 2 == 0
+    header = ["x", "terms_used", "valid"]
+    cells = [[repr(float(x)), str(t), str(int(v))] for x, t, v in zip(xs, terms, valid)]
+    want_csv, _ = old_serialization(header, cells, "eval")
+    _, want_json = old_serialization(header[:2], [c[:2] for c in cells], "eval")
+    _, want_nested = old_serialization(["omega", "value_re"],
+                                       [[repr(float(x)), repr(float(-x))] for x in xs],
+                                       "transform")
+    fields = {"omega": "%.16e", "value": {"value_re": "%.16e"}}
+    for rows in (1, 2, 3, 4096):  # piece boundaries do not show in the bytes
+        monkeypatch.setattr(fracspline.cli, "_ROWS_PER_PIECE", rows)
+        assert text("csv", header, [xs, terms, valid]) == want_csv
+        assert text("json", header[:2], [xs, terms]) == want_json
+        assert text("json", ["omega", "value_re"], [xs, -xs], fields) == want_nested
+    assert text("csv", header[:2], [xs[:0], terms[:0]]) == "x,terms_used\n"
+    assert text("json", header[:2], [xs[:0], terms[:0]]) == "[]\n"
+
+
+# -- determinism across interpreters -------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_interpreter_outputs(commands, tmp_path, hashseed):
+    """Bytes written by the commands, run in one new interpreter."""
+    outs = [tmp_path / f"seed{hashseed}-{i}.out" for i in range(len(commands))]
+    argvs = [cmd + ["-o", str(out)] for cmd, out in zip(commands, outs)]
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = ("import sys; from fracspline.cli import main; "
+              f"sys.exit(max(main(a) for a in {argvs!r}))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    return [out.read_bytes() for out in outs]
+
+
+def test_thread_count_determinism(tmp_path):
+    # the name predates the removal of the thread pool; what stays checked is
+    # that a run's bytes depend on its arguments only
+    commands = [
+        ["eval", "--family", "hypercomplex", "--upsilon", "2.5,1,-1", "--grid=-1:6:0.01"],
+        ["eval", "--family", "exponential", "--a", "1,-0.5,0.5", "--grid", "0:3:0.01",
+         "--format", "json"],
+        ["eval", "--family", "complex-exponential", "--a", "0.7", "--z", "3,1",
+         "--grid", "0:6:0.05", "--format", "json"],
+        ["verify", "--family", "hypercomplex", "--upsilon", "2.5,1,1", "--K", "50",
+         "--grid", "0.1:3:0.01"],
+    ]
+    first = fresh_interpreter_outputs(commands, tmp_path, 1)
+    assert first == fresh_interpreter_outputs(commands, tmp_path, 2)
 
 
 def test_module_invocation_smoke(tmp_path):

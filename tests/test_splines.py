@@ -9,12 +9,14 @@ from scipy.integrate import quad
 
 from fracspline import (
     ExponentialWeights,
+    NumericError,
     OrderError,
     ParameterError,
     Paravector,
     SplineOrder,
     eval_bn,
     eval_bupsilon,
+    eval_bupsilon_components,
     eval_bz,
     eval_exp_bspline,
     eval_ez,
@@ -156,6 +158,150 @@ def test_exp_weights_validation():
         ExponentialWeights(())
     w = ExponentialWeights.coerce((0.0, 1.0))
     assert w.order == 2
+
+
+def quad_exp_bspline(weights, x, tol=1e-10):
+    """The n-fold convolution of e^{a_k x} 1_[0,1) by recursive adaptive
+    quadrature: an oracle independent of the closed form."""
+    w = tuple(float(a) for a in weights)
+
+    def level(k, t):
+        if t < 0.0 or t >= k:
+            return 0.0
+        if k == 1:
+            return math.exp(w[0] * t)
+        lo, hi = max(0.0, t - (k - 1)), min(1.0, t)
+        # kinks of the level below sit where t - s is an integer
+        kinks = sorted(t - j for j in range(k) if lo < t - j < hi)
+        val, _ = quad(lambda s: math.exp(w[k - 1] * s) * level(k - 1, t - s), lo, hi,
+                      points=kinks or None, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200)
+        return val
+
+    return level(len(w), float(x))
+
+
+def mp_exp_bspline(weights, x):
+    """sum_{k<=x} p_k [expm((x-k) J)]_{n,1} at 40 digits."""
+    n = len(weights)
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(w) for w in weights]
+        bidiagonal = mpmath.zeros(n)
+        for i in range(n):
+            bidiagonal[i, i] = a[i]
+            if i:
+                bidiagonal[i, i - 1] = 1
+        poly = [mpmath.mpf(1)]
+        for ai in a:
+            poly = [c - mpmath.exp(ai) * d for c, d in zip(poly + [0], [0] + poly)]
+        xx = mpmath.mpf(x)
+        total = mpmath.fsum(poly[k] * mpmath.expm(bidiagonal * (xx - k))[n - 1, 0]
+                            for k in range(int(math.floor(x)) + 1))
+        return float(total)
+
+
+# repeated, near-equal, nearly zero and mixed-sign weights
+EXP_WEIGHTS = [(0.7,), (1.0, 2.0), (-0.4, -0.4), (0.3, 0.3 + 1e-9), (1e-6,) * 3,
+               (1.0, 1.0, 1.0, -1.0), (-1.3, 0.2, 0.9, 1.4), (1.5,) * 4]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("weights", EXP_WEIGHTS)
+def test_exp_bspline_closed_form_matches_oracles(weights):
+    n = len(weights)
+    xs = np.array([1e-9, 0.3, 1.0, n / 2, n - 0.7, n - 1e-9]
+                  + [k + 0.45 for k in range(n)])
+    got = eval_exp_bspline(weights, xs)
+    for x, g in zip(xs, got):
+        assert abs(g - quad_exp_bspline(weights, x)) <= 1e-10, (x, g)
+        ref = mp_exp_bspline(weights, x)
+        assert abs(g - ref) <= 1e-11 * max(1.0, abs(ref)), (x, g, ref)
+
+
+def test_exp_bspline_exact_zeros_off_support():
+    for weights in EXP_WEIGHTS:
+        n = len(weights)
+        xs = np.array([-1e300, -0.5, -5e-324, n, n + 0.5, 1e9])
+        got = eval_exp_bspline(weights, xs)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got)), weights
+
+
+# -- one code path for grids and points ------------------------------------------------
+
+UPS = Paravector(2.5, [1.0, -1.0, 0.0])
+
+
+def _hc_rows(xs):
+    alpha, beta, dec = eval_bupsilon_components(UPS, xs)
+    return np.column_stack([alpha] + [beta * uj for uj in dec.u])
+
+
+FAMILY_CALLS = {
+    "classical": (lambda xs: eval_bn(4, xs), lambda x: eval_bn(4, x)),
+    "fractional": (lambda xs: eval_bz(2.7, xs).real, lambda x: eval_bz(2.7, x).real),
+    "complex": (lambda xs: eval_bz(2.5 - 1j, xs), lambda x: eval_bz(2.5 - 1j, x)),
+    "exponential": (lambda xs: eval_exp_bspline((1.0, -0.5, -0.5), xs),
+                    lambda x: eval_exp_bspline((1.0, -0.5, -0.5), x)),
+    "complex-exponential": (lambda xs: eval_ez(0.7, 3.1 + 1.2j, xs),
+                            lambda x: eval_ez(0.7, 3.1 + 1.2j, x)),
+    "hypercomplex": (_hc_rows, lambda x: np.array([eval_bupsilon(UPS, x).s,
+                                                   *eval_bupsilon(UPS, x).v])),
+}
+
+GRIDS = {
+    "negative and integer x": np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 1.5, 2.0, 2.75,
+                                        3.0, 4.0, 7.5, 12.0]),
+    "descending": np.linspace(9.0, -1.0, 41),
+    "one point": np.array([1.25]),
+    "no points": np.array([]),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_CALLS)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_array_call_equals_scalar_calls_bit_for_bit(family, grid):
+    array_call, scalar_call = FAMILY_CALLS[family]
+    xs = GRIDS[grid]
+    got = np.asarray(array_call(xs))
+    want = np.array([scalar_call(float(x)) for x in xs], dtype=got.dtype)
+    assert got.shape[0] == xs.size
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+def test_array_calls_keep_the_shape():
+    xs = np.linspace(-1.0, 5.0, 12).reshape(3, 4)
+    assert eval_bz(2.5 + 1j, xs).shape == (3, 4)
+    assert eval_bn(3, xs).shape == (3, 4)
+    assert series_terms(xs).tolist() == [[series_terms(x) for x in row] for row in xs.tolist()]
+    assert isinstance(eval_bz(2.5 + 1j, 1.5), complex)
+    assert isinstance(eval_exp_bspline((1.0, 2.0), 0.5), float)
+
+
+def test_evaluate_on_grid_equals_pointwise_evaluate():
+    xs = GRIDS["negative and integer x"]
+    for order in (SplineOrder.integer(3), SplineOrder.real(2.7),
+                  SplineOrder.complex_order(2.5 + 1j), SplineOrder.hypercomplex(UPS)):
+        for row, x in zip(evaluate_on_grid(order, xs), xs):
+            one = order.evaluate(x)
+            assert (row.x, row.terms_used) == (one.x, one.terms_used)
+            if order.kind == "hypercomplex":
+                assert row.value.s == one.value.s
+                assert row.value.v.tobytes() == one.value.v.tobytes()
+            else:
+                assert type(row.value) is type(one.value) and row.value == one.value
+
+
+def test_gamma_underflow_and_overflow_are_numeric_errors():
+    # |Gamma(2.5 + 1000i)| underflows to 0; dividing by it is meaningless
+    with pytest.raises(NumericError):
+        eval_bz(2.5 + 1000j, [0.0, 1.5])
+    with pytest.raises(NumericError):
+        eval_ez(0.5, 2.5 + 1000j, 1.5)
+    with pytest.raises(NumericError):
+        eval_bupsilon(Paravector(2.5, [600.0, 800.0]), 1.5)
+    with pytest.raises(NumericError):  # Gamma(200) overflows
+        eval_bz(200.0, 1.5)
+    # left of the support nothing is divided
+    assert eval_bz(2.5 + 1000j, -1.0) == 0.0
 
 
 # -- complex exponential family ------------------------------------------------------
