@@ -336,7 +336,7 @@ def eval_bupsilon_components(upsilon: Paravector, x):
         raise OrderError(
             f"hypercomplex spline order must have scalar part > 1, got {dec.x0:g}"
         )
-    value = eval_bz(complex(dec.x0, dec.vnorm), x=np.atleast_1d(np.asarray(x, dtype=float)))
+    value = eval_bz(complex(dec.x0, dec.vnorm), x=np.atleast_1d(x))
     return value.real, value.imag, dec
 
 
