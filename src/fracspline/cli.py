@@ -158,6 +158,8 @@ def _parse_grid(spec: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"grid values must be numeric: {spec!r}") from exc
+    if not np.isfinite([start, stop, step]).all():
+        raise UsageError(f"grid values must be finite: {spec!r}")
     if step <= 0 or stop < start:
         raise UsageError(f"grid needs stop >= start and step > 0, got {spec!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1

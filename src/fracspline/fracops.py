@@ -23,6 +23,12 @@ than silently patched.
 The three complex-order identities are one check: the damped one weights
 atom k by e^{-ak}, and the hypercomplex one is the complex one at the
 conjugate pair x0 +- i|v|, the idempotent split of span{1, u} (x) C.
+
+Every right-hand side is one AtomSum.evaluate: Horner's rule in
+q = e^{-iw}, so a check over N frequencies and K atoms works in
+O(columns N) memory, and the sum is rounded by at most
+gamma_{2K} sum_k |c_k| (Higham, Accuracy and Stability of Numerical
+Algorithms, sec. 5.1).
 """
 
 from __future__ import annotations
@@ -234,6 +240,13 @@ class AtomSum:
     components has one row per shift and one column per sum; a sum with
     values in the commuting subalgebra span{1, u} is kept as two columns,
     either along (1, u) or as its idempotent parts (u -> i, u -> -i).
+    Shifts are integers of either sign in any order; repeated shifts add up.
+
+    evaluate() is Horner's rule in q = e^{-iw}: working memory is
+    O(columns N) for N frequencies, whatever the number of shifts, and the
+    rounding error is at most gamma_{2K} sum_k |c_k| with K the span of the
+    shifts, because |q| = 1 (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 5.1).
     """
 
     shifts: np.ndarray
@@ -245,7 +258,7 @@ class AtomSum:
             raise ParameterError("one coefficient row per shift required")
         if not np.all(np.isfinite(comp.view(float))):
             raise ParameterError("atom coefficients must be a bounded sequence")
-        object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=int))
+        object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=int).ravel())
         object.__setattr__(self, "components", comp)
 
     def sup_norm(self) -> float:
@@ -253,9 +266,26 @@ class AtomSum:
 
     def evaluate(self, omegas: np.ndarray) -> np.ndarray:
         """Exponential sum sum_k c_k e^{-ik w}; returns one row per
-        coefficient column."""
-        phases = np.exp(-1j * np.outer(self.shifts, omegas))
-        return self.components.T @ phases
+        coefficient column.
+
+        Horner's rule in q = e^{-iw}: one exp over the N frequencies, then
+        one multiply-add pass per shift, from the highest down, over a
+        (columns x N) accumulator.  The sum starts at the lowest shift m,
+        and q^m multiplies the result when m != 0.
+        """
+        om = np.asarray(omegas, dtype=float).ravel()
+        low = int(self.shifts.min())
+        table = np.zeros((int(self.shifts.max()) - low + 1, self.components.shape[1]),
+                         dtype=complex)
+        np.add.at(table, self.shifts - low, self.components)
+        q = np.exp(-1j * om)
+        acc = np.zeros((table.shape[1], om.size), dtype=complex)
+        for row in table[::-1]:
+            acc *= q
+            acc += row[:, None]
+        if low:
+            acc *= np.exp(-1j * low * om)
+        return acc
 
 
 @dataclass

@@ -216,10 +216,15 @@ def eval_bn(n: int, x):
     Support is [0, n] with the half-open unit-box convention, so the value
     is exactly 0 outside [0, n) and at x = n.  The powers are libm pow
     (np.float_power), the rounding of Python's float power.
+
+    Raises NumericError for n > 171, where (n-1)! overflows a float.
     """
     if n != int(n) or n < 1:
         raise OrderError(f"classical order must be an integer >= 1, got {n!r}")
     n = int(n)
+    if n > 171:
+        raise NumericError(f"(n-1)! overflows at classical order n = {n}; "
+                           "division is meaningless")
     xs, shape = _abscissae(x)
     out = np.zeros(xs.size)
     live = (xs >= 0.0) & (xs < n)

@@ -119,6 +119,31 @@ def test_eval_gamma_underflow_or_overflow_is_an_error(capsys):
         assert capsys.readouterr().err.startswith("error: "), order
 
 
+def test_non_finite_grid_is_a_usage_error(capsys):
+    # inf/nan bounds or steps used to end in OverflowError/ValueError
+    # tracebacks from the point count
+    for grid in ("0:inf:1", "0:nan:1", "0:1:inf", "0:1:nan", "nan:1:0.5"):
+        assert run_cli(["eval", "--family", "classical", "--n", "3",
+                        "--grid", grid]) == 1, grid
+        assert capsys.readouterr().err.startswith("error: "), grid
+    assert run_cli(["verify", "--family", "complex", "--z", "2.5",
+                    "--grid=-1:inf:0.1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run_cli(["transform", "--family", "complex", "--z", "2.5",
+                    "--grid=-inf:1:0.5"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_classical_order_past_factorial_range(tmp_path, capsys):
+    # (n-1)! overflows a float from n = 172 on: an error, not a traceback
+    assert run_cli(["eval", "--family", "classical", "--n", "200",
+                    "--grid", "0:3:1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "b171.csv"
+    assert run_cli(["eval", "--family", "classical", "--n", "171",
+                    "--grid", "0:3:1", "-o", str(out)]) == 0
+
+
 def test_eval_unwritable_path():
     assert run_cli(["eval", "--family", "classical", "--n", "3",
                     "--grid", "0:3:1", "-o", "/nonexistent-dir/x.csv"]) == 3

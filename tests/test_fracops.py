@@ -1,6 +1,8 @@
 import cmath
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -27,6 +29,7 @@ from fracspline import (
     verify_atom_identity_expz,
     verify_atom_identity_hc,
 )
+from fracspline.specialfn import binom_complex_sequence
 
 
 def make_signal(fn, stop=2.0, h=1e-3, start=0.0):
@@ -445,6 +448,89 @@ def test_atom_sum_container():
     assert abs(vals[0][0] - 0.0) < 1e-15
     with pytest.raises(ParameterError):
         AtomSum(np.arange(2), np.array([[1.0]]))
+
+
+# -- atom sums: Horner's rule against oracles -----------------------------------------------------
+
+def phase_matrix_sum(shifts, components, omegas):
+    """The K x N phase-matrix product that AtomSum.evaluate replaced."""
+    return np.asarray(components).T @ np.exp(-1j * np.outer(shifts, omegas))
+
+
+def mp_atom_sum(column, omegas):
+    """sum_k c_k e^{-ikw} for shifts 0..K, in 30-digit arithmetic."""
+    out = []
+    with mpmath.workdps(30):
+        for w in omegas:
+            q = mpmath.expj(-mpmath.mpf(float(w)))
+            acc = mpmath.mpc(0)
+            for c in column[::-1]:
+                acc = acc * q + mpmath.mpc(complex(c))
+            out.append(complex(acc))
+    return np.array(out)
+
+
+def atom_columns(K, ncols):
+    """The verifiers' alternating binomial atoms: z, or the pair (z, conj z)."""
+    z = 2.5 + 1.0j
+    cols = [binom_complex_sequence(e, K) * (-1.0) ** np.arange(K + 1)
+            for e in (z, z.conjugate())[:ncols]]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("K", [1, 50, 400])
+@pytest.mark.parametrize("ncols", [1, 2])
+def test_atom_sum_horner_matches_mpmath(K, ncols):
+    special = np.array([0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e3, -1e3])
+    om = np.concatenate([special, np.linspace(-12.0, 12.0, 65)])
+    rng = np.random.default_rng(K)
+    random = rng.normal(size=(K + 1, ncols)) + 1j * rng.normal(size=(K + 1, ncols))
+    for comps in (atom_columns(K, ncols), random):
+        vals = AtomSum(np.arange(K + 1), comps).evaluate(om)
+        assert vals.shape == (ncols, om.size)
+        for j in range(ncols):
+            tol = (2 * K + 2) * np.finfo(float).eps * np.sum(np.abs(comps[:, j]))
+            err = np.abs(vals[j] - mp_atom_sum(comps[:, j], om))
+            assert np.max(err) <= tol, (K, ncols, j, np.max(err) / tol)
+
+
+def test_atom_sum_shift_layouts_match_phase_matrix():
+    # shifts in any order, repeated or negative reach the same sum
+    rng = np.random.default_rng(7)
+    om = np.linspace(-7.0, 7.0, 301)
+    for shifts in ([3, 0, 1, 2], [0, 2, 2, 5], [-2, 1, 4], [6]):
+        comps = rng.normal(size=(len(shifts), 2)) + 1j * rng.normal(size=(len(shifts), 2))
+        vals = AtomSum(np.array(shifts), comps).evaluate(om)
+        ref = phase_matrix_sum(shifts, comps, om)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.sum(np.abs(comps)), shifts
+
+
+def test_atom_sum_horner_memory_is_linear_in_frequencies():
+    K, N = 400, 100_000
+    atoms = AtomSum(np.arange(K + 1), atom_columns(K, 1))
+    om = np.linspace(-12.0, 12.0, N)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        atoms.evaluate(om)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a handful of length-N complex rows; the K x N phase matrix is 640 MB
+    assert peak < 16 * N * 8, peak
+
+
+@pytest.mark.parametrize("z", [1.1, 2.5 + 1j, 3.7 - 2j, 5.2 + 0.5j, 5.9 + 0.3j, 5.99])
+def test_verifiers_certify_on_a_fine_grid(z):
+    # near re z = 6 the tail bound is down to the rounding fuzz, so the
+    # atom sum's own rounding decides whether the identity certifies
+    om = np.linspace(-12.0, 12.0, 40_001)
+    for K in (50, 160, 400):
+        rep = verify_atom_identity_complex(z, K, om)
+        assert rep.verified(), (z, K, rep.max_residual, rep.tail_bound)
+    if z == 5.99:
+        assert verify_atom_identity_expz(0.7, 2.5 + 0.5j, 400, om).verified()
+        assert verify_atom_identity_hc(Paravector(5.9, [0.3]), 400, om).verified()
 
 
 def test_report_json_schema():
