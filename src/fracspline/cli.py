@@ -6,12 +6,27 @@ Exit codes: 0 pass, 1 usage or parameter error, 2 verification failure,
 3 I/O error.  All numeric output is printed with 17 significant digits so
 files round-trip exactly and identical configurations produce identical
 bytes.
+
+Tables (eval, transform, fracop) are written by _table_text, byte for byte
+as "%.16e" writes each float and "%d" each integer or boolean, but a piece
+of rows at a time with numpy.  A float's 17 digits are
+round-half-even(|x| 10^(16 - E)), the product taken in double-double
+arithmetic (Dekker's two-product, 10^s from a table of exact hi + lo
+pairs).  A cell that product cannot certify is written by "%.16e" itself:
+non-finite cells, |x| outside [1e-280, 1e280], fractions within 2^-30 of
+.5 when 10^(16 - E) is not a double, and digits that round up to 10^17
+(9.99...95 carrying into the next exponent).  Verify reports go through
+_json_dump.  A fracop input CSV is parsed by one np.loadtxt call; when that
+raises or a sample is not finite, a line-by-line float parse runs instead,
+which names the file line of a bad sample.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 
 import numpy as np
@@ -116,18 +131,210 @@ def _json_template(fields: dict, indent: int) -> str:
     return "{\n" + items + "\n" + pad + "}"
 
 
-# rows formatted per piece of output text: bounds the Python objects alive
-# at once while a large table is written
+# rows formatted per piece of output text: bounds the memory alive at once
+# while a large table is written
 _ROWS_PER_PIECE = 4096
+
+# _float_cells certifies the digits of cells with |x| in this range: there
+# neither the powers of ten it needs nor any partial product of its
+# two-product under- or overflows
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# the scales s = 16 - E those cells can need, E their decimal exponent
+_POW10_SCALES = range(-270, 301)
+# when 10^s is not a double, y = |x| 10^s is off by at most a few 1e-15,
+# so a fraction of y this close to .5 may round either way
+_HALF_MARGIN = 2.0 ** -30
+
+# Rows are built as little-endian 4-byte words, each with a mask word whose
+# bytes are 1 where the text byte is in use and 0 where it is padding.
+_WORD = np.dtype("<u4")
+# a float cell: "\0-d." (padding, sign, leading digit, point), four words
+# of digits, and the exponent "e+HT" "O\0\0\0"
+_FLOAT_WORDS = 7
+
+
+def _words(text: bytes, used: bytes):
+    """text and its mask as words, zero-padded to a whole word."""
+    pad = bytes(-len(text) % 4)
+    return np.frombuffer(text + pad, _WORD), np.frombuffer(used + pad, _WORD)
+
+
+def _pow10_pairs():
+    """10^s = hi + lo for each scale s: hi the double nearest 10^s, lo the
+    double nearest the rest, so lo = 0 exactly when 10^s is a double.
+    Python's int division rounds correctly."""
+    his, los = [], []
+    for s in _POW10_SCALES:
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * q - p * den) / (den * q))
+    return np.array(his), np.array(los)
+
+
+_POW10_HI, _POW10_LO = _pow10_pairs()
+# word i holds the four ASCII digits of i, zero-padded
+_DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(
+    np.uint8).view(_WORD).ravel()
+# word k keeps the last k bytes of a word in use
+_TAIL_USED = np.frombuffer(b"".join(bytes(4 - k) + b"\1" * k for k in range(5)), _WORD)
+# the exponent "e+05" or "e+105" of a float cell as two words, for E in
+# +-_EXP_MAX; the hundreds digit is in use only for three-digit exponents
+_EXP_MAX = 300
+_EXP_TEXT, _EXP_USED = (a.reshape(-1, 2).T.copy() for a in _words(
+    b"".join(b"e%+04d\0\0\0" % e for e in range(-_EXP_MAX, _EXP_MAX + 1)),
+    b"".join(b"\1\1%c\1\1\0\0\0" % (abs(e) >= 100) for e in range(-_EXP_MAX, _EXP_MAX + 1))))
+# the first word of a float cell, before its leading digit is added
+_HEAD_TEXT = int.from_bytes(b"\0-0.", "little")
+_HEAD_USED = int.from_bytes(b"\0\0\1\1", "little")
+# 10^1 .. 10^19: an integer has one digit more than the number it reaches
+_INT_POW10 = np.array([10 ** k for k in range(1, 20)], dtype=np.uint64)
+
+
+def _two_product(a, b):
+    """Dekker's two-product: p + err == a*b exactly, with no FMA."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1 splits 53 bits
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _scaled17(mag, e):
+    """y = mag 10^(16 - e) in double-double arithmetic, as the integer
+    floor(y), the fraction y - floor(y) and whether both are exact
+    (10^(16 - e) a double, so that the two-product holds all of y)."""
+    k = 16 - e - _POW10_SCALES.start
+    lo = _POW10_LO[k]
+    p, err = _two_product(mag, _POW10_HI[k])
+    # p >= 2^53 is an integer; err and mag lo hold the fraction
+    t = err + mag * lo
+    floor_t = np.floor(t)
+    return p.astype(np.int64) + floor_t.astype(np.int64), t - floor_t, lo == 0
+
+
+def _float_cells(values):
+    """The words of "%.16e" % v for each float v, and their masks: two
+    (count, _FLOAT_WORDS) word arrays.
+
+    The 17 digits are round-half-even(|v| 10^(16 - E)), the product taken
+    in double-double arithmetic.  Cells whose digits that cannot certify
+    are written by "%.16e" itself: non-finite ones, |v| outside
+    [_FAST_MIN, _FAST_MAX], fractions within _HALF_MARGIN of .5 when
+    10^(16 - E) is not a double, and digits that round up to 10^17."""
+    v = np.asarray(values, dtype=float).ravel()
+    mag = np.abs(v)
+    fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
+    mag = np.where(fast, mag, 1.0)
+    e = np.floor(np.log10(mag)).astype(np.int64)
+    n, frac, exact = _scaled17(mag, e)
+    # next to a power of ten the log10 estimate can be one off: judge on
+    # floor(y), which must have 17 digits
+    off = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
+    if off.size:
+        e[off] += np.where(n[off] < 10 ** 16, -1, 1)
+        n[off], frac[off], exact[off] = _scaled17(mag[off], e[off])
+    n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
+    slow = ~fast & (v != 0)
+    slow |= fast & ~exact & (np.abs(frac - 0.5) < _HALF_MARGIN)
+    # n = 10^17 (9.99...95 carrying into the next exponent, 14 doubles in
+    # all) and any other n without 17 digits go to the fallback too
+    slow |= fast & ((n < 10 ** 16) | (n >= 10 ** 17))
+    n[~fast] = 0  # zeros, and placeholders for the slow cells
+    e[~fast] = 0
+
+    text = np.empty((v.size, _FLOAT_WORDS), _WORD)
+    used = np.empty_like(text)
+    # digit groups by floor division alone, which numpy does by a
+    # multiplication when the divisor is a scalar
+    lead = n // 10 ** 16
+    n -= lead * 10 ** 16
+    high = n // 10 ** 8
+    text[:, 0] = _HEAD_TEXT + (lead << 16).astype(_WORD)
+    used[:, 0] = _HEAD_USED + (np.signbit(v).astype(_WORD) << 8)
+    for w, eight in ((1, high), (3, n - high * 10 ** 8)):
+        eight = eight.astype(np.uint32)
+        four = eight // 10 ** 4
+        text[:, w] = _DIGITS4[four]
+        text[:, w + 1] = _DIGITS4[eight - four * 10 ** 4]
+    used[:, 1:5] = _TAIL_USED[4]
+    for w in (0, 1):
+        text[:, 5 + w] = _EXP_TEXT[w][e + _EXP_MAX]
+        used[:, 5 + w] = _EXP_USED[w][e + _EXP_MAX]
+    for i in np.flatnonzero(slow).tolist():
+        cell = ("%.16e" % float(v[i])).encode("ascii")
+        text.view(np.uint8)[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+        used.view(np.uint8)[i] = np.arange(4 * _FLOAT_WORDS) < len(cell)
+    return text, used
+
+
+def _int_cells(values):
+    """The words of "%d" % v for each integer or boolean v, and their
+    masks: two (count, 1 + g) word arrays, a sign word and g words of
+    four digits, g set by the longest cell."""
+    v = np.asarray(values).ravel()
+    if v.dtype.kind == "u":
+        neg, mag = np.zeros(v.size, bool), v.astype(np.uint64)
+    else:
+        v = v.astype(np.int64)
+        # -2^63 has no int64 magnitude; its wrapped abs reads right as uint64
+        neg, mag = v < 0, np.abs(v).astype(np.uint64)
+    digits = 1 + np.searchsorted(_INT_POW10, mag, side="right")
+    g = -(-int(digits.max(initial=1)) // 4)
+    text = np.empty((v.size, 1 + g), _WORD)
+    used = np.empty_like(text)
+    text[:, 0] = ord("-") << 24
+    used[:, 0] = neg.astype(_WORD) << 24
+    for w in range(g, 0, -1):
+        rest = mag // np.uint64(10 ** 4)
+        text[:, w] = _DIGITS4[mag - rest * np.uint64(10 ** 4)]
+        used[:, w] = _TAIL_USED[np.clip(digits - 4 * (g - w), 0, 4)]
+        mag = rest
+    return text, used
+
+
+def _rows_text(literals, specs, columns) -> str:
+    """Rows literals[0] cell literals[1] cell ... literals[-1], the cells
+    of column j written by specs[j] ("%.16e" or "%d"): the text the
+    %-template gives.  The piece is laid out as one rows x width word
+    matrix and its padding bytes are dropped."""
+    rows = columns[0].size
+    blocks = []  # words of each literal and cell in row order, with masks
+    for j, literal in enumerate(literals):
+        raw = literal.encode("ascii")
+        blocks.append(_words(raw, b"\1" * len(raw)))
+        if j < len(specs):
+            # a float column is written once its place in the matrix is
+            # known, so that only one column's temporaries are alive
+            blocks.append(j if specs[j] == "%.16e" else _int_cells(columns[j]))
+    widths = [_FLOAT_WORDS if isinstance(b, int) else b[0].shape[-1] for b in blocks]
+    text = np.empty((rows, sum(widths)), _WORD)
+    used = np.empty_like(text)
+    at = 0
+    for block, width in zip(blocks, widths):
+        if isinstance(block, int):
+            block = _float_cells(columns[block])
+        text[:, at:at + width], used[:, at:at + width] = block
+        at += width
+    # a boolean index copies the kept bytes without the index array that
+    # np.compress would build, 8 bytes per byte kept
+    kept = text.view(np.uint8)[used.view(bool)]
+    del text, used  # the piece's peak memory is both matrices and kept
+    return str(kept, "ascii")
 
 
 def _table_text(fmt: str, header: list[str], columns, fields=None):
     """Text of equal-length columns, one row per index, in pieces of
     _ROWS_PER_PIECE rows: CSV under a header line, or a JSON list of records
     (one flat record of the header names unless fields gives the record
-    layout).  Each row is one %-template; floats print as 17 significant
-    digits and integer or boolean columns as integers, the bytes _fmt and
-    _json_dump give."""
+    layout).  Each row follows one %-template, split at its specs; the
+    text is byte-identical to "%.16e" for float cells (17 significant
+    digits) and "%d" for integer or boolean cells, what _fmt and
+    _json_dump give.  The cells of a piece are written together:
+    _float_cells takes the digits from a double-double product and hands
+    the cells it cannot certify to "%.16e"; _rows_text lays the piece out
+    as one byte matrix and drops its padding."""
     columns = [np.asarray(c) for c in columns]
     specs = ["%d" if c.dtype.kind in "biu" else "%.16e" for c in columns]
     count = columns[0].size
@@ -143,11 +350,12 @@ def _table_text(fmt: str, header: list[str], columns, fields=None):
         if not count:
             yield head
             return
+    parts = re.split(r"(%\.16e|%d)", template + sep)
     yield head
     for start in range(0, count, _ROWS_PER_PIECE):
-        rows = zip(*(c[start:start + _ROWS_PER_PIECE].tolist() for c in columns))
-        yield (sep if start else "") + sep.join([template % row for row in rows])
-    yield tail
+        text = _rows_text(parts[0::2], parts[1::2],
+                          [c[start:start + _ROWS_PER_PIECE] for c in columns])
+        yield text if start + _ROWS_PER_PIECE < count else text[:-len(sep)] + tail
 
 
 def _parse_grid(spec: str):
@@ -162,8 +370,11 @@ def _parse_grid(spec: str):
         raise UsageError(f"grid values must be finite: {spec!r}")
     if step <= 0 or stop < start:
         raise UsageError(f"grid needs stop >= start and step > 0, got {spec!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    try:
+        return start + step * np.arange(int(np.floor((stop - start) / step + 1e-9)) + 1)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        # a point count past int64, or a grid no array can hold
+        raise UsageError(f"grid {spec!r} has too many points: {exc}") from exc
 
 
 def _parse_complex(spec: str) -> complex:
@@ -328,34 +539,59 @@ def run_transform(args) -> int:
 
 
 def _read_signal_csv(path: str) -> SampledSignal:
+    """The signal in columns x,value of a CSV file, under an optional
+    header line; blank lines are skipped and further columns ignored.
+
+    One np.loadtxt call parses the samples.  When it raises, or a sample
+    is not finite, _signal_lines parses the lines again one by one with
+    float, which names the file line of a bad sample or accepts spellings
+    only float reads (such as 1_000)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise IOError(f"cannot read {path!r}: {exc}") from exc
-    xs, vals = [], []
-    for line_no, line in enumerate(raw.strip().splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if line_no == 0 and not _is_number(cells[0]):
-            continue  # header row
-        if len(cells) < 2:
-            raise SignalFormatError(f"line {line_no + 1}: need columns x,value")
+    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    header = first < len(lines) and not _is_number(lines[first].split(",")[0])
+    data = None
+    if len(lines) - first - header >= 2:
         try:
-            xs.append(float(cells[0]))
-            vals.append(float(cells[1]))
-        except ValueError as exc:
-            raise SignalFormatError(f"line {line_no + 1}: {exc}") from exc
-    if len(xs) < 2:
+            data = np.loadtxt(lines[first + header:], delimiter=",", usecols=(0, 1),
+                              comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or not np.isfinite(data).all():
+        data = _signal_lines(lines, first + header)
+    if len(data) < 2:
         raise SignalFormatError("input signal needs at least two samples")
-    xs = np.asarray(xs)
+    xs = data[:, 0]
     steps = np.diff(xs)
     h = float(steps[0])
     if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
         raise SignalFormatError("input grid must be uniform and increasing")
-    return SampledSignal(float(xs[0]), h, np.asarray(vals))
+    return SampledSignal(float(xs[0]), h, data[:, 1])
+
+
+def _signal_lines(lines, skip: int):
+    """(x, value) rows of the lines after the first skip, parsed one line
+    at a time by float; a bad line raises SignalFormatError with its line
+    number in the file."""
+    rows = []
+    for line_no, line in enumerate(lines[skip:], start=skip + 1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) < 2:
+            raise SignalFormatError(f"line {line_no}: need columns x,value")
+        try:
+            row = float(cells[0]), float(cells[1])
+        except ValueError as exc:
+            raise SignalFormatError(f"line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise SignalFormatError(f"line {line_no}: samples must be finite, got {line!r}")
+        rows.append(row)
+    return np.array(rows).reshape(-1, 2)
 
 
 def _is_number(text: str) -> bool:

@@ -122,7 +122,9 @@ def test_eval_gamma_underflow_or_overflow_is_an_error(capsys):
 def test_non_finite_grid_is_a_usage_error(capsys):
     # inf/nan bounds or steps used to end in OverflowError/ValueError
     # tracebacks from the point count
-    for grid in ("0:inf:1", "0:nan:1", "0:1:inf", "0:1:nan", "nan:1:0.5"):
+    # so did finite grids whose point count passes int64 or overflows
+    for grid in ("0:inf:1", "0:nan:1", "0:1:inf", "0:1:nan", "nan:1:0.5",
+                 "0:1e20:1", "0:1e308:1e-308"):
         assert run_cli(["eval", "--family", "classical", "--n", "3",
                         "--grid", grid]) == 1, grid
         assert capsys.readouterr().err.startswith("error: "), grid
@@ -232,6 +234,98 @@ def test_fracop_nonuniform_grid_rejected(tmp_path, capsys):
     assert run_cli(["fracop", "--op", "integral", "--z", "1",
                     "--input", str(src), "-o", "-"]) == 1
     assert "line 3" in capsys.readouterr().err
+    # line numbers count from the file's first line, blank lines included
+    src.write_text("\n\nx,value\n0.0,1.0\n0.1,oops\n0.2,1.0\n")
+    assert run_cli(["fracop", "--op", "integral", "--z", "1",
+                    "--input", str(src), "-o", "-"]) == 1
+    assert "line 5" in capsys.readouterr().err
+    # a NaN x once passed the uniformity check, NaN comparisons being false
+    src.write_text("x,value\n0,1\n0.1,2\nnan,3\n0.3,4\n0.4,5")
+    assert run_cli(["fracop", "--op", "integral", "--z", "1",
+                    "--input", str(src), "-o", "-"]) == 1
+    assert "line 4" in capsys.readouterr().err
+
+
+def line_by_line_signal(text):
+    """(start, step, values) as the reader before np.loadtxt parsed text,
+    one line at a time with float, or None where it raised."""
+    from fracspline.cli import _is_number
+
+    xs, vals = [], []
+    for line_no, line in enumerate(text.strip().splitlines()):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if line_no == 0 and not _is_number(cells[0]):
+            continue
+        if len(cells) < 2:
+            return None
+        try:
+            xs.append(float(cells[0]))
+            vals.append(float(cells[1]))
+        except ValueError:
+            return None
+    if len(xs) < 2:
+        return None
+    steps = np.diff(xs)
+    h = float(steps[0])
+    if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
+        return None
+    return xs[0], h, np.asarray(vals)
+
+
+SPELLINGS = (" 2.5 ", "+.5", "1_000", "inf", "-inf", "nan", "1e", "0x1p3", "#1",
+             "\u0663", "\u0661\u0662.\u0665", "", "1,2")
+
+
+def test_signal_reader_matches_the_line_by_line_parse(tmp_path):
+    from fracspline.cli import _read_signal_csv
+    from fracspline.errors import SignalFormatError
+
+    texts = [f"x,value\n0,1\n0.5,{cell}\n1,3\n" for cell in SPELLINGS]
+    texts += [f"x,value\n0,1\n{cell},2\n1,3\n"
+              for cell in (" 0.5 ", "+.5", "5_0e-2", "\u0660.\u0665", "0x1p-1", "#0.5")]
+    texts += ["x,value,note\n0,1,a\n0.5,2,b,c\n1,3,\n",          # extra columns
+              "\n\nx,value\n0,1\n\n0.5,2\n   \n1,3\n\n",         # blank lines
+              "x,value\r\n0,1\r\n0.5,2\r\n1,3\r\n",
+              "0,1\n0.5,2\n1,3\n",                                # no header
+              "x,value\n0,1\n0.5\n1,3\n",
+              "x,value\n0,1\n", "x,value\n", "", "x;value\n0;1\n0.5;2\n"]
+    src = tmp_path / "in.csv"
+    dropped = 0
+    for text in texts:
+        src.write_text(text, encoding="utf-8")
+        want = line_by_line_signal(text)
+        if want is not None and not np.isfinite(want[2]).all():
+            want, dropped = None, dropped + 1  # non-finite samples are rejected now
+        try:
+            sig = _read_signal_csv(str(src))
+            got = sig.start, sig.step, np.asarray(sig.values)
+        except SignalFormatError:
+            got = None
+        if want is None:
+            assert got is None, text
+        else:
+            assert got is not None and got[:2] == want[:2], text
+            assert got[2].tobytes() == want[2].tobytes(), text
+    assert dropped == 3
+
+
+def test_signal_reader_round_trips_17_digit_values(tmp_path, monkeypatch):
+    import fracspline.cli
+    from fracspline.cli import _read_signal_csv
+
+    monkeypatch.setattr(fracspline.cli, "_signal_lines", None)  # np.loadtxt alone
+    values = np.random.default_rng(3).integers(0, 2 ** 64, 40_000, dtype=np.uint64)
+    values = values.view(np.float64)
+    values = values[np.isfinite(values)]
+    src = tmp_path / "in.csv"
+    src.write_text("x,value\n" + "".join(f"{0.25 * i:.16e},{v:.16e}\n"
+                                         for i, v in enumerate(values.tolist())))
+    sig = _read_signal_csv(str(src))
+    assert (sig.start, sig.step) == (0.0, 0.25)
+    assert np.asarray(sig.values).tobytes() == values.tobytes()
 
 
 def test_fracop_missing_input_file(tmp_path):
@@ -415,6 +509,78 @@ def test_table_text_special_values(monkeypatch):
         assert text("json", ["omega", "value_re"], [xs, -xs], fields) == want_nested
     assert text("csv", header[:2], [xs[:0], terms[:0]]) == "x,terms_used\n"
     assert text("json", header[:2], [xs[:0], terms[:0]]) == "[]\n"
+
+
+def template_table_text(fmt, header, columns, fields=None):
+    """The writer the vectorized formatter replaced, one %-template per row:
+    the oracle of its bytes."""
+    from fracspline.cli import _json_template
+
+    columns = [np.asarray(c) for c in columns]
+    specs = ["%d" if c.dtype.kind in "biu" else "%.16e" for c in columns]
+    if fmt == "json":
+        if not columns[0].size:
+            return "[]\n"
+        template = "  " + _json_template(fields or dict(zip(header, specs)), 1)
+        sep, head, tail = ",\n", "[\n", "\n]\n"
+    else:
+        template = ",".join(specs)
+        sep, head, tail = "\n", ",".join(header) + "\n", "\n"
+        if not columns[0].size:
+            return head
+    rows = zip(*(c.tolist() for c in columns))
+    return head + sep.join(template % row for row in rows) + tail
+
+
+def awkward_floats(rng):
+    """Floats whose 17-digit text is hard to get right, in random order."""
+    bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64)
+    odd = 2.0 * rng.integers(2 ** 17, 2 ** 26, 4_000) + 1.0
+    ties = np.ldexp(odd, rng.integers(-60, 10, odd.size))  # odd*2^q ties
+    # ties at scales 10^s that are not doubles, which go to the fallback
+    inexact_ties = np.ldexp(np.arange(1.0, 64.0, 2.0)[:, None], -np.arange(20, 90)).ravel()
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    nines = np.array([float(f"9.99999999999999995e{k}") for k in range(-320, 308)]
+                     + [float(f"9.9999999999999999e{k}") for k in range(-320, 308)])
+    edges = np.concatenate([pow10, nines])
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               1.7976931348623157e308, 1e-280, 1e280, 1.5e-100, 9.5e99, np.inf, np.nan]
+    values = np.concatenate([bits, ties, inexact_ties, edges, np.nextafter(edges, 0),
+                             np.nextafter(edges, np.inf), special])
+    values = np.where(rng.random(values.size) < 0.5, values, -values)
+    return values[rng.permutation(values.size)]
+
+
+def first_difference(got, want):
+    """None for equal texts, else the first line that differs: a cheap
+    failure report, where pytest would diff megabytes of text."""
+    if got == want:
+        return None
+    lines = enumerate(zip(got.splitlines(), want.splitlines()), start=1)
+    return next(((n, g, w) for n, (g, w) in lines if g != w), ("lengths", len(got), len(want)))
+
+
+def test_table_text_matches_the_template_oracle(monkeypatch):
+    import fracspline.cli
+    from fracspline.cli import _table_text
+
+    rng = np.random.default_rng(20)
+    floats = awkward_floats(rng)
+    assert np.isnan(floats).any() and np.isinf(floats).any() and (floats == 0).any()
+    ints = np.concatenate([rng.integers(-2 ** 63, 2 ** 63 - 1, floats.size - 6, endpoint=True),
+                           [-2 ** 63, 2 ** 63 - 1, -10 ** 18, 10 ** 18, 0, -7]])
+    flags = rng.random(floats.size) < 0.5
+    header = ["x", "value", "count", "valid"]
+    columns = [floats, floats[::-1].copy(), ints, flags]
+    fields = {"omega": "%.16e", "value": {"re": "%.16e", "count": "%d", "im": "%.16e"}}
+    nested = [floats, floats[::-1].copy(), ints, -floats]
+    for rows, size in ((4096, floats.size), (1, 400), (2, 400), (3, 401)):
+        monkeypatch.setattr(fracspline.cli, "_ROWS_PER_PIECE", rows)
+        cols, nest = [c[:size] for c in columns], [c[:size] for c in nested]
+        for args in (("csv", header, cols), ("json", header, cols),
+                     ("json", ["omega", "re", "count", "im"], nest, fields)):
+            got = "".join(_table_text(*args))
+            assert first_difference(got, template_table_text(*args)) is None, rows
 
 
 # -- determinism across interpreters -------------------------------------------------
