@@ -9,13 +9,13 @@ bytes.
 
 Tables (eval, transform, fracop) are written by _table_text, byte for byte
 as "%.16e" writes each float and "%d" each integer or boolean, but a piece
-of rows at a time with numpy.  A float's 17 digits are
-round-half-even(|x| 10^(16 - E)), the product taken in double-double
+of rows at a time with numpy.  A float's 17 digits are |x| 10^(16 - E)
+rounded to the nearest integer, the product taken in double-double
 arithmetic (Dekker's two-product, 10^s from a table of exact hi + lo
 pairs).  A cell that product cannot certify is written by "%.16e" itself:
 non-finite cells, |x| outside [1e-280, 1e280], fractions within 2^-30 of
-.5 when 10^(16 - E) is not a double, and digits that round up to 10^17
-(9.99...95 carrying into the next exponent).  Verify reports go through
+.5 (ties included), and digits that round up to 10^17 (9.99...95
+carrying into the next exponent).  Verify reports go through
 _json_dump.  A fracop input CSV is parsed by one np.loadtxt call; when that
 raises or a sample is not finite, a line-by-line float parse runs instead,
 which names the file line of a bad sample.
@@ -141,8 +141,9 @@ _ROWS_PER_PIECE = 4096
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 # the scales s = 16 - E those cells can need, E their decimal exponent
 _POW10_SCALES = range(-270, 301)
-# when 10^s is not a double, y = |x| 10^s is off by at most a few 1e-15,
-# so a fraction of y this close to .5 may round either way
+# y = |x| 10^s is off by at most a few 1e-15 when 10^s is not a double, so
+# a fraction of y this close to .5 may round either way; exact ties land
+# here too, and "%.16e" settles them all
 _HALF_MARGIN = 2.0 ** -30
 
 # Rows are built as little-endian 4-byte words, each with a mask word whose
@@ -161,8 +162,7 @@ def _words(text: bytes, used: bytes):
 
 def _pow10_pairs():
     """10^s = hi + lo for each scale s: hi the double nearest 10^s, lo the
-    double nearest the rest, so lo = 0 exactly when 10^s is a double.
-    Python's int division rounds correctly."""
+    double nearest the rest.  Python's int division rounds correctly."""
     his, los = [], []
     for s in _POW10_SCALES:
         num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
@@ -203,41 +203,39 @@ def _two_product(a, b):
 
 def _scaled17(mag, e):
     """y = mag 10^(16 - e) in double-double arithmetic, as the integer
-    floor(y), the fraction y - floor(y) and whether both are exact
-    (10^(16 - e) a double, so that the two-product holds all of y)."""
+    floor(y) and the fraction y - floor(y)."""
     k = 16 - e - _POW10_SCALES.start
-    lo = _POW10_LO[k]
     p, err = _two_product(mag, _POW10_HI[k])
     # p >= 2^53 is an integer; err and mag lo hold the fraction
-    t = err + mag * lo
+    t = err + mag * _POW10_LO[k]
     floor_t = np.floor(t)
-    return p.astype(np.int64) + floor_t.astype(np.int64), t - floor_t, lo == 0
+    return p.astype(np.int64) + floor_t.astype(np.int64), t - floor_t
 
 
 def _float_cells(values):
     """The words of "%.16e" % v for each float v, and their masks: two
     (count, _FLOAT_WORDS) word arrays.
 
-    The 17 digits are round-half-even(|v| 10^(16 - E)), the product taken
-    in double-double arithmetic.  Cells whose digits that cannot certify
-    are written by "%.16e" itself: non-finite ones, |v| outside
-    [_FAST_MIN, _FAST_MAX], fractions within _HALF_MARGIN of .5 when
-    10^(16 - E) is not a double, and digits that round up to 10^17."""
+    The 17 digits are |v| 10^(16 - E) rounded to the nearest integer, the
+    product taken in double-double arithmetic.  Cells whose digits that
+    cannot certify are written by "%.16e" itself: non-finite ones, |v|
+    outside [_FAST_MIN, _FAST_MAX], fractions within _HALF_MARGIN of .5,
+    and digits that round up to 10^17."""
     v = np.asarray(values, dtype=float).ravel()
     mag = np.abs(v)
     fast = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
     mag = np.where(fast, mag, 1.0)
     e = np.floor(np.log10(mag)).astype(np.int64)
-    n, frac, exact = _scaled17(mag, e)
+    n, frac = _scaled17(mag, e)
     # next to a power of ten the log10 estimate can be one off: judge on
     # floor(y), which must have 17 digits
     off = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
     if off.size:
         e[off] += np.where(n[off] < 10 ** 16, -1, 1)
-        n[off], frac[off], exact[off] = _scaled17(mag[off], e[off])
-    n += (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
+        n[off], frac[off] = _scaled17(mag[off], e[off])
+    n += frac > 0.5
     slow = ~fast & (v != 0)
-    slow |= fast & ~exact & (np.abs(frac - 0.5) < _HALF_MARGIN)
+    slow |= fast & (np.abs(frac - 0.5) < _HALF_MARGIN)
     # n = 10^17 (9.99...95 carrying into the next exponent, 14 doubles in
     # all) and any other n without 17 digits go to the fallback too
     slow |= fast & ((n < 10 ** 16) | (n >= 10 ** 17))
@@ -262,10 +260,14 @@ def _float_cells(values):
     for w in (0, 1):
         text[:, 5 + w] = _EXP_TEXT[w][e + _EXP_MAX]
         used[:, 5 + w] = _EXP_USED[w][e + _EXP_MAX]
-    for i in np.flatnonzero(slow).tolist():
-        cell = ("%.16e" % float(v[i])).encode("ascii")
-        text.view(np.uint8)[i, :len(cell)] = np.frombuffer(cell, np.uint8)
-        used.view(np.uint8)[i] = np.arange(4 * _FLOAT_WORDS) < len(cell)
+    if slow.any():
+        # one %-format for all of them, each padded by spaces to the 28
+        # bytes of its _FLOAT_WORDS words; "%.16e" writes no space itself
+        rest = v[slow].tolist()
+        cells = np.frombuffer(b"%-28.16e" * len(rest) % tuple(rest), np.uint8)
+        cells = cells.reshape(len(rest), -1)
+        text[slow] = cells.view(_WORD)
+        used[slow] = (cells != ord(" ")).view(np.uint8).view(_WORD)
     return text, used
 
 

@@ -537,7 +537,7 @@ def awkward_floats(rng):
     bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64)
     odd = 2.0 * rng.integers(2 ** 17, 2 ** 26, 4_000) + 1.0
     ties = np.ldexp(odd, rng.integers(-60, 10, odd.size))  # odd*2^q ties
-    # ties at scales 10^s that are not doubles, which go to the fallback
+    # ties at scales 10^s that are not doubles as well
     inexact_ties = np.ldexp(np.arange(1.0, 64.0, 2.0)[:, None], -np.arange(20, 90)).ravel()
     pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
     nines = np.array([float(f"9.99999999999999995e{k}") for k in range(-320, 308)]
