@@ -2,7 +2,7 @@
 exponential B-splines, and the fractional operators attached to them.
 
 The subpackages split along the natural seams: clifford for the algebra,
-specialfn for Gamma/binomials/kernels, splines for time-domain values,
+specialfn for Gamma and binomials, splines for time-domain values,
 fourier for transforms and certified inversion, fracops for the operators
 and the frequency-domain verification harness, cli for the command-line
 frontend.
@@ -14,8 +14,6 @@ from .clifford import (
     Paravector,
     hc_exp,
     hc_power,
-    subalgebra_div,
-    subalgebra_mul,
 )
 from .errors import (
     BranchCutError,
@@ -36,7 +34,6 @@ from .errors import (
 from .fourier import (
     FrequencyGrid,
     InverseTransformResult,
-    TransformValue,
     fit_decay_slope,
     hat_bupsilon,
     hat_bupsilon_components,
@@ -63,13 +60,10 @@ from .fracops import (
     verify_atom_identity_hc,
 )
 from .specialfn import (
-    KernelSpec,
-    binom_complex,
     binom_hc,
     binomial_series,
     gamma,
     gamma_hc,
-    kernel_eval,
 )
 from .splines import (
     ExponentialWeights,

@@ -15,10 +15,11 @@ arithmetic (Dekker's two-product, 10^s from a table of exact hi + lo
 pairs).  A cell that product cannot certify is written by "%.16e" itself:
 non-finite cells, |x| outside [1e-280, 1e280], fractions within 2^-30 of
 .5 (ties included), and digits that round up to 10^17 (9.99...95
-carrying into the next exponent).  Verify reports go through
-_json_dump.  A fracop input CSV is parsed by one np.loadtxt call; when that
-raises or a sample is not finite, a line-by-line float parse runs instead,
-which names the file line of a bad sample.
+carrying into the next exponent).  _json_layout lays out the verify
+report and the JSON record of a table row alike.  A fracop input CSV is
+parsed by one np.loadtxt call; when that raises or a sample is not
+finite, a line-by-line float parse runs instead, which names the file
+line of a bad sample.
 """
 
 from __future__ import annotations
@@ -87,48 +88,34 @@ class UsageError(FracSplineError, ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, round-trip safe."""
-    return f"{float(x):.16e}"
-
-
-def _json_dump(value, indent: int = 0) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+def _json_layout(value, indent: int = 0, leaf=None) -> str:
+    """Deterministic JSON: two spaces per level, one member per line, and
+    floats in 17 significant digits ("%.16e").  leaf=str places every
+    non-container value as it is, so a record whose leaves are %-specs
+    gives the %-template of one JSON row of _table_text."""
     pad = "  " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_json_dump(v, indent + 1)}'
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_json_dump(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
+        inner = [f"{json.dumps(str(k))}: {_json_layout(v, indent + 1, leaf)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        inner = [_json_layout(v, indent + 1, leaf) for v in value]
+        brackets = "[]"
+    elif leaf is not None:
+        return leaf(value)
+    elif isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    elif isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if value is None:
+    elif isinstance(value, (float, np.floating)):
+        return f"{float(value):.16e}"
+    elif value is None:
         return "null"
-    return json.dumps(str(value))
-
-
-def _json_template(fields: dict, indent: int) -> str:
-    """%-template of one JSON object laid out exactly as _json_dump lays
-    it out; fields maps each key to a %-spec or to a nested fields dict."""
-    pad = "  " * indent
-    items = ",\n".join(
-        f"{pad}  {json.dumps(k)}: "
-        + (_json_template(v, indent + 1) if isinstance(v, dict) else v)
-        for k, v in fields.items()
-    )
-    return "{\n" + items + "\n" + pad + "}"
+    else:
+        return json.dumps(str(value))
+    if not inner:
+        return brackets
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(inner) + f"\n{pad}{brackets[1]}"
 
 
 # rows formatted per piece of output text: bounds the memory alive at once
@@ -332,8 +319,8 @@ def _table_text(fmt: str, header: list[str], columns, fields=None):
     (one flat record of the header names unless fields gives the record
     layout).  Each row follows one %-template, split at its specs; the
     text is byte-identical to "%.16e" for float cells (17 significant
-    digits) and "%d" for integer or boolean cells, what _fmt and
-    _json_dump give.  The cells of a piece are written together:
+    digits) and "%d" for integer or boolean cells, in the layout of
+    _json_layout.  The cells of a piece are written together:
     _float_cells takes the digits from a double-double product and hands
     the cells it cannot certify to "%.16e"; _rows_text lays the piece out
     as one byte matrix and drops its padding."""
@@ -344,7 +331,7 @@ def _table_text(fmt: str, header: list[str], columns, fields=None):
         if not count:
             yield "[]\n"
             return
-        template = "  " + _json_template(fields or dict(zip(header, specs)), 1)
+        template = "  " + _json_layout(fields or dict(zip(header, specs)), 1, str)
         sep, head, tail = ",\n", "[\n", "\n]\n"
     else:
         template = ",".join(specs)
@@ -666,7 +653,7 @@ def run_verify(args) -> int:
     doc = report.to_json_dict()
     doc["tolerance"] = float(tol)
     doc["passed"] = bool(report.max_residual <= tol)
-    _write_text(args.output, _json_dump(doc) + "\n")
+    _write_text(args.output, _json_layout(doc) + "\n")
     return 0 if doc["passed"] else 2
 
 

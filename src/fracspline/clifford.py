@@ -1,6 +1,7 @@
 """Clifford algebra Cl(n) with anticommuting generators squaring to -1,
-paravector (hypercomplex number) arithmetic, and the hypercomplex power
-and exponential.
+paravector (hypercomplex number) arithmetic, the hypercomplex power and
+exponential, and the map back from the idempotent split of the
+complexified subalgebra span{1, u}.
 
 Basis elements are indexed by subsets A of {1..n} encoded as bitmasks, so
 coefficient index 0 is the scalar unit, index 1 is e1, index 2 is e2,
@@ -175,10 +176,6 @@ class CliffordElement:
     @property
     def scalar_part(self):
         return self.coeffs[0]
-
-    def grade_select(self, k: int) -> "CliffordElement":
-        grades = np.array([bin(i).count("1") for i in range(1 << self.n)])
-        return CliffordElement(self.n, np.where(grades == k, self.coeffs, 0))
 
     def _coerce(self, other) -> "CliffordElement":
         if isinstance(other, CliffordElement):
@@ -432,27 +429,19 @@ class HypercomplexExponent:
         return cls(float(p.s), vn, u, p.n)
 
     def reconstruct(self) -> Paravector:
-        if self.u is None:
-            return Paravector(self.x0, np.zeros(self.n))
-        return Paravector(self.x0, self.vnorm * self.u)
+        return self.paravector(self.x0, self.vnorm)
+
+    def paravector(self, alpha, beta) -> Paravector:
+        """alpha + beta u, the value of the pair (alpha, beta) of span{1, u};
+        beta is dropped when the vector part is zero and u is undefined."""
+        return Paravector(alpha, np.zeros(self.n) if self.u is None else beta * self.u)
 
 
-# -- commuting-subalgebra arithmetic ---------------------------------------
+# -- commuting subalgebra -------------------------------------------------
 #
 # For a fixed unit direction u (u^2 = -1) the span of {1, u} is closed under
-# multiplication; values are kept as component pairs (alpha, beta) meaning
-# alpha + beta u.  The helpers work elementwise on numpy arrays too.
-
-def subalgebra_mul(a0, a1, b0, b1):
-    return a0 * b0 - a1 * b1, a0 * b1 + a1 * b0
-
-
-def subalgebra_div(a0, a1, b0, b1):
-    den = b0 * b0 + b1 * b1  # bilinear square, may vanish for complex pairs
-    if np.any(np.abs(den) < 1e-300):
-        raise DomainError("division by a non-invertible subalgebra element")
-    return (a0 * b0 + a1 * b1) / den, (a1 * b0 - a0 * b1) / den
-
+# multiplication and is a copy of C under u -> i; values in it are kept as
+# component pairs (alpha, beta) meaning alpha + beta u.
 
 def subalgebra_from_idempotent(p, q):
     """Pair (alpha, beta) of the complexified element alpha + beta u whose

@@ -17,13 +17,12 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .clifford import HypercomplexExponent, Paravector, subalgebra_from_idempotent
-from .errors import GridResolutionError, OrderError, ParameterError
+from .errors import GridResolutionError, NumericError, OrderError, ParameterError
 from .splines import ExponentialWeights
 
 __all__ = [
     "RHO",
     "FrequencyGrid",
-    "TransformValue",
     "InverseTransformResult",
     "omega_fn",
     "omega_a_fn",
@@ -72,9 +71,13 @@ def omega_a_fn(a: float, omega):
     a = float(a)
     if a == 0.0:
         return omega_fn(omega)
+    try:
+        damping = math.exp(-a)
+    except OverflowError as exc:
+        raise NumericError(f"e^{-a:g} overflows a float") from exc
     w, scalar = _vectorized(omega)
     w = np.atleast_1d(w)
-    out = (1.0 - math.exp(-a) * np.exp(-1j * w)) / (1j * w + a)
+    out = (1.0 - damping * np.exp(-1j * w)) / (1j * w + a)
     return complex(out[0]) if scalar else out
 
 
@@ -152,17 +155,7 @@ def hat_bupsilon_components(upsilon: Paravector, omega):
 def hat_bupsilon(upsilon: Paravector, omega: float) -> Paravector:
     """Hypercomplex spline transform at a single frequency."""
     alpha, beta, dec = hat_bupsilon_components(upsilon, [float(omega)])
-    if dec.u is None:
-        return Paravector(complex(alpha[0]), np.zeros(dec.n, dtype=complex))
-    return Paravector(complex(alpha[0]), complex(beta[0]) * dec.u)
-
-
-@dataclass(frozen=True)
-class TransformValue:
-    """A transform sample: frequency and (possibly paravector) value."""
-
-    omega: float
-    value: object
+    return dec.paravector(complex(alpha[0]), complex(beta[0]))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from .errors import (
     ConditioningWarning,
     DomainError,
     EmptyAdmissibleSetError,
+    NumericError,
     OrderError,
     OscillatoryIntegralError,
     ParameterError,
@@ -129,12 +130,6 @@ class SampledSignal:
     def with_values(self, values, valid=None) -> "SampledSignal":
         return SampledSignal(self.start, self.step,
                              values, self.valid if valid is None else valid)
-
-    @classmethod
-    def from_function(cls, fn, start: float, stop: float, step: float) -> "SampledSignal":
-        n = int(round((stop - start) / step)) + 1
-        xs = start + step * np.arange(n)
-        return cls(start, step, np.asarray([fn(x) for x in xs]))
 
 
 def _signed_power(p: np.ndarray, e: complex) -> np.ndarray:
@@ -256,7 +251,7 @@ class AtomSum:
         comp = np.atleast_2d(np.asarray(self.components))
         if comp.shape[0] != np.asarray(self.shifts).size:
             raise ParameterError("one coefficient row per shift required")
-        if not np.all(np.isfinite(comp.view(float))):
+        if not np.all(np.isfinite(comp)):
             raise ParameterError("atom coefficients must be a bounded sequence")
         object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=int).ravel())
         object.__setattr__(self, "components", comp)
@@ -359,6 +354,14 @@ def _admissible_split(base1: np.ndarray, base2: np.ndarray, omegas: np.ndarray):
     return admissible, excluded
 
 
+def _require_finite(family: str, order: str, lhs, atoms) -> None:
+    """NumericError when the left-hand side or the atoms overflowed: their
+    residual would be inf or NaN."""
+    if not (np.isfinite(lhs).all() and np.isfinite(atoms).all()):
+        raise NumericError(f"the {family} identity at {order} overflows a float "
+                           "on this grid")
+
+
 def _float_fuzz(*scales: float) -> float:
     return 64.0 * np.finfo(float).eps * (1.0 + max(scales, default=0.0))
 
@@ -382,6 +385,7 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
 
     lhs = _principal_power(base1, exponents) * _principal_power(base2, exponents)
     binoms = np.stack([binom_complex_sequence(e, K + 1) for e in exponents], axis=1)
+    _require_finite(family, order, lhs, binoms)
     k = np.arange(K + 1)
     weights = (-1.0) ** k * np.exp(-damping * k)
     atoms = AtomSum(k, binoms[: K + 1] * weights[:, None])
@@ -457,31 +461,24 @@ def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     return report
 
 
-def verify_atom_identity_hc(upsilon: Paravector, K: int, grid,
-                            multiplier: str = "iomega") -> ResidualReport:
+def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport:
     """Check (iw)^Y Omega(w)^Y against the hypercomplex binomial atom sum.
 
-    multiplier selects the Fourier symbol of the derivative operator:
-    "iomega" (the convention consistent with this identity, the default)
-    or "minus_iomega" (the alternative sign, kept for comparison; the
-    identity does not hold under it).
+    iw is the Fourier symbol of the derivative under the transform
+    convention of the fourier module; the identity does not hold under -iw.
     """
-    if multiplier not in ("iomega", "minus_iomega"):
-        raise ParameterError(f"unknown multiplier convention {multiplier!r}")
     dec = HypercomplexExponent.from_paravector(upsilon)
     if not dec.x0 > 1:
         raise OrderError(
             f"verification needs scalar part > 1, got {dec.x0:g}"
         )
     om = _as_omegas(grid)
-    sign = 1.0 if multiplier == "iomega" else -1.0
     z = complex(dec.x0, dec.vnorm)
     comps_label = ",".join(f"{c:g}" for c in [upsilon.s, *upsilon.v.tolist()])
     report, lhs, rhs = _verify_binomial_atoms(
         "hypercomplex", f"upsilon=({comps_label})", K, om,
-        sign * 1j * om, omega_fn(om), (z, z.conjugate()))
+        1j * om, omega_fn(om), (z, z.conjugate()))
     report.extras.update(
-        multiplier=multiplier,
         lhs_pair=subalgebra_from_idempotent(*lhs),
         rhs_pair=subalgebra_from_idempotent(*rhs),
     )
@@ -494,10 +491,13 @@ def classical_atom_check(n: int, grid) -> ResidualReport:
     if n != int(n) or n < 1:
         raise OrderError(f"classical check needs integer n >= 1, got {n!r}")
     n = int(n)
+    if n > 1023:
+        raise NumericError(f"the atoms of order n = {n} sum to 2^n, which overflows a float")
     om = _as_omegas(grid)
     lhs = (1j * om) ** n * omega_fn(om) ** n
     coeffs = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)],
                       dtype=complex)
+    _require_finite("classical", f"n={n}", lhs, coeffs)
     atoms = AtomSum(np.arange(n + 1), coeffs[:, None])
     rhs = atoms.evaluate(om)[0]
     residuals = np.abs(lhs - rhs)
@@ -533,6 +533,8 @@ def exp_difference_check(weights, grid) -> ResidualReport:
         lhs = lhs * (1j * om - a)
 
     poly = exp_difference_coefficients(wts.values)
+    order = "a=(" + ",".join(f"{a:g}" for a in wts.values) + ")"
+    _require_finite("exponential", order, lhs, poly)
     atoms = AtomSum(np.arange(poly.size), poly.astype(complex)[:, None])
     rhs = atoms.evaluate(om)[0]
 
@@ -544,7 +546,7 @@ def exp_difference_check(weights, grid) -> ResidualReport:
     tail = _float_fuzz(float(np.max(np.abs(lhs))), atoms.sup_norm()) * poly.size
     return ResidualReport(
         family="exponential",
-        order="a=(" + ",".join(f"{a:g}" for a in wts.values) + ")",
+        order=order,
         K=poly.size - 1,
         omegas=om,
         residuals=residuals,
@@ -653,16 +655,7 @@ def mellin_check(upsilon: Paravector, omega: float,
         )
 
     rhs = gamma_hc(upsilon) / hc_power(1j * omega, upsilon)
-    if dec.u is None:
-        lhs = Paravector(lhs_a, np.zeros(dec.n, dtype=complex))
-    else:
-        lhs = Paravector(lhs_a, lhs_b * dec.u)
+    lhs = dec.paravector(lhs_a, lhs_b)
     deviation = (lhs - rhs).norm()
-    eps_devs = []
-    for (pa, pb) in pairs:
-        if dec.u is None:
-            val = Paravector(pa, np.zeros(dec.n, dtype=complex))
-        else:
-            val = Paravector(pa, pb * dec.u)
-        eps_devs.append((val - rhs).norm())
+    eps_devs = [(dec.paravector(pa, pb) - rhs).norm() for pa, pb in pairs]
     return MellinCheckResult(lhs, rhs, float(deviation), tuple(eps_devs))

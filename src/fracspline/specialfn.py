@@ -1,17 +1,15 @@
-"""Gamma function for real, complex and hypercomplex arguments, generalized
-binomial coefficients and series, and the one-sided truncated-power kernels
-whose convolutions realize fractional integration.
+"""Gamma function for real, complex and hypercomplex arguments, and
+generalized binomial coefficients and series.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import HypercomplexExponent, Paravector, hc_power
+from .clifford import HypercomplexExponent, Paravector
 from .errors import DomainError, PoleError
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
@@ -66,28 +64,14 @@ def gamma_hc(upsilon: Paravector) -> Paravector:
     if dec.x0 <= 0:
         raise DomainError(f"hypercomplex gamma needs scalar part > 0, got {dec.x0:g}")
     g = gamma(complex(dec.x0, dec.vnorm))
-    if dec.u is None:
-        return Paravector(g.real, np.zeros(dec.n))
-    return Paravector(g.real, g.imag * dec.u)
-
-
-def binom_complex(z, k: int) -> complex:
-    """Generalized binomial coefficient binom(z, k) for complex z.
-
-    Computed by the multiplicative recurrence, which terminates exactly at
-    zero when z is a nonnegative integer and k > z.
-    """
-    if k < 0 or k != int(k):
-        raise DomainError(f"binomial index must be a nonnegative integer, got {k!r}")
-    z = complex(z)
-    out = 1.0 + 0.0j
-    for j in range(1, int(k) + 1):
-        out *= (z - j + 1) / j
-    return out
+    return dec.paravector(g.real, g.imag)
 
 
 def binom_complex_sequence(z, kmax: int) -> np.ndarray:
-    """All binom(z, k) for k = 0..kmax in one cumulative pass."""
+    """All binom(z, k) for k = 0..kmax in one cumulative pass.
+
+    The multiplicative recurrence terminates exactly at zero when z is a
+    nonnegative integer and k > z."""
     z = complex(z)
     out = np.empty(kmax + 1, dtype=complex)
     out[0] = 1.0
@@ -102,11 +86,10 @@ def binom_hc(upsilon: Paravector, k: int) -> Paravector:
     Y = x0 + |v| u lies in the commuting subalgebra span{1, u}, a copy of C
     under u -> i, so the value is binom(x0 + i|v|, k) mapped back along u.
     """
-    dec = _binom_hc_order(upsilon)
-    b = binom_complex(complex(dec.x0, dec.vnorm), k)
-    if dec.u is None:
-        return Paravector(b.real, np.zeros(dec.n))
-    return Paravector(b.real, b.imag * dec.u)
+    if k < 0 or k != int(k):
+        raise DomainError(f"binomial index must be a nonnegative integer, got {k!r}")
+    alpha, beta, dec = binom_hc_pair_sequence(upsilon, int(k))
+    return dec.paravector(alpha[-1], beta[-1])
 
 
 def _binom_hc_order(upsilon: Paravector) -> HypercomplexExponent:
@@ -154,52 +137,4 @@ def binomial_series(upsilon: Paravector, z, N: int):
         geo_tail = 1.0 / (1.0 - abs(z)) if abs(z) < 1.0 else math.inf
         remainder = 1.25 * next_mod * min(poly_tail, geo_tail)
 
-    if dec.u is None:
-        value = Paravector(a_sum, np.zeros(dec.n, dtype=complex))
-    else:
-        value = Paravector(a_sum, b_sum * dec.u)
-    return value, float(remainder)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """One-sided power kernel x -> (x - shift)_+^{z-1} / Gamma(z)."""
-
-    order: complex
-    shift: float = 0.0
-
-    def __post_init__(self):
-        if self.shift < 0:
-            raise DomainError(f"kernel shift must be nonnegative, got {self.shift:g}")
-
-
-def kernel_eval(spec, x: float) -> complex:
-    """Pointwise kernel value; only the locally integrable regime re z > 0.
-
-    The support is left-closed: the value at the shift point is 0 except
-    for order exactly 1, where the kernel is the unit step with value 1.
-    """
-    if not isinstance(spec, KernelSpec):
-        spec = KernelSpec(complex(spec))
-    z = complex(spec.order)
-    if z.real <= 0:
-        raise DomainError(
-            "pointwise kernel evaluation needs re z > 0 "
-            "(the pseudo-function extension is out of scope)"
-        )
-    t = x - spec.shift
-    if t < 0:
-        return 0.0 + 0.0j
-    if t == 0:
-        return 1.0 + 0.0j if z == 1 else 0.0 + 0.0j
-    if z == 1:
-        return 1.0 + 0.0j
-    return t ** (z - 1) / gamma(z)
-
-
-def truncated_power_hc(t: float, upsilon: Paravector) -> Paravector:
-    """t_+^Y for real t: zero for t <= 0, the hypercomplex power otherwise."""
-    if t <= 0:
-        dec = HypercomplexExponent.from_paravector(upsilon)
-        return Paravector(0.0, np.zeros(dec.n))
-    return hc_power(t, upsilon)
+    return dec.paravector(a_sum, b_sum), float(remainder)

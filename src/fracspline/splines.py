@@ -153,13 +153,6 @@ class SplineOrder:
     def evaluate(self, x: float) -> SplineEvalResult:
         return evaluate_on_grid(self, [x])[0]
 
-    def label(self) -> str:
-        if self.kind == "hypercomplex":
-            p = self.value
-            comps = ",".join(f"{c:g}" for c in [p.s, *p.v.tolist()])
-            return f"upsilon=({comps})"
-        return f"{self.kind[0]}={self.value}"
-
     def __repr__(self):
         return f"SplineOrder({self.kind!r}, {self.value!r})"
 
@@ -345,16 +338,10 @@ def eval_bupsilon_components(upsilon: Paravector, x):
     return value.real, value.imag, dec
 
 
-def _paravector(alpha: float, beta: float, dec: HypercomplexExponent) -> Paravector:
-    if dec.u is None:
-        return Paravector(alpha, np.zeros(dec.n))
-    return Paravector(alpha, beta * dec.u)
-
-
 def eval_bupsilon(upsilon: Paravector, x: float) -> Paravector:
     """Hypercomplex B-spline value at x; real components."""
     alpha, beta, dec = eval_bupsilon_components(upsilon, [float(x)])
-    return _paravector(float(alpha[0]), float(beta[0]), dec)
+    return dec.paravector(float(alpha[0]), float(beta[0]))
 
 
 def evaluate_on_grid(order: SplineOrder, xs) -> list[SplineEvalResult]:
@@ -371,6 +358,6 @@ def evaluate_on_grid(order: SplineOrder, xs) -> list[SplineEvalResult]:
         values = eval_bz(order.value, x=xs).tolist()
     else:
         alpha, beta, dec = eval_bupsilon_components(order.value, xs)
-        values = [_paravector(a, b, dec) for a, b in zip(alpha.tolist(), beta.tolist())]
+        values = [dec.paravector(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
     return [SplineEvalResult(x, v, t)
             for x, v, t in zip(xs.tolist(), values, series_terms(xs).tolist())]

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,24 @@ def test_verify_empty_admissible_set(tmp_path):
     assert code == 2
 
 
+def test_verify_overflow_is_an_error(tmp_path, capsys):
+    # (iw)^n overflows at n = 300 on the default +-20 grid, the binomials of
+    # n = 1100 overflow a float, (iw)^z at z = 800, and e^800 for the
+    # weight 800: each used to write inf or NaN into the report, or to end
+    # in an OverflowError traceback
+    for order in (["--family", "classical", "--n", "300"],
+                  ["--family", "classical", "--n", "1100"],
+                  ["--family", "complex", "--z", "800"],
+                  ["--family", "exponential", "--a", "800"]):
+        assert run_cli(["verify", *order]) == 1, order
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), order
+    # the eval path centres the weights first and stays finite
+    out = tmp_path / "e800.csv"
+    assert run_cli(["eval", "--family", "exponential", "--a", "800",
+                    "--grid", "0:1:0.5", "-o", str(out)]) == 0
+
+
 def test_verify_report_schema(tmp_path):
     out = tmp_path / "rep.json"
     assert run_cli(["verify", "--family", "complex-exponential",
@@ -446,12 +465,12 @@ EVAL_ORDERS = {
 
 
 def old_serialization(header, cell_rows, json_layout):
-    """What the CLI wrote before the template writer: one _fmt per float
-    cell, and JSON through the CSV text -> float -> _json_dump round trip."""
-    from fracspline.cli import _fmt, _json_dump
+    """What the CLI wrote before the template writer: one "%.16e" per float
+    cell, and JSON through the CSV text -> float -> _json_layout round trip."""
+    from fracspline.cli import _json_layout
 
     def cell(key, text):
-        return str(int(text)) if key in ("terms_used", "valid") else _fmt(float(text))
+        return str(int(text)) if key in ("terms_used", "valid") else "%.16e" % float(text)
 
     lines = [",".join(header)] + [",".join(cell(k, c) for k, c in zip(header, row))
                                   for row in cell_rows]
@@ -462,7 +481,7 @@ def old_serialization(header, cell_rows, json_layout):
         records = [{"omega": float(row[0]),
                     "value": {k: float(c) for k, c in zip(header[1:], row[1:])}}
                    for row in cell_rows]
-    return "\n".join(lines) + "\n", _json_dump(records) + "\n"
+    return "\n".join(lines) + "\n", _json_layout(records) + "\n"
 
 
 def test_writer_bytes_match_the_old_serializer(tmp_path):
@@ -514,14 +533,14 @@ def test_table_text_special_values(monkeypatch):
 def template_table_text(fmt, header, columns, fields=None):
     """The writer the vectorized formatter replaced, one %-template per row:
     the oracle of its bytes."""
-    from fracspline.cli import _json_template
+    from fracspline.cli import _json_layout
 
     columns = [np.asarray(c) for c in columns]
     specs = ["%d" if c.dtype.kind in "biu" else "%.16e" for c in columns]
     if fmt == "json":
         if not columns[0].size:
             return "[]\n"
-        template = "  " + _json_template(fields or dict(zip(header, specs)), 1)
+        template = "  " + _json_layout(fields or dict(zip(header, specs)), 1, str)
         sep, head, tail = ",\n", "[\n", "\n]\n"
     else:
         template = ",".join(specs)
@@ -581,6 +600,69 @@ def test_table_text_matches_the_template_oracle(monkeypatch):
                      ("json", ["omega", "re", "count", "im"], nest, fields)):
             got = "".join(_table_text(*args))
             assert first_difference(got, template_table_text(*args)) is None, rows
+
+
+def reduced_basis(u, v):
+    """Lagrange-Gauss reduction of the 2-d integer lattice basis u, v."""
+    def norm(a):
+        return a[0] * a[0] + a[1] * a[1]
+    if norm(u) > norm(v):
+        u, v = v, u
+    while True:
+        mu = round(Fraction(u[0] * v[0] + u[1] * v[1], norm(u)))
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+        if norm(v) >= norm(u):
+            return u, v
+        u, v = v, u
+
+
+def near_half_doubles(scales):
+    """Doubles x = m 2^e whose scaled fraction |x| 10^(16 - E) lies within
+    2^-50 of .5 without being .5, E = 16 - s, found in exact arithmetic.
+
+    y = m c with c = 2^e 10^s = p/q, so the fraction of y is .5 + d/(2q)
+    with d = 2mp - q (mod 2q).  A lattice point (2qj, (2jp - 2lq) h^2) near
+    (0, -(2 mid p - q) h^2), h the half-width of the range of m, gives an
+    m = mid + j in range with |d| about 2q/h: the closest vector of the
+    reduced basis by Babai rounding, and its neighbours."""
+    found = []
+    for s in scales:
+        e0 = math.floor(math.log2(1e16) - 52 - s * math.log2(10))
+        for e in range(e0 - 2, e0 + 5):
+            c = Fraction(2) ** e * Fraction(10) ** s
+            lo = max(2 ** 52, math.ceil(10 ** 16 / c))  # y in [1e16, 1e17)
+            hi = min(2 ** 53, math.ceil(10 ** 17 / c))
+            if lo >= hi:
+                continue
+            p, q = c.numerator, c.denominator
+            mid, h = (lo + hi) // 2, max(1, (hi - lo) // 2)
+            u, v = reduced_basis((2 * q, 2 * p * h * h), (0, 2 * q * h * h))
+            t1 = -(2 * mid * p - q) * h * h
+            det = u[0] * v[1] - u[1] * v[0]
+            a, b = round(Fraction(-t1 * v[0], det)), round(Fraction(u[0] * t1, det))
+            for da in range(-2, 3):
+                for db in range(-2, 3):
+                    m = mid + ((a + da) * u[0] + (b + db) * v[0]) // (2 * q)
+                    d = (2 * m * p - q) % (2 * q)
+                    if lo <= m < hi and 0 < min(d, 2 * q - d) < 2 * q / 2 ** 50:
+                        found.append(math.ldexp(m, e))
+    return np.unique(found)
+
+
+def test_table_text_near_half_fractions():
+    # below 10^22 every 10^s is a double and the fraction is exact; past it
+    # the double-double fraction can be off by a few 2^-53, so these cells
+    # must reach "%.16e" through _HALF_MARGIN.  A fraction within 2^-50 of
+    # .5 needs a denominator past 2^49, so |s| >= 22; the fast range ends at
+    # |x| = 1e-280 and 1e280
+    from fracspline.cli import _table_text
+
+    xs = near_half_doubles([*range(-263, -21), *range(22, 297)])
+    assert xs.size > 10_000
+    xs = np.concatenate([xs, -xs])
+    want = "x\n" + "".join("%.16e\n" % v for v in xs.tolist())
+    got = "".join(_table_text("csv", ["x"], [xs]))
+    assert first_difference(got, want) is None
 
 
 # -- determinism across interpreters -------------------------------------------------

@@ -234,12 +234,6 @@ def test_decay_slope_complex_transform():
 
 # -- frequency grid and inverse quadrature ------------------------------------------
 
-def test_transform_value_record():
-    from fracspline import TransformValue
-    rec = TransformValue(1.5, complex(0.2, -0.3))
-    assert rec.omega == 1.5 and rec.value == complex(0.2, -0.3)
-
-
 def test_frequency_grid_normalization():
     g = FrequencyGrid(10.0, 100)
     assert (g.count - 1) % 4 == 0
