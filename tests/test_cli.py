@@ -650,11 +650,11 @@ def near_half_doubles(scales):
 
 
 def test_table_text_near_half_fractions():
-    # below 10^22 every 10^s is a double and the fraction is exact; past it
-    # the double-double fraction can be off by a few 2^-53, so these cells
-    # must reach "%.16e" through _HALF_MARGIN.  A fraction within 2^-50 of
-    # .5 needs a denominator past 2^49, so |s| >= 22; the fast range ends at
-    # |x| = 1e-280 and 1e280
+    # for 0 <= s <= 22, 10^s is a double and the fraction is exact; at other
+    # scales the double-double fraction can be off by a few 2^-53, so these
+    # cells must reach "%.16e" through _HALF_MARGIN.  A fraction within
+    # 2^-50 of .5 needs a denominator past 2^49, so |s| >= 22; the fast
+    # range ends at |x| = 1e-280 and 1e280
     from fracspline.cli import _table_text
 
     xs = near_half_doubles([*range(-263, -21), *range(22, 297)])
