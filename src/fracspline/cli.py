@@ -5,7 +5,10 @@ harness.
 Exit codes: 0 pass, 1 usage or parameter error, 2 verification failure,
 3 I/O error.  All numeric output is printed with 17 significant digits so
 files round-trip exactly and identical configurations produce identical
-bytes.
+bytes.  _family_order parses each family's order flags once and
+SplineOrder checks their ranges; eval, transform and verify only choose
+the library call.  A value of eval or transform that is not finite is an
+error, not a cell.
 
 Tables (eval, transform, fracop) are written by _table_text, byte for byte
 as "%.16e" writes each float and "%d" each integer or boolean, but a piece
@@ -37,6 +40,7 @@ from .errors import (
     EmptyAdmissibleSetError,
     FracSplineError,
     GridResolutionError,
+    NumericError,
     SignalFormatError,
 )
 from .fourier import hat_bupsilon_components, hat_bz, hat_en, hat_ez, omega_fn
@@ -62,26 +66,16 @@ from .splines import (
     series_terms,
 )
 
-FAMILIES = ("classical", "fractional", "complex", "exponential",
-            "complex-exponential", "hypercomplex")
-
-_DEFAULT_VERIFY_GRIDS = {
-    "classical": (-20.0, 20.0, 0.05),
-    "fractional": (-3.0, 3.0, 0.01),
-    "complex": (-3.0, 3.0, 0.01),
-    "exponential": (-8.0, 8.0, 0.02),
-    "complex-exponential": (-3.0, 3.0, 0.01),
-    "hypercomplex": (-8.0, 8.0, 0.02),
+# each family, with verify's frequency grid and tolerance for unset --grid/--tol
+_VERIFY_DEFAULTS = {
+    "classical": ("-20:20:0.05", 1e-12),
+    "fractional": ("-3:3:0.01", 1e-3),
+    "complex": ("-3:3:0.01", 1e-3),
+    "exponential": ("-8:8:0.02", 1e-10),
+    "complex-exponential": ("-3:3:0.01", 1e-6),
+    "hypercomplex": ("-8:8:0.02", 5e-3),
 }
-
-_DEFAULT_VERIFY_TOL = {
-    "classical": 1e-12,
-    "fractional": 1e-3,
-    "complex": 1e-3,
-    "exponential": 1e-10,
-    "complex-exponential": 1e-6,
-    "hypercomplex": 5e-3,
-}
+FAMILIES = tuple(_VERIFY_DEFAULTS)
 
 
 class UsageError(FracSplineError, ValueError):
@@ -366,29 +360,22 @@ def _parse_grid(spec: str):
         raise UsageError(f"grid {spec!r} has too many points: {exc}") from exc
 
 
-def _parse_complex(spec: str) -> complex:
-    try:
-        parts = [float(p) for p in str(spec).split(",")]
-    except ValueError as exc:
-        raise UsageError(f"complex order must be numeric re or re,im, got {spec!r}") from exc
-    if len(parts) == 1:
-        return complex(parts[0], 0.0)
-    if len(parts) == 2:
-        return complex(parts[0], parts[1])
-    raise UsageError(f"complex order must be re or re,im, got {spec!r}")
-
-
-def _parse_tuple(spec: str):
+def _parse_tuple(spec: str, what: str = "weight tuple"):
     try:
         return tuple(float(p) for p in str(spec).split(","))
     except ValueError as exc:
-        raise UsageError(f"weight tuple must be comma-separated numbers: {spec!r}") from exc
+        raise UsageError(f"{what} must be comma-separated numbers: {spec!r}") from exc
+
+
+def _parse_complex(spec: str) -> complex:
+    parts = _parse_tuple(spec, "complex order")
+    _require(len(parts) <= 2, f"complex order must be re or re,im, got {spec!r}")
+    return complex(*parts)
 
 
 def _parse_upsilon(spec: str) -> Paravector:
-    vals = _parse_tuple(spec)
-    if len(vals) < 2:
-        raise UsageError("hypercomplex order needs s,v1[,v2,...]")
+    vals = _parse_tuple(spec, "hypercomplex order")
+    _require(len(vals) >= 2, "hypercomplex order needs s,v1[,v2,...]")
     return Paravector(vals[0], list(vals[1:]))
 
 
@@ -397,23 +384,39 @@ def _require(cond: bool, message: str):
         raise UsageError(message)
 
 
-def _order_from_args(args) -> SplineOrder:
+def _single_a(spec, what: str) -> float:
+    """The one value of --a that the damped family and operator take."""
+    _require(spec is not None, f"{what} needs --a > 0")
+    a = _parse_tuple(spec)
+    _require(len(a) == 1, f"{what} takes a single --a value")
+    return a[0]
+
+
+def _family_order(args):
+    """The order of args.family, its flags read once: n, alpha, z, the
+    weights, (a, z) or the paravector.  Their ranges are checked by
+    SplineOrder, ExponentialWeights and the library calls that take a."""
     fam = args.family
+    _require(fam is not None, f"{args.command} needs --family, one of {', '.join(FAMILIES)}")
+    _require(fam in FAMILIES, f"unknown family {fam!r}")
     if fam == "classical":
         _require(args.n is not None, "classical family needs --n")
-        return SplineOrder.integer(args.n)
+        return SplineOrder.integer(args.n).value
     if fam == "fractional":
-        _require(args.alpha is not None,
-                 "fractional family needs --alpha with alpha > 1")
-        return SplineOrder.real(args.alpha)
-    if fam == "complex":
-        _require(args.z is not None, "complex family needs --z with re z > 1")
-        return SplineOrder.complex_order(_parse_complex(args.z))
+        _require(args.alpha is not None, "fractional family needs --alpha with alpha > 1")
+        return SplineOrder.real(args.alpha).value
+    if fam == "exponential":
+        _require(args.a is not None, "exponential family needs --a a1,a2,...")
+        return ExponentialWeights.coerce(_parse_tuple(args.a))
     if fam == "hypercomplex":
         _require(args.upsilon is not None,
                  "hypercomplex family needs --upsilon with scalar part > 1")
-        return SplineOrder.hypercomplex(_parse_upsilon(args.upsilon))
-    raise UsageError(f"family {fam!r} has no single spline order")
+        return SplineOrder.hypercomplex(_parse_upsilon(args.upsilon)).value
+    _require(args.z is not None, f"{fam} family needs --z with re z > 1")
+    z = SplineOrder.complex_order(_parse_complex(args.z)).value
+    if fam == "complex":
+        return z
+    return _single_a(args.a, "complex-exponential family"), z
 
 
 def _write_text(path: str, text):
@@ -430,100 +433,79 @@ def _write_text(path: str, text):
         raise IOError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _paravector_columns(n: int) -> list[str]:
-    cols = ["s_re", "s_im"]
-    for i in range(1, n + 1):
-        cols += [f"v{i}_re", f"v{i}_im"]
-    return cols
+def _value_header(count: int) -> list[str]:
+    """Names of count value columns: one real value, one complex value, or
+    the (re, im) pairs of a paravector's scalar and vector components."""
+    if count <= 2:
+        return ["value"] if count == 1 else ["value_re", "value_im"]
+    names = ["s", *(f"v{i}" for i in range(1, count // 2))]
+    return [f"{name}_{part}" for name in names for part in ("re", "im")]
 
 
 # -- commands ---------------------------------------------------------------
 
 
-def _eval_columns(args, xs):
-    """Value column names, value columns and terms_used of the family on
-    the grid xs, each evaluated once over the whole grid."""
-    fam = args.family
-    if fam == "exponential":
-        _require(args.a is not None, "exponential family needs --a a1,a2,...")
-        weights = ExponentialWeights.coerce(_parse_tuple(args.a))
-        return ["value"], [eval_exp_bspline(weights, xs)], np.full(xs.size, weights.order)
-    terms = series_terms(xs)
-    if fam == "complex-exponential":
-        _require(args.a is not None and args.z is not None,
-                 "complex-exponential family needs --a and --z")
-        a = _parse_tuple(args.a)
-        _require(len(a) == 1, "complex-exponential family takes a single --a value")
-        # x by keyword: benchmarks/tracing.py reads a positional x as one abscissa
-        vals = eval_ez(a[0], _parse_complex(args.z), x=xs)
-        return ["value_re", "value_im"], [vals.real, vals.imag], terms
-    order = _order_from_args(args)
-    if fam == "classical":
-        return ["value"], [eval_bn(order.value, xs)], terms
-    if fam == "fractional":
-        return ["value"], [eval_bz(order.value, x=xs).real], terms
-    if fam == "complex":
-        vals = eval_bz(order.value, x=xs)
-        return ["value_re", "value_im"], [vals.real, vals.imag], terms
-    alpha, beta, dec = eval_bupsilon_components(order.value, xs)
-    zero = np.zeros(xs.size)
-    vector = [zero] * dec.n if dec.u is None else [beta * uj for uj in dec.u.tolist()]
-    columns = [alpha, zero]
-    for comp in vector:
-        columns += [comp, zero]
-    return _paravector_columns(dec.n), columns, terms
+def _require_finite(args, values):
+    """A value of eval or transform that is not finite (a power or a series
+    overflowed or lost its phase) is a NumericError, not a cell."""
+    if not all(np.isfinite(column).all() for column in values):
+        raise NumericError(f"{args.command} of the {args.family} family is not "
+                           "finite on this grid")
 
 
 def run_eval(args) -> int:
     xs = _parse_grid(args.grid)
-    header, columns, terms = _eval_columns(args, xs)
-    _write_text(args.output, _table_text(args.format, ["x", *header, "terms_used"],
-                                         [xs, *columns, terms]))
-    return 0
-
-
-def _transform_columns(args, omegas):
-    """Value column names and columns of the family transform on omegas."""
-    fam = args.family
-    if fam == "classical":
-        _require(args.n is not None, "classical family needs --n")
-        vals = omega_fn(omegas) ** SplineOrder.integer(args.n).value
+    fam, order = args.family, _family_order(args)
+    if fam == "exponential":
+        values = [eval_exp_bspline(order, xs)]
+    elif fam == "classical":
+        values = [eval_bn(order, xs)]
+    elif fam == "hypercomplex":
+        alpha, beta, dec = eval_bupsilon_components(order, xs)
+        zero = np.zeros(xs.size)
+        vector = [zero] * dec.n if dec.u is None else [beta * uj for uj in dec.u.tolist()]
+        values = [alpha, zero]
+        for comp in vector:
+            values += [comp, zero]
     elif fam == "fractional":
-        _require(args.alpha is not None, "fractional family needs --alpha")
-        vals = hat_bz(complex(SplineOrder.real(args.alpha).value), omegas)
-    elif fam == "complex":
-        _require(args.z is not None, "complex family needs --z")
-        vals = hat_bz(_parse_complex(args.z), omegas)
-    elif fam == "exponential":
-        _require(args.a is not None, "exponential family needs --a")
-        vals = hat_en(_parse_tuple(args.a), omegas)
-    elif fam == "complex-exponential":
-        _require(args.a is not None and args.z is not None,
-                 "complex-exponential family needs --a and --z")
-        a = _parse_tuple(args.a)
-        _require(len(a) == 1, "complex-exponential family takes a single --a value")
-        vals = hat_ez(a[0], _parse_complex(args.z), omegas)
+        values = [eval_bz(order, x=xs).real]
     else:
-        _require(args.upsilon is not None, "hypercomplex family needs --upsilon")
-        order = SplineOrder.hypercomplex(_parse_upsilon(args.upsilon))
-        alpha, beta, dec = hat_bupsilon_components(order.value, omegas)
-        u = dec.u if dec.u is not None else np.zeros(dec.n)
-        columns = [alpha.real, alpha.imag]
-        for uj in u.tolist():
-            # beta * (uj + 0i) spelled out: the signed zeros of scalar
-            # complex arithmetic, which the vector loop does not keep
-            columns += [beta.real * uj - beta.imag * 0.0,
-                        beta.real * 0.0 + beta.imag * uj]
-        return _paravector_columns(dec.n), columns
-    return ["value_re", "value_im"], [vals.real, vals.imag]
+        # x by keyword: benchmarks/tracing.py reads a positional x as one abscissa
+        vals = eval_ez(*order, x=xs) if fam == "complex-exponential" else eval_bz(order, x=xs)
+        values = [vals.real, vals.imag]
+    _require_finite(args, values)
+    terms = np.full(xs.size, order.order) if fam == "exponential" else series_terms(xs)
+    _write_text(args.output, _table_text(args.format, ["x", *_value_header(len(values)),
+                                                       "terms_used"], [xs, *values, terms]))
+    return 0
 
 
 def run_transform(args) -> int:
     omegas = _parse_grid(args.grid)
-    header, columns = _transform_columns(args, omegas)
+    fam, order = args.family, _family_order(args)
+    if fam == "hypercomplex":
+        alpha, beta, dec = hat_bupsilon_components(order, omegas)
+        values = [alpha.real, alpha.imag]
+        for uj in (dec.u if dec.u is not None else np.zeros(dec.n)).tolist():
+            # beta * (uj + 0i) spelled out: the signed zeros of scalar
+            # complex arithmetic, which the vector loop does not keep
+            values += [beta.real * uj - beta.imag * 0.0,
+                       beta.real * 0.0 + beta.imag * uj]
+    else:
+        if fam == "classical":
+            vals = omega_fn(omegas) ** order
+        elif fam == "exponential":
+            vals = hat_en(order, omegas)
+        elif fam == "complex-exponential":
+            vals = hat_ez(*order, omegas)
+        else:
+            vals = hat_bz(complex(order), omegas)
+        values = [vals.real, vals.imag]
+    _require_finite(args, values)
+    header = _value_header(len(values))
     fields = {"omega": "%.16e", "value": {h: "%.16e" for h in header}}
     _write_text(args.output, _table_text(args.format, ["omega", *header],
-                                         [omegas, *columns], fields))
+                                         [omegas, *values], fields))
     return 0
 
 
@@ -603,10 +585,7 @@ def run_fracop(args) -> int:
     elif args.op == "derivative":
         out = frac_derivative(z, signal)
     elif args.op == "shifted-derivative":
-        _require(args.a is not None, "shifted-derivative needs --a > 0")
-        a = _parse_tuple(args.a)
-        _require(len(a) == 1, "shifted-derivative takes a single --a value")
-        out = shifted_frac_derivative(a[0], z, signal)
+        out = shifted_frac_derivative(_single_a(args.a, "shifted-derivative"), z, signal)
     else:
         raise UsageError(f"unknown fracop {args.op!r}")
 
@@ -617,38 +596,21 @@ def run_fracop(args) -> int:
 
 
 def run_verify(args) -> int:
-    fam = args.family
-    if args.grid is not None:
-        omegas = _parse_grid(args.grid)
-    else:
-        lo, hi, step = _DEFAULT_VERIFY_GRIDS[fam]
-        omegas = _parse_grid(f"{lo}:{hi}:{step}")
+    fam, order = args.family, _family_order(args)
+    grid, tol = _VERIFY_DEFAULTS[fam]
+    omegas = _parse_grid(args.grid if args.grid is not None else grid)
     K = args.K if args.K is not None else 200
-    tol = args.tol if args.tol is not None else _DEFAULT_VERIFY_TOL[fam]
-
+    tol = args.tol if args.tol is not None else tol
     if fam == "classical":
-        _require(args.n is not None, "classical family needs --n")
-        report = classical_atom_check(args.n, omegas)
-    elif fam in ("fractional", "complex"):
-        if fam == "fractional":
-            _require(args.alpha is not None, "fractional family needs --alpha")
-            z = complex(SplineOrder.real(args.alpha).value)
-        else:
-            _require(args.z is not None, "complex family needs --z")
-            z = _parse_complex(args.z)
-        report = verify_atom_identity_complex(z, K, omegas)
+        report = classical_atom_check(order, omegas)
     elif fam == "exponential":
-        _require(args.a is not None, "exponential family needs --a")
-        report = exp_difference_check(_parse_tuple(args.a), omegas)
+        report = exp_difference_check(order, omegas)
     elif fam == "complex-exponential":
-        _require(args.a is not None and args.z is not None,
-                 "complex-exponential family needs --a and --z")
-        a = _parse_tuple(args.a)
-        _require(len(a) == 1, "complex-exponential family takes a single --a value")
-        report = verify_atom_identity_expz(a[0], _parse_complex(args.z), K, omegas)
+        report = verify_atom_identity_expz(*order, K, omegas)
+    elif fam == "hypercomplex":
+        report = verify_atom_identity_hc(order, K, omegas)
     else:
-        _require(args.upsilon is not None, "hypercomplex family needs --upsilon")
-        report = verify_atom_identity_hc(_parse_upsilon(args.upsilon), K, omegas)
+        report = verify_atom_identity_complex(complex(order), K, omegas)
 
     doc = report.to_json_dict()
     doc["tolerance"] = float(tol)
@@ -758,19 +720,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _merge_config(args, argv)
-        if getattr(args, "family", None) is None and args.command != "fracop":
-            raise UsageError(f"{args.command} needs --family")
+        if args.command in ("eval", "transform"):
+            _require(args.grid is not None, f"{args.command} needs --grid start:stop:step")
         if args.command == "eval":
-            _require(args.grid is not None, "eval needs --grid start:stop:step")
             return run_eval(args)
         if args.command == "transform":
-            _require(args.grid is not None, "transform needs --grid start:stop:step")
             return run_transform(args)
         if args.command == "fracop":
             return run_fracop(args)
-        if args.command == "verify":
-            return run_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return run_verify(args)  # the subparsers admit no other command
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .clifford import HypercomplexExponent, Paravector, subalgebra_from_idempotent
-from .errors import GridResolutionError, NumericError, OrderError, ParameterError
-from .splines import ExponentialWeights
+from .clifford import Paravector, subalgebra_from_idempotent
+from .errors import GridResolutionError, NumericError, ParameterError
+from .splines import ExponentialWeights, SplineOrder, hypercomplex_exponent, positive_damping
 
 __all__ = [
     "RHO",
@@ -95,9 +95,7 @@ def _principal_power(base, exponent):
 
 def hat_bz(z, omega):
     """Fourier transform of the order-z spline: omega_fn(w)^z."""
-    z = complex(z)
-    if not z.real > 1:
-        raise OrderError(f"transform needs re z > 1, got {z!r}")
+    z = SplineOrder.complex_order(z).value
     w, scalar = _vectorized(omega)
     out = _principal_power(omega_fn(np.atleast_1d(w)), z)
     return complex(out[0]) if scalar else out
@@ -123,12 +121,8 @@ def hat_en(weights, omega):
 def hat_ez(a: float, z, omega):
     """Fourier transform of the complex-order exponential spline:
     omega_a_fn(a, w)^z with a > 0 and re z > 1."""
-    a = float(a)
-    if a <= 0:
-        raise ParameterError(f"complex exponential transform needs a > 0, got {a:g}")
-    z = complex(z)
-    if not z.real > 1:
-        raise OrderError(f"transform needs re z > 1, got {z!r}")
+    a = positive_damping(a)
+    z = SplineOrder.complex_order(z).value
     w, scalar = _vectorized(omega)
     out = _principal_power(omega_a_fn(a, np.atleast_1d(w)), z)
     return complex(out[0]) if scalar else out
@@ -141,11 +135,7 @@ def hat_bupsilon_components(upsilon: Paravector, omega):
 
     The idempotent split takes Omega^Y to the pair of complex powers
     Omega^z and Omega^{conj z}, z = x0 + i|v|."""
-    dec = HypercomplexExponent.from_paravector(upsilon)
-    if not dec.x0 > 1:
-        raise OrderError(
-            f"hypercomplex transform needs scalar part > 1, got {dec.x0:g}"
-        )
+    dec = hypercomplex_exponent(upsilon)
     om = omega_fn(np.atleast_1d(np.asarray(omega, dtype=float)))
     z = complex(dec.x0, dec.vnorm)
     alpha, beta = subalgebra_from_idempotent(*_principal_power(om, [z, z.conjugate()]))

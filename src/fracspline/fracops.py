@@ -52,7 +52,6 @@ from .errors import (
     DomainError,
     EmptyAdmissibleSetError,
     NumericError,
-    OrderError,
     OscillatoryIntegralError,
     ParameterError,
     RangeOverflowError,
@@ -60,7 +59,13 @@ from .errors import (
 )
 from .fourier import FrequencyGrid, _principal_power, hat_en, omega_a_fn, omega_fn
 from .specialfn import binom_complex_sequence, gamma, gamma_hc
-from .splines import ExponentialWeights, exp_difference_coefficients
+from .splines import (
+    ExponentialWeights,
+    SplineOrder,
+    exp_difference_coefficients,
+    hypercomplex_exponent,
+    positive_damping,
+)
 
 __all__ = [
     "SampledSignal",
@@ -212,9 +217,7 @@ def frac_derivative(z, signal: SampledSignal) -> SampledSignal:
 def shifted_frac_derivative(a: float, z, signal: SampledSignal) -> SampledSignal:
     """Damped fractional derivative: conjugation of the order-z derivative
     by the weight e^{-ax}, acting on the damped samples g = e^{-ax} f."""
-    a = float(a)
-    if a <= 0:
-        raise ParameterError(f"shifted derivative needs a > 0, got {a:g}")
+    a = positive_damping(a)
     xs = signal.x
     if a * xs[-1] > 700.0:
         raise RangeOverflowError(
@@ -419,13 +422,6 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
     return report, lhs, rhs
 
 
-def _complex_order(z) -> complex:
-    z = complex(z)
-    if not z.real > 1:
-        raise OrderError(f"verification needs re z > 1, got {z!r}")
-    return z
-
-
 def _z_label(z: complex) -> str:
     return f"z={z.real:g}{z.imag:+g}i" if z.imag else f"z={z.real:g}"
 
@@ -433,7 +429,7 @@ def _z_label(z: complex) -> str:
 def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
     """Check (iw)^z Omega(w)^z against the truncated exponential sum of the
     alternating binomial atom coefficients."""
-    z = _complex_order(z)
+    z = SplineOrder.complex_order(z).value
     om = _as_omegas(grid)
     report, lhs, rhs = _verify_binomial_atoms(
         "complex", _z_label(z), K, om, 1j * om, omega_fn(om), (z,))
@@ -445,10 +441,8 @@ def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     """Check (a+iw)^z Omega_a(w)^z against the exponentially damped
     binomial atom sum; also reports the partial-sum modulus entering the
     coefficient bound."""
-    a = float(a)
-    if a <= 0:
-        raise ParameterError(f"damped atom identity needs a > 0, got {a:g}")
-    z = _complex_order(z)
+    a = positive_damping(a)
+    z = SplineOrder.complex_order(z).value
     om = _as_omegas(grid)
     report, _, _ = _verify_binomial_atoms(
         "complex-exponential", f"a={a:g}, {_z_label(z)}", K, om,
@@ -467,11 +461,7 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport
     iw is the Fourier symbol of the derivative under the transform
     convention of the fourier module; the identity does not hold under -iw.
     """
-    dec = HypercomplexExponent.from_paravector(upsilon)
-    if not dec.x0 > 1:
-        raise OrderError(
-            f"verification needs scalar part > 1, got {dec.x0:g}"
-        )
+    dec = hypercomplex_exponent(upsilon)
     om = _as_omegas(grid)
     z = complex(dec.x0, dec.vnorm)
     comps_label = ",".join(f"{c:g}" for c in [upsilon.s, *upsilon.v.tolist()])
@@ -488,9 +478,7 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport
 def classical_atom_check(n: int, grid) -> ResidualReport:
     """Check (iw)^n Omega(w)^n = sum (-1)^k C(n,k) e^{-ikw}; integer powers,
     so the identity is polynomial and holds to rounding."""
-    if n != int(n) or n < 1:
-        raise OrderError(f"classical check needs integer n >= 1, got {n!r}")
-    n = int(n)
+    n = SplineOrder.integer(n).value
     if n > 1023:
         raise NumericError(f"the atoms of order n = {n} sum to 2^n, which overflows a float")
     om = _as_omegas(grid)

@@ -17,6 +17,10 @@ family is e^{-ax} times it, and a hypercomplex order x0 + |v| u is
 evaluated at the complex order x0 + i|v| and mapped back along u, through
 the isomorphism of span{1, u} with C.
 
+Each order rule has one check, which every evaluator, transform and
+verifier calls: the SplineOrder constructors, hypercomplex_exponent for
+scalar part > 1 and positive_damping for the damping a > 0.
+
 The exponential B-spline of weights (a_1..a_n) has the closed form
 beta(x) = sum_{k <= x} p_k rho(x - k) (Unser & Blu, Cardinal exponential
 splines: Part I, IEEE TSP 53(4), 2005), where p_k are the coefficients of
@@ -104,8 +108,8 @@ class SplineOrder:
     """Tagged spline order selecting the family.
 
     Kinds: "integer" (n >= 1), "real" (alpha > 1), "complex" (re z > 1),
-    "hypercomplex" (real paravector with scalar part > 1).  The scalar-part
-    constraint is enforced at construction.
+    "hypercomplex" (real paravector with scalar part > 1).  The constructors
+    are the package's one check of each rule (module docstring).
     """
 
     __slots__ = ("kind", "value")
@@ -143,11 +147,7 @@ class SplineOrder:
 
     @classmethod
     def hypercomplex(cls, upsilon: Paravector) -> "SplineOrder":
-        dec = HypercomplexExponent.from_paravector(upsilon)
-        if not dec.x0 > 1:
-            raise OrderError(
-                f"hypercomplex spline order must have scalar part > 1, got {dec.x0:g}"
-            )
+        hypercomplex_exponent(upsilon)
         return cls("hypercomplex", upsilon)
 
     def evaluate(self, x: float) -> SplineEvalResult:
@@ -155,6 +155,26 @@ class SplineOrder:
 
     def __repr__(self):
         return f"SplineOrder({self.kind!r}, {self.value!r})"
+
+
+def hypercomplex_exponent(upsilon: Paravector) -> HypercomplexExponent:
+    """The decomposition x0 + |v| u of a hypercomplex order, which must
+    have scalar part x0 > 1."""
+    dec = HypercomplexExponent.from_paravector(upsilon)
+    if not dec.x0 > 1:
+        raise OrderError(
+            f"hypercomplex spline order must have scalar part > 1, got {dec.x0:g}"
+        )
+    return dec
+
+
+def positive_damping(a) -> float:
+    """The damping a of the weight e^{-ax} as a float; it must be
+    positive."""
+    a = float(a)
+    if a <= 0:
+        raise ParameterError(f"damping needs a > 0, got {a:g}")
+    return a
 
 
 def _abscissae(x):
@@ -212,9 +232,7 @@ def eval_bn(n: int, x):
 
     Raises NumericError for n > 171, where (n-1)! overflows a float.
     """
-    if n != int(n) or n < 1:
-        raise OrderError(f"classical order must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = SplineOrder.integer(n).value
     if n > 171:
         raise NumericError(f"(n-1)! overflows at classical order n = {n}; "
                            "division is meaningless")
@@ -234,10 +252,10 @@ def eval_bz(z, x):
     (1/Gamma(z)) sum_{k<=x} (-1)^k binom(z,k) (x-k)_+^{z-1}.
 
     Raises NumericError when Gamma(z) underflows (large |im z|) or
-    overflows (re z above about 171): dividing by it is then meaningless."""
-    z = complex(z)
-    if not z.real > 1:
-        raise OrderError(f"complex spline order must satisfy re z > 1, got {z!r}")
+    overflows: dividing by it is then meaningless.  The Lanczos factor
+    t**(w + 0.5) of gamma overflows before Gamma itself does, near re z =
+    143 for real z: gamma(142) is finite and gamma(143) overflows."""
+    z = SplineOrder.complex_order(z).value
     xs, shape = _abscissae(x)
     out = np.zeros(xs.size, dtype=complex)
     live = xs >= 0.0
@@ -312,9 +330,7 @@ def eval_ez(a: float, z, x):
 
     The two damping factors of every term multiply to e^{-ax}, so the value
     is e^{-ax} B_z(x).  Well defined only for damping a > 0."""
-    a = float(a)
-    if a <= 0:
-        raise ParameterError(f"complex exponential spline needs a > 0, got {a:g}")
+    a = positive_damping(a)
     xs, shape = _abscissae(x)
     # x by keyword: benchmarks/tracing.py reads a positional x as one abscissa
     value = eval_bz(z, x=xs)
@@ -329,11 +345,7 @@ def eval_bupsilon_components(upsilon: Paravector, x):
     commuting subalgebra span{1, u}, a copy of C under u -> i, so
     alpha + i beta = B_{x0 + i|v|}(x).
     """
-    dec = HypercomplexExponent.from_paravector(upsilon)
-    if not dec.x0 > 1:
-        raise OrderError(
-            f"hypercomplex spline order must have scalar part > 1, got {dec.x0:g}"
-        )
+    dec = hypercomplex_exponent(upsilon)
     value = eval_bz(complex(dec.x0, dec.vnorm), x=np.atleast_1d(x))
     return value.real, value.imag, dec
 

@@ -98,7 +98,18 @@ def test_eval_json_format(tmp_path):
     assert doc[1]["x"] == 1.5 and abs(doc[1]["value"] - 0.75) < 1e-15
 
 
-def test_eval_usage_errors(tmp_path):
+# the order flags of each family, each with a valid value and one out of range
+ORDER_FLAGS = {
+    "classical": {"--n": ("3", "0")},
+    "fractional": {"--alpha": ("2.5", "1")},
+    "complex": {"--z": ("2.5,1", "1")},
+    "exponential": {"--a": ("1,-0.5", "0")},
+    "complex-exponential": {"--a": ("0.7", "0"), "--z": ("2.5,1", "1")},
+    "hypercomplex": {"--upsilon": ("2.5,1", "1,1")},
+}
+
+
+def test_eval_usage_errors(tmp_path, capsys):
     assert run_cli(["eval", "--family", "classical",
                     "--grid", "0:1:0.5"]) == 1  # missing --n
     assert run_cli(["eval", "--family", "complex", "--z", "0.5",
@@ -107,6 +118,25 @@ def test_eval_usage_errors(tmp_path):
     assert run_cli(["eval", "--family", "classical", "--n", "3"]) == 1  # no grid
     assert run_cli(["eval", "--family", "complex", "--z", "abc",
                     "--grid", "0:1:0.5"]) == 1  # malformed number
+    capsys.readouterr()
+    # every command checks every family's order flags alike: a missing flag
+    # and an order out of range are usage errors
+    out = str(tmp_path / "out")
+    for cmd in ("eval", "transform", "verify"):
+        for fam, flags in ORDER_FLAGS.items():
+            argv = [cmd, "--family", fam, "--grid=-1:1:0.5", "--tol", "1", "-o", out]
+            valid = {flag: ok for flag, (ok, _) in flags.items()}
+            assert run_cli(argv + [*sum(valid.items(), ())]) == 0, (cmd, fam)
+            for flag, (_, bad) in flags.items():
+                missing = {f: v for f, v in valid.items() if f != flag}
+                for case in (missing, {**valid, flag: bad}):
+                    assert run_cli(argv + [*sum(case.items(), ())]) == 1, (cmd, fam, case)
+                    assert capsys.readouterr().err.startswith("error: "), (cmd, fam, case)
+        # a config file bypasses the parser's family choices
+        config = tmp_path / "family.json"
+        config.write_text('{"family": "nosuch"}')
+        assert run_cli([cmd, "--config", str(config), "--grid", "0:1:0.5"]) == 1, cmd
+        assert capsys.readouterr().err == "error: unknown family 'nosuch'\n", cmd
 
 
 def test_eval_gamma_underflow_or_overflow_is_an_error(capsys):
@@ -118,6 +148,20 @@ def test_eval_gamma_underflow_or_overflow_is_an_error(capsys):
                   ["--family", "fractional", "--alpha", "200"]):  # overflow
         assert run_cli(["eval", *order, "--grid", "0:2:1"]) == 1, order
         assert capsys.readouterr().err.startswith("error: "), order
+
+
+def test_non_finite_values_are_an_error(capsys):
+    # a power that overflows or loses its phase, and an alternating series
+    # that overflows: an error, not inf or nan cells
+    for argv in (["transform", "--family", "complex", "--z", "2.5,1e4", "--grid", "0:1:0.5"],
+                 ["transform", "--family", "hypercomplex", "--upsilon", "2.5,1e5",
+                  "--grid", "0:1:0.5"],
+                 ["eval", "--family", "complex", "--z", "120", "--grid", "200:300:50"],
+                 ["eval", "--family", "hypercomplex", "--upsilon", "120,1",
+                  "--grid", "200:300:50"]):
+        assert run_cli(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
 
 
 def test_non_finite_grid_is_a_usage_error(capsys):
@@ -245,6 +289,15 @@ def test_fracop_nonuniform_grid_rejected(tmp_path, capsys):
     assert run_cli(["fracop", "--op", "integral", "--z", "1",
                     "--input", str(src), "-o", "-"]) == 1
     assert "line 4" in capsys.readouterr().err
+    # blank lines before a NaN row count too, and a NaN row is reported
+    # ahead of a malformed line after it
+    for text, line in (("x,value\n0,1\n\n\n0.1,2\nnan,3\n0.3,4\n", "line 6:"),
+                       ("x,value\n0,1\n0.1,nan\n0.2\n0.3,oops\n", "line 3:")):
+        src.write_text(text)
+        assert run_cli(["fracop", "--op", "integral", "--z", "1",
+                        "--input", str(src), "-o", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line} samples must be finite"), (text, err)
 
 
 def line_by_line_signal(text):
