@@ -66,16 +66,12 @@ from .specialfn import (
     gamma_hc,
 )
 from .splines import (
-    ExponentialWeights,
-    SplineEvalResult,
-    SplineOrder,
     eval_bn,
     eval_bupsilon,
     eval_bupsilon_components,
     eval_bz,
     eval_exp_bspline,
     eval_ez,
-    evaluate_on_grid,
 )
 
 __version__ = "0.1.0"

@@ -5,10 +5,12 @@ harness.
 Exit codes: 0 pass, 1 usage or parameter error, 2 verification failure,
 3 I/O error.  All numeric output is printed with 17 significant digits so
 files round-trip exactly and identical configurations produce identical
-bytes.  _family_order parses each family's order flags once and
-SplineOrder checks their ranges; eval, transform and verify only choose
-the library call.  A value of eval or transform that is not finite is an
-error, not a cell.
+bytes.  _family_order parses each family's order flags once and checks
+their ranges with the order functions of splines; eval, transform and
+verify only choose the library call.  A value of eval, transform or
+fracop that is not finite is an error, not a cell, and main runs every
+command with numpy's floating-point warnings off, so that error is the
+first line on stderr.
 
 Tables (eval, transform, fracop) are written by _table_text, byte for byte
 as "%.16e" writes each float and "%d" each integer or boolean, but a piece
@@ -56,13 +58,16 @@ from .fracops import (
     verify_atom_identity_hc,
 )
 from .splines import (
-    ExponentialWeights,
-    SplineOrder,
+    complex_order,
     eval_bn,
     eval_bupsilon_components,
     eval_bz,
     eval_exp_bspline,
     eval_ez,
+    exponential_weights,
+    hypercomplex_exponent,
+    integer_order,
+    real_order,
     series_terms,
 )
 
@@ -76,6 +81,9 @@ _VERIFY_DEFAULTS = {
     "hypercomplex": ("-8:8:0.02", 5e-3),
 }
 FAMILIES = tuple(_VERIFY_DEFAULTS)
+# the values of the options with a fixed set, from a flag or a config file
+_CHOICES = {"family": FAMILIES, "format": ("csv", "json"),
+            "op": ("integral", "derivative", "shifted-derivative")}
 
 
 class UsageError(FracSplineError, ValueError):
@@ -395,25 +403,27 @@ def _single_a(spec, what: str) -> float:
 def _family_order(args):
     """The order of args.family, its flags read once: n, alpha, z, the
     weights, (a, z) or the paravector.  Their ranges are checked by
-    SplineOrder, ExponentialWeights and the library calls that take a."""
+    integer_order, real_order, exponential_weights, hypercomplex_exponent,
+    complex_order and the library calls that take a."""
     fam = args.family
     _require(fam is not None, f"{args.command} needs --family, one of {', '.join(FAMILIES)}")
-    _require(fam in FAMILIES, f"unknown family {fam!r}")
     if fam == "classical":
         _require(args.n is not None, "classical family needs --n")
-        return SplineOrder.integer(args.n).value
+        return integer_order(args.n)
     if fam == "fractional":
         _require(args.alpha is not None, "fractional family needs --alpha with alpha > 1")
-        return SplineOrder.real(args.alpha).value
+        return real_order(args.alpha)
     if fam == "exponential":
         _require(args.a is not None, "exponential family needs --a a1,a2,...")
-        return ExponentialWeights.coerce(_parse_tuple(args.a))
+        return exponential_weights(_parse_tuple(args.a))
     if fam == "hypercomplex":
         _require(args.upsilon is not None,
                  "hypercomplex family needs --upsilon with scalar part > 1")
-        return SplineOrder.hypercomplex(_parse_upsilon(args.upsilon)).value
+        upsilon = _parse_upsilon(args.upsilon)
+        hypercomplex_exponent(upsilon)
+        return upsilon
     _require(args.z is not None, f"{fam} family needs --z with re z > 1")
-    z = SplineOrder.complex_order(_parse_complex(args.z)).value
+    z = complex_order(_parse_complex(args.z))
     if fam == "complex":
         return z
     return _single_a(args.a, "complex-exponential family"), z
@@ -445,12 +455,12 @@ def _value_header(count: int) -> list[str]:
 # -- commands ---------------------------------------------------------------
 
 
-def _require_finite(args, values):
-    """A value of eval or transform that is not finite (a power or a series
-    overflowed or lost its phase) is a NumericError, not a cell."""
+def _require_finite(what: str, values):
+    """A value of eval, transform or fracop that is not finite (a power, a
+    series or a sum overflowed or lost its phase) is a NumericError, not a
+    cell; what names the command."""
     if not all(np.isfinite(column).all() for column in values):
-        raise NumericError(f"{args.command} of the {args.family} family is not "
-                           "finite on this grid")
+        raise NumericError(f"{what} is not finite on this grid")
 
 
 def run_eval(args) -> int:
@@ -473,8 +483,8 @@ def run_eval(args) -> int:
         # x by keyword: benchmarks/tracing.py reads a positional x as one abscissa
         vals = eval_ez(*order, x=xs) if fam == "complex-exponential" else eval_bz(order, x=xs)
         values = [vals.real, vals.imag]
-    _require_finite(args, values)
-    terms = np.full(xs.size, order.order) if fam == "exponential" else series_terms(xs)
+    _require_finite(f"eval of the {fam} family", values)
+    terms = np.full(xs.size, len(order)) if fam == "exponential" else series_terms(xs)
     _write_text(args.output, _table_text(args.format, ["x", *_value_header(len(values)),
                                                        "terms_used"], [xs, *values, terms]))
     return 0
@@ -501,7 +511,7 @@ def run_transform(args) -> int:
         else:
             vals = hat_bz(complex(order), omegas)
         values = [vals.real, vals.imag]
-    _require_finite(args, values)
+    _require_finite(f"transform of the {fam} family", values)
     header = _value_header(len(values))
     fields = {"omega": "%.16e", "value": {h: "%.16e" for h in header}}
     _write_text(args.output, _table_text(args.format, ["omega", *header],
@@ -584,12 +594,10 @@ def run_fracop(args) -> int:
         out = frac_integral(z, signal)
     elif args.op == "derivative":
         out = frac_derivative(z, signal)
-    elif args.op == "shifted-derivative":
-        out = shifted_frac_derivative(_single_a(args.a, "shifted-derivative"), z, signal)
     else:
-        raise UsageError(f"unknown fracop {args.op!r}")
-
+        out = shifted_frac_derivative(_single_a(args.a, "shifted-derivative"), z, signal)
     vals = out.values.astype(complex)
+    _require_finite(f"fracop --op {args.op}", [vals.real, vals.imag])
     _write_text(args.output, _table_text("csv", ["x", "value_re", "value_im", "valid"],
                                          [out.x, vals.real, vals.imag, out.valid]))
     return 0
@@ -635,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON file with default option values")
-        p.add_argument("--family", choices=FAMILIES)
+        p.add_argument("--family", choices=_CHOICES["family"])
         p.add_argument("--n", type=int, help="integer order (classical family)")
         p.add_argument("--alpha", type=float, help="real order > 1")
         p.add_argument("--z", help="complex order re[,im] with re > 1")
@@ -647,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--K", type=int, help="atom-sum truncation")
         p.add_argument("--tol", type=float, help="verification tolerance")
         p.add_argument("--output", "-o", default="-", help="output path or - for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=_CHOICES["format"], default="csv")
 
     p_eval = sub.add_parser("eval", help="evaluate a spline family on an x grid")
     add_common(p_eval)
@@ -655,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_tr)
     p_fr = sub.add_parser("fracop", help="apply a fractional operator to sampled data")
     add_common(p_fr)
-    p_fr.add_argument("--op", choices=("integral", "derivative", "shifted-derivative"))
+    p_fr.add_argument("--op", choices=_CHOICES["op"])
     p_fr.add_argument("--input", help="input CSV with columns x,value")
     p_ver = sub.add_parser("verify", help="verify a family's atom identity")
     add_common(p_ver)
@@ -711,9 +719,12 @@ def _merge_config(args, argv) -> None:
                 value = str(value)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"config key {key!r} needs a number, got {value!r}") from exc
+        if dest in _CHOICES and value not in _CHOICES[dest]:
+            raise UsageError(f"unknown {dest} {value!r}")
         setattr(args, dest, value)
 
 
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)

@@ -18,7 +18,14 @@ from scipy.integrate import simpson
 
 from .clifford import Paravector, subalgebra_from_idempotent
 from .errors import GridResolutionError, NumericError, ParameterError
-from .splines import ExponentialWeights, SplineOrder, hypercomplex_exponent, positive_damping
+from .splines import (
+    _abscissae,
+    _shaped,
+    complex_order,
+    exponential_weights,
+    hypercomplex_exponent,
+    positive_damping,
+)
 
 __all__ = [
     "RHO",
@@ -41,16 +48,10 @@ RHO = 1e-2
 _SERIES_COEFFS = np.array([1.0 / math.factorial(k + 1) for k in range(13)])
 
 
-def _vectorized(omega):
-    arr = np.asarray(omega, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def omega_fn(omega):
     """The base ratio (1 - e^{-iw}) / (iw), with the w -> 0 limit 1 filled
     in by its Taylor series inside |w| <= RHO."""
-    w, scalar = _vectorized(omega)
-    w = np.atleast_1d(w)
+    w, shape = _abscissae(omega)
     out = np.empty(w.shape, dtype=complex)
     small = np.abs(w) <= RHO
     if np.any(~small):
@@ -62,7 +63,7 @@ def omega_fn(omega):
         for c in _SERIES_COEFFS[-2::-1]:
             acc = acc * y + c
         out[small] = acc
-    return complex(out[0]) if scalar else out
+    return _shaped(out, shape)
 
 
 def omega_a_fn(a: float, omega):
@@ -75,10 +76,8 @@ def omega_a_fn(a: float, omega):
         damping = math.exp(-a)
     except OverflowError as exc:
         raise NumericError(f"e^{-a:g} overflows a float") from exc
-    w, scalar = _vectorized(omega)
-    w = np.atleast_1d(w)
-    out = (1.0 - damping * np.exp(-1j * w)) / (1j * w + a)
-    return complex(out[0]) if scalar else out
+    w, shape = _abscissae(omega)
+    return _shaped((1.0 - damping * np.exp(-1j * w)) / (1j * w + a), shape)
 
 
 def _principal_power(base, exponent):
@@ -95,10 +94,9 @@ def _principal_power(base, exponent):
 
 def hat_bz(z, omega):
     """Fourier transform of the order-z spline: omega_fn(w)^z."""
-    z = SplineOrder.complex_order(z).value
-    w, scalar = _vectorized(omega)
-    out = _principal_power(omega_fn(np.atleast_1d(w)), z)
-    return complex(out[0]) if scalar else out
+    z = complex_order(z)
+    w, shape = _abscissae(omega)
+    return _shaped(_principal_power(omega_fn(w), z), shape)
 
 
 def hat_en(weights, omega):
@@ -109,23 +107,20 @@ def hat_en(weights, omega):
     The sign flip lives here: eval_exp_bspline convolves e^{+a_k x} 1_[0,1)
     factors, and each such factor transforms to omega_a_fn(-a_k, w).
     """
-    wts = ExponentialWeights.coerce(weights).values
-    w, scalar = _vectorized(omega)
-    w = np.atleast_1d(w)
+    w, shape = _abscissae(omega)
     out = np.ones(w.shape, dtype=complex)
-    for a in wts:
+    for a in exponential_weights(weights):
         out = out * omega_a_fn(-a, w)
-    return complex(out[0]) if scalar else out
+    return _shaped(out, shape)
 
 
 def hat_ez(a: float, z, omega):
     """Fourier transform of the complex-order exponential spline:
     omega_a_fn(a, w)^z with a > 0 and re z > 1."""
     a = positive_damping(a)
-    z = SplineOrder.complex_order(z).value
-    w, scalar = _vectorized(omega)
-    out = _principal_power(omega_a_fn(a, np.atleast_1d(w)), z)
-    return complex(out[0]) if scalar else out
+    z = complex_order(z)
+    w, shape = _abscissae(omega)
+    return _shaped(_principal_power(omega_a_fn(a, w), z), shape)
 
 
 def hat_bupsilon_components(upsilon: Paravector, omega):
@@ -153,13 +148,11 @@ class FrequencyGrid:
     """Symmetric uniform frequency grid for quadrature and sweeps.
 
     The point count is normalized up to the next 4m + 1 so that both the
-    Simpson rule and its half-resolution comparison grid are valid; rho is
-    the omega_fn series switch radius recorded with the grid.
+    Simpson rule and its half-resolution comparison grid are valid.
     """
 
     omega_max: float
     count: int
-    rho: float = RHO
 
     def __post_init__(self):
         if self.omega_max <= 0:

@@ -60,10 +60,11 @@ from .errors import (
 from .fourier import FrequencyGrid, _principal_power, hat_en, omega_a_fn, omega_fn
 from .specialfn import binom_complex_sequence, gamma, gamma_hc
 from .splines import (
-    ExponentialWeights,
-    SplineOrder,
+    complex_order,
     exp_difference_coefficients,
+    exponential_weights,
     hypercomplex_exponent,
+    integer_order,
     positive_damping,
 )
 
@@ -429,7 +430,7 @@ def _z_label(z: complex) -> str:
 def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
     """Check (iw)^z Omega(w)^z against the truncated exponential sum of the
     alternating binomial atom coefficients."""
-    z = SplineOrder.complex_order(z).value
+    z = complex_order(z)
     om = _as_omegas(grid)
     report, lhs, rhs = _verify_binomial_atoms(
         "complex", _z_label(z), K, om, 1j * om, omega_fn(om), (z,))
@@ -442,7 +443,7 @@ def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     binomial atom sum; also reports the partial-sum modulus entering the
     coefficient bound."""
     a = positive_damping(a)
-    z = SplineOrder.complex_order(z).value
+    z = complex_order(z)
     om = _as_omegas(grid)
     report, _, _ = _verify_binomial_atoms(
         "complex-exponential", f"a={a:g}, {_z_label(z)}", K, om,
@@ -478,7 +479,7 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport
 def classical_atom_check(n: int, grid) -> ResidualReport:
     """Check (iw)^n Omega(w)^n = sum (-1)^k C(n,k) e^{-ikw}; integer powers,
     so the identity is polynomial and holds to rounding."""
-    n = SplineOrder.integer(n).value
+    n = integer_order(n)
     if n > 1023:
         raise NumericError(f"the atoms of order n = {n} sum to 2^n, which overflows a float")
     om = _as_omegas(grid)
@@ -514,14 +515,14 @@ def exp_difference_check(weights, grid) -> ResidualReport:
     the product polynomial in e^{-iw}, and numerically by least squares on
     the grid samples; both are reported.
     """
-    wts = ExponentialWeights.coerce(weights)
+    wts = exponential_weights(weights)
     om = _as_omegas(grid)
     lhs = hat_en(wts, om)
-    for a in wts.values:
+    for a in wts:
         lhs = lhs * (1j * om - a)
 
-    poly = exp_difference_coefficients(wts.values)
-    order = "a=(" + ",".join(f"{a:g}" for a in wts.values) + ")"
+    poly = exp_difference_coefficients(wts)
+    order = "a=(" + ",".join(f"{a:g}" for a in wts) + ")"
     _require_finite("exponential", order, lhs, poly)
     atoms = AtomSum(np.arange(poly.size), poly.astype(complex)[:, None])
     rhs = atoms.evaluate(om)[0]

@@ -17,9 +17,11 @@ family is e^{-ax} times it, and a hypercomplex order x0 + |v| u is
 evaluated at the complex order x0 + i|v| and mapped back along u, through
 the isomorphism of span{1, u} with C.
 
-Each order rule has one check, which every evaluator, transform and
-verifier calls: the SplineOrder constructors, hypercomplex_exponent for
-scalar part > 1 and positive_damping for the damping a > 0.
+Each order rule has one check, a function that returns the checked
+value and that every evaluator, transform and verifier calls:
+integer_order (n >= 1), real_order (alpha > 1), complex_order (re z > 1),
+exponential_weights (one nonzero weight at least), hypercomplex_exponent
+(scalar part > 1) and positive_damping (a > 0).
 
 The exponential B-spline of weights (a_1..a_n) has the closed form
 beta(x) = sum_{k <= x} p_k rho(x - k) (Unser & Blu, Cardinal exponential
@@ -43,7 +45,6 @@ The loss is not reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -53,108 +54,57 @@ from .errors import NumericError, OrderError, ParameterError
 from .specialfn import binom_complex_sequence, gamma
 
 __all__ = [
-    "SplineOrder",
-    "ExponentialWeights",
-    "SplineEvalResult",
+    "integer_order",
+    "real_order",
+    "complex_order",
+    "exponential_weights",
+    "hypercomplex_exponent",
+    "positive_damping",
     "eval_bn",
     "eval_bz",
     "eval_exp_bspline",
     "eval_ez",
     "eval_bupsilon",
     "eval_bupsilon_components",
-    "evaluate_on_grid",
     "exp_difference_coefficients",
 ]
 
 
-@dataclass(frozen=True)
-class ExponentialWeights:
-    """Weight tuple (a_1..a_n) of an exponential B-spline; at least one
-    weight must be nonzero."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(a) for a in self.values)
-        if len(vals) < 1:
-            raise ParameterError("exponential B-spline needs at least one weight")
-        if all(a == 0.0 for a in vals):
-            raise ParameterError("at least one exponential weight must be nonzero")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def coerce(cls, weights) -> "ExponentialWeights":
-        if isinstance(weights, ExponentialWeights):
-            return weights
-        if isinstance(weights, (int, float)):
-            return cls((float(weights),))
-        return cls(tuple(weights))
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
+def integer_order(n) -> int:
+    """The classical order n as an int; it must be a whole number >= 1.
+    NaN and +-inf fail the check before int() would raise on them."""
+    if n != n or n in (math.inf, -math.inf) or n != int(n) or n < 1:
+        raise OrderError(f"integer spline order must satisfy n >= 1, got {n!r}")
+    return int(n)
 
 
-@dataclass(frozen=True)
-class SplineEvalResult:
-    """One grid sample: abscissa, family value, and series terms used."""
+def real_order(alpha) -> float:
+    """The fractional order alpha as a float; it must exceed 1."""
+    alpha = float(alpha)
+    if not alpha > 1:
+        raise OrderError(f"real spline order must satisfy alpha > 1, got {alpha:g}")
+    return alpha
 
-    x: float
-    value: object
-    terms_used: int
+
+def complex_order(z) -> complex:
+    """The complex order z as a complex; it must have re z > 1."""
+    z = complex(z)
+    if not z.real > 1:
+        raise OrderError(f"complex spline order must satisfy re z > 1, got {z!r}")
+    return z
 
 
-class SplineOrder:
-    """Tagged spline order selecting the family.
-
-    Kinds: "integer" (n >= 1), "real" (alpha > 1), "complex" (re z > 1),
-    "hypercomplex" (real paravector with scalar part > 1).  The constructors
-    are the package's one check of each rule (module docstring).
-    """
-
-    __slots__ = ("kind", "value")
-
-    _KINDS = ("integer", "real", "complex", "hypercomplex")
-
-    def __init__(self, kind: str, value):
-        if kind not in self._KINDS:
-            raise OrderError(f"unknown spline order kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplineOrder is immutable")
-
-    @classmethod
-    def integer(cls, n: int) -> "SplineOrder":
-        if n != int(n) or n < 1:
-            raise OrderError(f"integer spline order must satisfy n >= 1, got {n!r}")
-        return cls("integer", int(n))
-
-    @classmethod
-    def real(cls, alpha: float) -> "SplineOrder":
-        alpha = float(alpha)
-        if not alpha > 1:
-            raise OrderError(f"real spline order must satisfy alpha > 1, got {alpha:g}")
-        return cls("real", alpha)
-
-    @classmethod
-    def complex_order(cls, z) -> "SplineOrder":
-        z = complex(z)
-        if not z.real > 1:
-            raise OrderError(f"complex spline order must satisfy re z > 1, got {z!r}")
-        return cls("complex", z)
-
-    @classmethod
-    def hypercomplex(cls, upsilon: Paravector) -> "SplineOrder":
-        hypercomplex_exponent(upsilon)
-        return cls("hypercomplex", upsilon)
-
-    def evaluate(self, x: float) -> SplineEvalResult:
-        return evaluate_on_grid(self, [x])[0]
-
-    def __repr__(self):
-        return f"SplineOrder({self.kind!r}, {self.value!r})"
+def exponential_weights(weights) -> tuple[float, ...]:
+    """The weights (a_1..a_n) of an exponential B-spline as a float tuple,
+    a single number being one weight; at least one must be nonzero."""
+    if isinstance(weights, (int, float)):
+        weights = (weights,)
+    vals = tuple(float(a) for a in weights)
+    if not vals:
+        raise ParameterError("exponential B-spline needs at least one weight")
+    if all(a == 0.0 for a in vals):
+        raise ParameterError("at least one exponential weight must be nonzero")
+    return vals
 
 
 def hypercomplex_exponent(upsilon: Paravector) -> HypercomplexExponent:
@@ -172,7 +122,7 @@ def positive_damping(a) -> float:
     """The damping a of the weight e^{-ax} as a float; it must be
     positive."""
     a = float(a)
-    if a <= 0:
+    if not a > 0:
         raise ParameterError(f"damping needs a > 0, got {a:g}")
     return a
 
@@ -184,8 +134,15 @@ def _abscissae(x):
 
 
 def _shaped(values: np.ndarray, shape):
-    """Values in the caller's shape; a Python number for a single abscissa."""
-    return values.reshape(shape) if shape else values[0].item()
+    """Values in the caller's shape; a Python number for a single abscissa.
+
+    Values already in that shape are returned as they are, not as a view:
+    numpy computes a * b into the buffer of a temporary b only when b owns
+    its data, as b * a, and a complex product can round differently with
+    its operands swapped."""
+    if not shape:
+        return values[0].item()
+    return values if values.shape == shape else values.reshape(shape)
 
 
 def series_terms(x):
@@ -232,7 +189,7 @@ def eval_bn(n: int, x):
 
     Raises NumericError for n > 171, where (n-1)! overflows a float.
     """
-    n = SplineOrder.integer(n).value
+    n = integer_order(n)
     if n > 171:
         raise NumericError(f"(n-1)! overflows at classical order n = {n}; "
                            "division is meaningless")
@@ -255,7 +212,7 @@ def eval_bz(z, x):
     overflows: dividing by it is then meaningless.  The Lanczos factor
     t**(w + 0.5) of gamma overflows before Gamma itself does, near re z =
     143 for real z: gamma(142) is finite and gamma(143) overflows."""
-    z = SplineOrder.complex_order(z).value
+    z = complex_order(z)
     xs, shape = _abscissae(x)
     out = np.zeros(xs.size, dtype=complex)
     live = xs >= 0.0
@@ -310,7 +267,7 @@ def eval_exp_bspline(weights, x):
     the frequency-domain counterpart in the fourier module owns the sign
     flip between the two conventions.
     """
-    w = np.array(ExponentialWeights.coerce(weights).values)
+    w = np.array(exponential_weights(weights))
     n = w.size
     mu = float(np.mean(w))
     xs, shape = _abscissae(x)
@@ -355,21 +312,3 @@ def eval_bupsilon(upsilon: Paravector, x: float) -> Paravector:
     alpha, beta, dec = eval_bupsilon_components(upsilon, [float(x)])
     return dec.paravector(float(alpha[0]), float(beta[0]))
 
-
-def evaluate_on_grid(order: SplineOrder, xs) -> list[SplineEvalResult]:
-    """Evaluate a spline family on a sequence of abscissae, in one array
-    pass."""
-    if not isinstance(order, SplineOrder):
-        raise OrderError(f"expected SplineOrder, got {type(order)!r}")
-    xs = np.asarray(xs, dtype=float).ravel()
-    if order.kind == "integer":
-        values = eval_bn(order.value, xs).tolist()
-    elif order.kind == "real":
-        values = eval_bz(order.value, x=xs).real.tolist()
-    elif order.kind == "complex":
-        values = eval_bz(order.value, x=xs).tolist()
-    else:
-        alpha, beta, dec = eval_bupsilon_components(order.value, xs)
-        values = [dec.paravector(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
-    return [SplineEvalResult(x, v, t)
-            for x, v, t in zip(xs.tolist(), values, series_terms(xs).tolist())]

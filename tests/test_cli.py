@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,18 +151,27 @@ def test_eval_gamma_underflow_or_overflow_is_an_error(capsys):
         assert capsys.readouterr().err.startswith("error: "), order
 
 
-def test_non_finite_values_are_an_error(capsys):
-    # a power that overflows or loses its phase, and an alternating series
-    # that overflows: an error, not inf or nan cells
+def test_non_finite_values_are_an_error(tmp_path, capsys):
+    # a power that overflows or loses its phase, an alternating series that
+    # overflows, an integral that overflows and a NaN damping: an error, not
+    # inf or nan cells
+    big, signal = tmp_path / "big.csv", tmp_path / "in.csv"
+    write_signal(big, lambda x: 1e308, stop=2.0, h=0.1)
+    write_signal(signal, lambda x: x * x)
     for argv in (["transform", "--family", "complex", "--z", "2.5,1e4", "--grid", "0:1:0.5"],
                  ["transform", "--family", "hypercomplex", "--upsilon", "2.5,1e5",
                   "--grid", "0:1:0.5"],
                  ["eval", "--family", "complex", "--z", "120", "--grid", "200:300:50"],
                  ["eval", "--family", "hypercomplex", "--upsilon", "120,1",
-                  "--grid", "200:300:50"]):
+                  "--grid", "200:300:50"],
+                 ["fracop", "--op", "integral", "--z", "1", "--input", str(big)],
+                 ["fracop", "--op", "shifted-derivative", "--a", "nan", "--z", "0.5",
+                  "--input", str(signal)]):
         assert run_cli(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), argv
+    run_cli(["fracop", "--op", "integral", "--z", "1", "--input", str(big)])
+    assert capsys.readouterr().err == "error: fracop --op integral is not finite on this grid\n"
 
 
 def test_non_finite_grid_is_a_usage_error(capsys):
@@ -435,12 +445,16 @@ def test_verify_overflow_is_an_error(tmp_path, capsys):
     # (iw)^n overflows at n = 300 on the default +-20 grid, the binomials of
     # n = 1100 overflow a float, (iw)^z at z = 800, and e^800 for the
     # weight 800: each used to write inf or NaN into the report, or to end
-    # in an OverflowError traceback
+    # in an OverflowError traceback; numpy's RuntimeWarnings about the
+    # overflow used to be printed ahead of the error line
     for order in (["--family", "classical", "--n", "300"],
                   ["--family", "classical", "--n", "1100"],
                   ["--family", "complex", "--z", "800"],
                   ["--family", "exponential", "--a", "800"]):
-        assert run_cli(["verify", *order]) == 1, order
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["verify", *order]) == 1, order
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], order
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), order
     # the eval path centres the weights first and stays finite
@@ -479,12 +493,22 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows2) == 4
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"family": "classical", "wat": 1}))
     assert run_cli(["eval", "--config", str(conf), "--grid", "0:1:1"]) == 1
     conf.write_text(json.dumps({"family": "classical", "n": "x"}))
     assert run_cli(["eval", "--config", str(conf), "--grid", "0:1:1"]) == 1
+    capsys.readouterr()
+    # format and op take the choices of their flags: xml used to write CSV
+    conf.write_text(json.dumps({"family": "classical", "n": 2, "format": "xml"}))
+    assert run_cli(["eval", "--config", str(conf), "--grid", "0:1:1"]) == 1
+    assert capsys.readouterr().err == "error: unknown format 'xml'\n"
+    signal = tmp_path / "in.csv"
+    write_signal(signal, lambda x: x)
+    conf.write_text(json.dumps({"op": "nosuch", "z": "0.5", "input": str(signal)}))
+    assert run_cli(["fracop", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == "error: unknown op 'nosuch'\n"
 
 
 def test_config_rejects_non_integral_counts(tmp_path, capsys):

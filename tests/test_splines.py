@@ -8,21 +8,29 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracspline import (
-    ExponentialWeights,
     NumericError,
     OrderError,
     ParameterError,
     Paravector,
-    SplineOrder,
     eval_bn,
     eval_bupsilon,
     eval_bupsilon_components,
     eval_bz,
     eval_exp_bspline,
     eval_ez,
-    evaluate_on_grid,
+    hat_ez,
+    shifted_frac_derivative,
+    verify_atom_identity_expz,
 )
-from fracspline.splines import series_terms
+from fracspline.fracops import SampledSignal
+from fracspline.splines import (
+    complex_order,
+    exponential_weights,
+    hypercomplex_exponent,
+    integer_order,
+    real_order,
+    series_terms,
+)
 
 
 # -- classical family -------------------------------------------------------------
@@ -153,11 +161,11 @@ def test_exp_bspline_support():
 
 def test_exp_weights_validation():
     with pytest.raises(ParameterError):
-        ExponentialWeights((0.0, 0.0))
+        exponential_weights((0.0, 0.0))
     with pytest.raises(ParameterError):
-        ExponentialWeights(())
-    w = ExponentialWeights.coerce((0.0, 1.0))
-    assert w.order == 2
+        exponential_weights(())
+    assert exponential_weights((0, 1.0)) == (0.0, 1.0)
+    assert exponential_weights(2) == (2.0,)
 
 
 def quad_exp_bspline(weights, x, tol=1e-10):
@@ -276,20 +284,6 @@ def test_array_calls_keep_the_shape():
     assert isinstance(eval_exp_bspline((1.0, 2.0), 0.5), float)
 
 
-def test_evaluate_on_grid_equals_pointwise_evaluate():
-    xs = GRIDS["negative and integer x"]
-    for order in (SplineOrder.integer(3), SplineOrder.real(2.7),
-                  SplineOrder.complex_order(2.5 + 1j), SplineOrder.hypercomplex(UPS)):
-        for row, x in zip(evaluate_on_grid(order, xs), xs):
-            one = order.evaluate(x)
-            assert (row.x, row.terms_used) == (one.x, one.terms_used)
-            if order.kind == "hypercomplex":
-                assert row.value.s == one.value.s
-                assert row.value.v.tobytes() == one.value.v.tobytes()
-            else:
-                assert type(row.value) is type(one.value) and row.value == one.value
-
-
 def test_gamma_underflow_and_overflow_are_numeric_errors():
     # |Gamma(2.5 + 1000i)| underflows to 0; dividing by it is meaningless
     with pytest.raises(NumericError):
@@ -391,31 +385,43 @@ def test_bupsilon_values_are_real_components():
     assert not isinstance(got.s, complex)
 
 
-# -- order dispatch -----------------------------------------------------------------------
+# -- order checks -------------------------------------------------------------------------
 
 def test_spline_order_validation():
-    with pytest.raises(OrderError):
-        SplineOrder.integer(0)
-    with pytest.raises(OrderError):
-        SplineOrder.real(1.0)
-    with pytest.raises(OrderError):
-        SplineOrder.complex_order(1.0 + 1j)
-    with pytest.raises(OrderError):
-        SplineOrder.hypercomplex(Paravector(0.9, [1.0]))
+    nan = float("nan")
+    for bad in (0, 2.5):
+        with pytest.raises(OrderError):
+            integer_order(bad)
+    for bad in (1.0, nan):
+        with pytest.raises(OrderError):
+            real_order(bad)
+    for bad in (1.0 + 1j, complex(nan, 1.0)):
+        with pytest.raises(OrderError):
+            complex_order(bad)
+    for bad in (0.9, nan):
+        with pytest.raises(OrderError):
+            hypercomplex_exponent(Paravector(bad, [1.0]))
+    assert (integer_order(3.0), real_order(2), complex_order(2)) == (3, 2.0, 2 + 0j)
+    assert type(integer_order(3.0)) is int
 
 
-def test_evaluate_on_grid():
-    order = SplineOrder.integer(3)
-    rows = evaluate_on_grid(order, [0.0, 1.5, 3.0])
-    assert [r.value for r in rows] == [0.0, 0.75, 0.0]
-    assert rows[1].terms_used == 2
-
-    rows_c = evaluate_on_grid(SplineOrder.complex_order(2.5 + 1j), [1.0])
-    assert isinstance(rows_c[0].value, complex)
-
-    rows_h = evaluate_on_grid(
-        SplineOrder.hypercomplex(Paravector(2.5, [1.0])), [1.0])
-    assert isinstance(rows_h[0].value, Paravector)
+def test_nan_and_infinite_orders_are_rejected():
+    # int() of them raises ValueError or OverflowError, not the check's error
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(OrderError):
+            integer_order(bad)
+        with pytest.raises(OrderError):
+            eval_bn(bad, 1.0)
+    # NaN is no damping a > 0: the damped evaluator, transform, verifier
+    # and operator reject it rather than return NaN
+    nan = float("nan")
+    signal = SampledSignal(0.0, 0.1, np.linspace(0.0, 1.0, 11) ** 2)
+    for call in (lambda: eval_ez(nan, 2.5, x=1.0),
+                 lambda: hat_ez(nan, 2.5, 1.0),
+                 lambda: verify_atom_identity_expz(nan, 2.5, 20, [0.5, 1.0]),
+                 lambda: shifted_frac_derivative(nan, 0.5, signal)):
+        with pytest.raises(ParameterError):
+            call()
 
 
 @settings(max_examples=60, deadline=None)
