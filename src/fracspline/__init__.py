@@ -1,7 +1,7 @@
 """Cardinal B-splines of integral, real, complex and hypercomplex order,
 exponential B-splines, and the fractional operators attached to them.
 
-The subpackages split along the natural seams: clifford for the algebra,
+The subpackages split along the natural seams: clifford for paravectors,
 specialfn for Gamma and binomials, splines for time-domain values,
 fourier for transforms and certified inversion, fracops for the operators
 and the frequency-domain verification harness, cli for the command-line
@@ -9,10 +9,8 @@ frontend.
 """
 
 from .clifford import (
-    CliffordElement,
     HypercomplexExponent,
     Paravector,
-    hc_exp,
     hc_power,
 )
 from .errors import (

@@ -1,20 +1,18 @@
-"""Clifford algebra Cl(n) with anticommuting generators squaring to -1,
-paravector (hypercomplex number) arithmetic, the hypercomplex power and
-exponential, and the map back from the idempotent split of the
-complexified subalgebra span{1, u}.
+"""Paravectors (hypercomplex numbers s + v in Cl(n), whose generators
+anticommute and square to -1), the hypercomplex power, and the map back
+from the idempotent split of the complexified subalgebra span{1, u}.
 
-Basis elements are indexed by subsets A of {1..n} encoded as bitmasks, so
-coefficient index 0 is the scalar unit, index 1 is e1, index 2 is e2,
-index 3 is e1e2, and so on.  Every value is immutable after construction
-and every operation is a pure function.
+The library needs no more of Cl(n) than this: the powers, Gamma values,
+binomials and B-splines of an order x0 + |v| u all lie in span{1, u},
+which is a copy of C, so two paravectors are multiplied in closed form and
+a product that leaves the paravector space is an error.  Every value is
+immutable after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,204 +20,10 @@ from .errors import BranchCutError, DimensionMismatchError, DomainError
 
 MAX_DIMENSION = 5
 
-# Relative tolerance used when projecting an algebra element back onto the
-# paravector subspace: components above this (relative to the norm) mean
-# the element genuinely left the subspace.
+# Relative tolerance of the paravector check on a product: an e_i e_j part
+# above this (relative to the largest coefficient) means the product
+# genuinely left the paravector space.
 _PURITY_RTOL = 1e-10
-
-
-@lru_cache(maxsize=None)
-def _product_tables(n: int):
-    """Sign and index tables for basis products in Cl(n).
-
-    Entry (a, b) describes e_a * e_b under the generator relations
-    e_i e_j + e_j e_i = -2 delta_ij: the resulting basis index is a XOR b
-    and the sign follows from sorting the concatenated generator word and
-    cancelling repeated generators with e_i^2 = -1.
-    """
-    dim = 1 << n
-    signs = np.empty((dim, dim), dtype=np.int8)
-    for a in range(dim):
-        for b in range(dim):
-            swaps = 0
-            for k in range(n):
-                if b >> k & 1:
-                    # generators of b pass every generator of a above them
-                    swaps += bin(a >> (k + 1)).count("1")
-            squares = bin(a & b).count("1")
-            signs[a, b] = -1 if (swaps + squares) % 2 else 1
-    index = np.bitwise_xor.outer(np.arange(dim), np.arange(dim))
-    return signs, index
-
-
-@lru_cache(maxsize=None)
-def _conjugation_signs(n: int) -> np.ndarray:
-    # conj(e_A) = (-1)^{k(k+1)/2} e_A for grade k = |A|
-    grades = np.array([bin(i).count("1") for i in range(1 << n)])
-    return np.where((grades * (grades + 1) // 2) % 2, -1.0, 1.0)
-
-
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_DIMENSION:
-        raise DomainError(
-            f"algebra dimension must be an integer in [1, {MAX_DIMENSION}], got {n!r}"
-        )
-
-
-class CliffordElement:
-    """Element of Cl(n) stored as a dense array of 2^n coefficients.
-
-    Coefficients may be real or complex (the complexified algebra); the
-    subset order is canonical bitmask order.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs):
-        _check_dimension(n)
-        arr = np.array(coeffs)
-        if arr.shape != (1 << n,):
-            raise DomainError(
-                f"Cl({n}) needs {1 << n} coefficients, got shape {arr.shape}"
-            )
-        if np.iscomplexobj(arr):
-            arr = arr.astype(np.complex128)
-        else:
-            arr = arr.astype(np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CliffordElement is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "CliffordElement":
-        return cls(n, np.zeros(1 << n))
-
-    @classmethod
-    def scalar(cls, n: int, value) -> "CliffordElement":
-        coeffs = np.zeros(1 << n, dtype=complex if isinstance(value, complex) else float)
-        coeffs[0] = value
-        return cls(n, coeffs)
-
-    @classmethod
-    def basis_vector(cls, n: int, i: int) -> "CliffordElement":
-        """The generator e_i, 1-based."""
-        _check_dimension(n)
-        if not 1 <= i <= n:
-            raise DomainError(f"generator index must be in [1, {n}], got {i}")
-        coeffs = np.zeros(1 << n)
-        coeffs[1 << (i - 1)] = 1.0
-        return cls(n, coeffs)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return CliffordElement(self.n, self.coeffs + other.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return CliffordElement(self.n, self.coeffs - other.coeffs)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return CliffordElement(self.n, other.coeffs - self.coeffs)
-
-    def __neg__(self):
-        return CliffordElement(self.n, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
-            return CliffordElement(self.n, self.coeffs * other)
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatchError(
-                f"cannot multiply Cl({self.n}) by Cl({other.n}) elements"
-            )
-        signs, index = _product_tables(self.n)
-        dtype = np.result_type(self.coeffs, other.coeffs)
-        out = np.zeros(1 << self.n, dtype=dtype)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            # index[i] is a permutation (XOR), so plain fancy addition is safe
-            out[index[i]] += (signs[i] * a) * other.coeffs
-        return CliffordElement(self.n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
-            return CliffordElement(self.n, other * self.coeffs)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
-            return CliffordElement(self.n, self.coeffs / other)
-        return NotImplemented
-
-    def conjugate(self) -> "CliffordElement":
-        """Anti-involution: reverses basis words and negates generators."""
-        out = _conjugation_signs(self.n) * self.coeffs
-        if np.iscomplexobj(out):
-            out = out.conj()
-        return CliffordElement(self.n, out)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
-
-    @property
-    def scalar_part(self):
-        return self.coeffs[0]
-
-    def _coerce(self, other) -> "CliffordElement":
-        if isinstance(other, CliffordElement):
-            if other.n != self.n:
-                raise DimensionMismatchError(
-                    f"mixing Cl({self.n}) and Cl({other.n}) elements"
-                )
-            return other
-        if isinstance(other, (int, float, complex, np.number)):
-            return CliffordElement.scalar(self.n, other)
-        raise TypeError(f"cannot combine CliffordElement with {type(other)!r}")
-
-    def allclose(self, other, rtol=1e-12, atol=1e-14) -> bool:
-        other = self._coerce(other)
-        return bool(np.allclose(self.coeffs, other.coeffs, rtol=rtol, atol=atol))
-
-    def __repr__(self):
-        return f"CliffordElement(n={self.n}, coeffs={self.coeffs.tolist()})"
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        if np.iscomplexobj(self.coeffs):
-            entries = [[float(c.real), float(c.imag)] for c in self.coeffs]
-        else:
-            entries = [float(c) for c in self.coeffs]
-        return {"n": self.n, "coeffs": entries}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CliffordElement":
-        entries = data["coeffs"]
-        if any(isinstance(e, (list, tuple)) for e in entries):
-            coeffs = [complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-                      for e in entries]
-        else:
-            coeffs = [float(e) for e in entries]
-        return cls(int(data["n"]), coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CliffordElement":
-        return cls.from_json_dict(json.loads(text))
 
 
 class Paravector:
@@ -306,11 +110,20 @@ class Paravector:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
             return Paravector(self.s * other, self.v * other)
-        if isinstance(other, Paravector):
-            self._check_peer(other)
-            prod = self.as_clifford() * other.as_clifford()
-            return Paravector.from_clifford(prod)
-        return NotImplemented
+        if not isinstance(other, Paravector):
+            return NotImplemented
+        # (s + v)(t + w) = (st - v.w) + (sw + tv) + sum_{i<j} b_ij e_i e_j
+        # with b_ij = v_i w_j - v_j w_i; bilinear, so complexified values
+        # multiply by the same formula.
+        self._check_peer(other)
+        outer = np.outer(self.v, other.v)
+        b_max = float(np.max(np.abs(outer - outer.T)))
+        scalar = self.s * other.s - self.v @ other.v
+        vector = self.s * other.v + other.s * self.v
+        scale = max(1e-300, abs(scalar), float(np.max(np.abs(vector))), b_max)
+        if b_max > _PURITY_RTOL * scale:
+            raise DomainError("product has an e_i e_j part and is not a paravector")
+        return Paravector(scalar, vector)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
@@ -341,33 +154,6 @@ class Paravector:
                 f"mixing paravectors over Cl({self.n}) and Cl({other.n})"
             )
 
-    def as_clifford(self, n: int | None = None) -> CliffordElement:
-        n = self.n if n is None else n
-        if n < self.n:
-            raise DomainError("target algebra dimension smaller than vector part")
-        dtype = np.complex128 if not self.is_real else np.float64
-        coeffs = np.zeros(1 << n, dtype=dtype)
-        coeffs[0] = self.s
-        for i in range(self.n):
-            coeffs[1 << i] = self.v[i]
-        return CliffordElement(n, coeffs)
-
-    @classmethod
-    def from_clifford(cls, x: CliffordElement, rtol: float = _PURITY_RTOL) -> "Paravector":
-        coeffs = x.coeffs
-        mask = np.zeros(coeffs.size, dtype=bool)
-        mask[0] = True
-        for i in range(x.n):
-            mask[1 << i] = True
-        rest = np.max(np.abs(coeffs[~mask])) if coeffs.size > x.n + 1 else 0.0
-        scale = max(1e-300, float(np.max(np.abs(coeffs))))
-        if rest > rtol * scale:
-            raise DomainError(
-                "element has grade >= 2 components and is not a paravector"
-            )
-        v = np.array([coeffs[1 << i] for i in range(x.n)])
-        return cls(coeffs[0], v)
-
     def allclose(self, other: "Paravector", rtol=1e-12, atol=1e-14) -> bool:
         self._check_peer(other)
         return bool(
@@ -377,26 +163,6 @@ class Paravector:
 
     def __repr__(self):
         return f"Paravector(s={self.s!r}, v={self.v.tolist()!r})"
-
-    def to_json_dict(self) -> dict:
-        def enc(c):
-            if isinstance(c, complex):
-                return [float(c.real), float(c.imag)]
-            return float(c)
-        return {"s": enc(self.s), "v": [enc(c) for c in self.v.tolist()]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Paravector":
-        def dec(e):
-            return complex(e[0], e[1]) if isinstance(e, (list, tuple)) else float(e)
-        return cls(dec(data["s"]), [dec(e) for e in data["v"]])
-
-    @classmethod
-    def from_json(cls, text: str) -> "Paravector":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -479,25 +245,3 @@ def hc_power(z, upsilon: Paravector) -> Paravector:
         return Paravector(mod, np.zeros(dec.n, dtype=complex))
     theta = dec.vnorm * logz
     return Paravector(mod * cmath.cos(theta), (mod * cmath.sin(theta)) * dec.u)
-
-
-def hc_exp(x) -> "Paravector | CliffordElement":
-    """Exponential by its power series, summed to machine tolerance.
-
-    Accepts a Paravector or a CliffordElement and returns the same kind;
-    for real paravectors the norm of the result is bounded by exp(norm(x)).
-    """
-    para = isinstance(x, Paravector)
-    elem = x.as_clifford() if para else x
-    if not isinstance(elem, CliffordElement):
-        raise TypeError(f"expected Paravector or CliffordElement, got {type(x)!r}")
-    term = CliffordElement.scalar(elem.n, 1.0)
-    total = term
-    for k in range(1, 256):
-        term = term * elem / k
-        total = total + term
-        if term.norm() <= 1e-17 * max(1.0, total.norm()):
-            break
-    if para:
-        return Paravector.from_clifford(total, rtol=1e-8)
-    return total

@@ -110,7 +110,10 @@ def hat_en(weights, omega):
     w, shape = _abscissae(omega)
     out = np.ones(w.shape, dtype=complex)
     for a in exponential_weights(weights):
-        out = out * omega_a_fn(-a, w)
+        # in place, so that numpy cannot swap the operands of a product with
+        # a large temporary, which rounds differently: a value must not
+        # depend on the size of its grid
+        np.multiply(out, omega_a_fn(-a, w), out=out)
     return _shaped(out, shape)
 
 

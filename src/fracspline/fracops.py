@@ -519,7 +519,7 @@ def exp_difference_check(weights, grid) -> ResidualReport:
     om = _as_omegas(grid)
     lhs = hat_en(wts, om)
     for a in wts:
-        lhs = lhs * (1j * om - a)
+        np.multiply(lhs, 1j * om - a, out=lhs)  # fixed operand order, as in hat_en
 
     poly = exp_difference_coefficients(wts)
     order = "a=(" + ",".join(f"{a:g}" for a in wts) + ")"

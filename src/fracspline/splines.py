@@ -21,7 +21,8 @@ Each order rule has one check, a function that returns the checked
 value and that every evaluator, transform and verifier calls:
 integer_order (n >= 1), real_order (alpha > 1), complex_order (re z > 1),
 exponential_weights (one nonzero weight at least), hypercomplex_exponent
-(scalar part > 1) and positive_damping (a > 0).
+(scalar part > 1) and positive_damping (a > 0).  Orders and weights must
+also be finite; NaN fails every rule.
 
 The exponential B-spline of weights (a_1..a_n) has the closed form
 beta(x) = sum_{k <= x} p_k rho(x - k) (Unser & Blu, Cardinal exponential
@@ -44,6 +45,7 @@ The loss is not reported.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -79,29 +81,33 @@ def integer_order(n) -> int:
 
 
 def real_order(alpha) -> float:
-    """The fractional order alpha as a float; it must exceed 1."""
+    """The fractional order alpha as a float; it must be finite and
+    exceed 1."""
     alpha = float(alpha)
-    if not alpha > 1:
-        raise OrderError(f"real spline order must satisfy alpha > 1, got {alpha:g}")
+    if not 1 < alpha < math.inf:
+        raise OrderError(f"real spline order must be finite with alpha > 1, got {alpha:g}")
     return alpha
 
 
 def complex_order(z) -> complex:
-    """The complex order z as a complex; it must have re z > 1."""
+    """The complex order z as a complex; it must be finite with re z > 1."""
     z = complex(z)
-    if not z.real > 1:
-        raise OrderError(f"complex spline order must satisfy re z > 1, got {z!r}")
+    if not (z.real > 1 and cmath.isfinite(z)):
+        raise OrderError(f"complex spline order must be finite with re z > 1, got {z!r}")
     return z
 
 
 def exponential_weights(weights) -> tuple[float, ...]:
     """The weights (a_1..a_n) of an exponential B-spline as a float tuple,
-    a single number being one weight; at least one must be nonzero."""
+    a single number being one weight; all must be finite and at least one
+    nonzero."""
     if isinstance(weights, (int, float)):
         weights = (weights,)
     vals = tuple(float(a) for a in weights)
     if not vals:
         raise ParameterError("exponential B-spline needs at least one weight")
+    if not all(math.isfinite(a) for a in vals):
+        raise ParameterError(f"exponential weights must be finite, got {vals!r}")
     if all(a == 0.0 for a in vals):
         raise ParameterError("at least one exponential weight must be nonzero")
     return vals
@@ -109,11 +115,12 @@ def exponential_weights(weights) -> tuple[float, ...]:
 
 def hypercomplex_exponent(upsilon: Paravector) -> HypercomplexExponent:
     """The decomposition x0 + |v| u of a hypercomplex order, which must
-    have scalar part x0 > 1."""
+    have a finite scalar part x0 > 1 and a finite |v|."""
     dec = HypercomplexExponent.from_paravector(upsilon)
-    if not dec.x0 > 1:
+    if not (1 < dec.x0 < math.inf and math.isfinite(dec.vnorm)):
         raise OrderError(
-            f"hypercomplex spline order must have scalar part > 1, got {dec.x0:g}"
+            "hypercomplex spline order must be finite with scalar part > 1,"
+            f" got scalar part {dec.x0:g} and |v| = {dec.vnorm:g}"
         )
     return dec
 

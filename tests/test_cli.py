@@ -153,8 +153,8 @@ def test_eval_gamma_underflow_or_overflow_is_an_error(capsys):
 
 def test_non_finite_values_are_an_error(tmp_path, capsys):
     # a power that overflows or loses its phase, an alternating series that
-    # overflows, an integral that overflows and a NaN damping: an error, not
-    # inf or nan cells
+    # overflows, an integral that overflows, a NaN damping and an infinite
+    # order: an error, not inf or nan cells or a traceback
     big, signal = tmp_path / "big.csv", tmp_path / "in.csv"
     write_signal(big, lambda x: 1e308, stop=2.0, h=0.1)
     write_signal(signal, lambda x: x * x)
@@ -166,7 +166,10 @@ def test_non_finite_values_are_an_error(tmp_path, capsys):
                   "--grid", "200:300:50"],
                  ["fracop", "--op", "integral", "--z", "1", "--input", str(big)],
                  ["fracop", "--op", "shifted-derivative", "--a", "nan", "--z", "0.5",
-                  "--input", str(signal)]):
+                  "--input", str(signal)],
+                 ["eval", "--family", "complex", "--z", "2,inf", "--grid", "0:1:0.5"],
+                 ["eval", "--family", "hypercomplex", "--upsilon", "2.5,inf",
+                  "--grid", "0:1:0.5"]):
         assert run_cli(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), argv

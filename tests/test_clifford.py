@@ -8,57 +8,63 @@ from hypothesis import strategies as st
 
 from fracspline import (
     BranchCutError,
-    CliffordElement,
     DimensionMismatchError,
     DomainError,
     HypercomplexExponent,
     Paravector,
-    hc_exp,
     hc_power,
 )
 
 
-def rand_element(rng, n, complex_coeffs=False):
-    coeffs = rng.standard_normal(1 << n)
+def rand_paravector(rng, n, complex_coeffs=False):
+    s, v = rng.standard_normal(), rng.standard_normal(n)
     if complex_coeffs:
-        coeffs = coeffs + 1j * rng.standard_normal(1 << n)
-    return CliffordElement(n, coeffs)
+        s, v = s + 1j * rng.standard_normal(), v + 1j * rng.standard_normal(n)
+    return Paravector(s, v)
+
+
+def same_direction(rng, u, complex_coeffs=False):
+    """A random paravector alpha + beta u."""
+    alpha, beta = rng.standard_normal(2)
+    if complex_coeffs:
+        alpha, beta = alpha + 1j * rng.standard_normal(), beta + 1j * rng.standard_normal()
+    return Paravector(alpha, beta * u)
 
 
 def e(n, i):
-    return CliffordElement.basis_vector(n, i)
+    return Paravector(0.0, np.eye(n)[i - 1])
+
+
+def minus_one(n):
+    return Paravector.scalar(-1.0, n)
 
 
 # -- generator relations ------------------------------------------------------
 
 def test_generator_squares_to_minus_one():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for i in range(1, n + 1):
-            sq = e(n, i) * e(n, i)
-            assert sq.allclose(CliffordElement.scalar(n, -1.0))
+            assert (e(n, i) * e(n, i)).allclose(minus_one(n))
 
 
 def test_generators_anticommute():
-    for n in range(2, 5):
+    # (e_i + e_j)^2 = e_i^2 + (e_i e_j + e_j e_i) + e_j^2 is the scalar -2
+    # exactly when the cross terms cancel
+    for n in range(2, 6):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                lhs = e(n, i) * e(n, j) + e(n, j) * e(n, i)
-                assert lhs.norm() == 0.0
+                x = e(n, i) + e(n, j)
+                sq = x * x
+                assert sq.s == -2.0 and np.all(sq.v == 0.0)
 
 
 def test_unit_element():
     rng = np.random.default_rng(1)
-    one = CliffordElement.scalar(3, 1.0)
-    for _ in range(10):
-        x = rand_element(rng, 3)
+    one = Paravector.scalar(1.0, 3)
+    for k in range(10):
+        x = rand_paravector(rng, 3, complex_coeffs=bool(k % 2))
         assert (one * x).allclose(x)
         assert (x * one).allclose(x)
-
-
-def test_bivector_squares_to_minus_one():
-    # (e1 e2)^2 expanded by hand: e1 e2 e1 e2 = -e1 e1 e2 e2 = -(-1)(-1) = -1
-    b = e(2, 1) * e(2, 2)
-    assert (b * b).allclose(CliffordElement.scalar(2, -1.0))
 
 
 QUATERNION_TABLE = {
@@ -71,14 +77,64 @@ QUATERNION_TABLE = {
 }
 
 
-def test_cl2_matches_quaternion_table():
-    basis = [CliffordElement.scalar(2, 1.0), e(2, 1), e(2, 2), e(2, 1) * e(2, 2)]
+def hamilton(p, q):
+    """Quaternion product of coefficient 4-vectors (1, i, j, k) from the table."""
+    out = np.zeros(4, dtype=np.result_type(p, q))
     for (i, j), (k, sign) in QUATERNION_TABLE.items():
-        prod = basis[i] * basis[j]
-        expected = np.zeros(4)
-        expected[[0, 1, 2, 3][k]] = sign
-        # map back: basis index k refers to 1, e1, e2, e1e2 = coeff slots 0,1,2,3
-        assert np.allclose(prod.coeffs, expected), (i, j)
+        out[k] += sign * p[i] * q[j]
+    return out
+
+
+def test_cl2_matches_quaternion_table():
+    rng = np.random.default_rng(37)
+    cases = [(Paravector(*a), Paravector(*b)) for a, b in (
+        ((1.0, [0.0, 0.0]), (0.0, [1.0, 0.0])),
+        ((0.0, [1.0, 0.0]), (0.0, [1.0, 0.0])),
+        ((0.0, [1.0, 0.0]), (0.0, [0.0, 1.0])),
+        ((0.0, [0.0, 1.0]), (0.0, [1.0, 0.0])),
+        ((1.0, [2.0, -3.0]), (0.5, [-4.0, 6.0])),
+        ((1.0, [2.0, -3.0]), (0.5, [-4.0, 6.0 + 1e-6])),
+        ((1.0, [1.0, 1j]), (2.0, [1.0, 1j])),  # bilinear: v.w = 0 here
+    )]
+    for k in range(200):
+        u = rng.standard_normal(2)
+        u /= np.linalg.norm(u)
+        cplx = bool(k % 2)
+        if k % 4 < 2:
+            cases.append((same_direction(rng, u, cplx), same_direction(rng, u, cplx)))
+        else:
+            cases.append((rand_paravector(rng, 2, cplx), rand_paravector(rng, 2, cplx)))
+    raised = 0
+    for p, q in cases:
+        ref = hamilton(np.r_[p.s, p.v, 0.0], np.r_[q.s, q.v, 0.0])
+        if abs(ref[3]) > 1e-10 * np.max(np.abs(ref)):
+            with pytest.raises(DomainError):
+                p * q
+            raised += 1
+        else:
+            r = p * q
+            assert np.allclose(np.r_[r.s, r.v], ref[:3], rtol=1e-13, atol=1e-15)
+    assert 50 < raised < len(cases) - 50
+
+
+def test_same_direction_product_is_the_complex_product():
+    # alpha + beta u -> alpha + i beta maps products in span{1, u} to C,
+    # and in the complexified space each of the two idempotent images does
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        for k in range(40):
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            cplx = bool(k % 2)
+            p, q = same_direction(rng, u, cplx), same_direction(rng, u, cplx)
+            r = p * q
+            pa, pb = p.s, complex(p.v @ u)
+            qa, qb = q.s, complex(q.v @ u)
+            for sign in (1j, -1j):
+                got = r.s + sign * (r.v @ u)
+                ref = (pa + sign * pb) * (qa + sign * qb)
+                assert abs(got - ref) <= 1e-13 * (1 + p.norm() * q.norm())
+            assert np.allclose(r.v, (r.v @ u) * u, atol=1e-13 * (1 + p.norm() * q.norm()))
 
 
 def test_associativity_random_triples():
@@ -86,7 +142,9 @@ def test_associativity_random_triples():
     count = 0
     for n in range(1, 5):
         for _ in range(250):
-            a, b, c = (rand_element(rng, n, complex_coeffs=bool(count % 2))
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            a, b, c = (same_direction(rng, u, complex_coeffs=bool(count % 2))
                        for _ in range(3))
             left = (a * b) * c
             right = a * (b * c)
@@ -107,19 +165,19 @@ def test_dimension_mismatch():
 
 def test_conjugation_examples():
     assert e(3, 1).conjugate().allclose(-e(3, 1))
-    one = CliffordElement.scalar(3, 1.0)
+    one = Paravector.scalar(1.0, 3)
     assert one.conjugate().allclose(one)
-    b = e(2, 1) * e(2, 2)
-    # conj(e1 e2) = (-e2)(-e1) = e2 e1 = -e1 e2
-    assert b.conjugate().allclose(-b)
+    pc = Paravector(1 + 2j, [0.5j, 1.0])
+    assert pc.conjugate().allclose(Paravector(1 - 2j, [0.5j, -1.0]))
 
 
 def test_conjugation_is_anti_involution():
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
         for _ in range(50):
-            a = rand_element(rng, n)
-            b = rand_element(rng, n)
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            a, b = same_direction(rng, u), same_direction(rng, u)
             assert a.conjugate().conjugate().allclose(a)
             lhs = (a * b).conjugate()
             rhs = b.conjugate() * a.conjugate()
@@ -129,19 +187,19 @@ def test_conjugation_is_anti_involution():
 # -- norms ---------------------------------------------------------------------
 
 def test_norm_examples():
-    x = CliffordElement.scalar(2, 1.0) + e(2, 1)
+    x = Paravector(1.0, [1.0, 0.0])
     assert math.isclose(x.norm(), math.sqrt(2.0), rel_tol=1e-15)
-    assert CliffordElement.zero(3).norm() == 0.0
+    assert Paravector.scalar(0.0, 3).norm() == 0.0
 
 
 def test_paravector_norm_identity():
     rng = np.random.default_rng(3)
     for _ in range(50):
         p = Paravector(rng.standard_normal(), rng.standard_normal(3))
-        prod = p.as_clifford() * p.conjugate().as_clifford()
+        prod = p * p.conjugate()
         # Y conj(Y) is the squared modulus times the unit
-        assert abs(prod.scalar_part - p.norm() ** 2) <= 1e-12 * (1 + p.norm() ** 2)
-        assert (prod - CliffordElement.scalar(3, prod.scalar_part)).norm() <= 1e-12
+        assert abs(prod.s - p.norm() ** 2) <= 1e-12 * (1 + p.norm() ** 2)
+        assert np.max(np.abs(prod.v)) <= 1e-12
 
 
 def test_unit_direction_squares_to_minus_one():
@@ -149,8 +207,8 @@ def test_unit_direction_squares_to_minus_one():
     for _ in range(25):
         v = rng.standard_normal(4)
         p = Paravector(0.0, v)
-        u = Paravector(0.0, p.direction()).as_clifford()
-        assert (u * u).allclose(CliffordElement.scalar(4, -1.0), atol=1e-14)
+        u = Paravector(0.0, p.direction())
+        assert (u * u).allclose(minus_one(4), atol=1e-14)
 
 
 # -- hypercomplex power --------------------------------------------------------
@@ -212,16 +270,21 @@ def test_hc_power_rejects_complexified_exponent():
 
 
 def test_hc_power_semigroup_fails_for_orthogonal_directions():
-    # the exponent law z^{Y1} z^{Y2} = z^{Y1+Y2} must NOT be assumed
+    # the exponent law z^{Y1} z^{Y2} = z^{Y1+Y2} must NOT be assumed: the
+    # left side has an e1e2 part, the right side is a paravector
     y1 = Paravector(0.0, [1.0, 0.0])
     y2 = Paravector(0.0, [0.0, 1.0])
     z = 3.0
-    lhs = hc_power(z, y1).as_clifford() * hc_power(z, y2).as_clifford()
-    rhs = hc_power(z, y1 + y2).as_clifford()
-    assert (lhs - rhs).norm() > 1e-2
+    with pytest.raises(DomainError):
+        hc_power(z, y1) * hc_power(z, y2)
+    assert isinstance(hc_power(z, y1 + y2), Paravector)
 
 
-# -- hypercomplex exponential ----------------------------------------------------
+# -- hypercomplex exponential e^Y = hc_power(e, Y) ---------------------------------
+
+def hc_exp(p):
+    return hc_power(math.e, p)
+
 
 def test_hc_exp_zero():
     r = hc_exp(Paravector(0.0, [0.0, 0.0]))
@@ -255,7 +318,7 @@ def test_hc_exp_matches_complex_exponential():
         assert abs(got_c - ref) <= 1e-12 * abs(ref)
 
 
-# -- exponent decomposition and serialization -----------------------------------
+# -- exponent decomposition ------------------------------------------------------
 
 def test_hypercomplex_exponent_roundtrip():
     p = Paravector(2.5, [3.0, 4.0])
@@ -267,41 +330,22 @@ def test_hypercomplex_exponent_roundtrip():
     assert dec0.u is None and dec0.vnorm == 0.0
 
 
-def test_json_roundtrip_paravector():
-    p = Paravector(2.5, [1.0, -0.5])
-    q = Paravector.from_json(p.to_json())
-    assert q.allclose(p)
-    pc = Paravector(1 + 2j, [0.5j, 1.0])
-    qc = Paravector.from_json(pc.to_json())
-    assert qc.allclose(pc)
-
-
-def test_json_roundtrip_clifford():
-    rng = np.random.default_rng(31)
-    x = CliffordElement(3, rng.standard_normal(8))
-    assert CliffordElement.from_json(x.to_json()).allclose(x)
-    y = CliffordElement(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    assert CliffordElement.from_json(y.to_json()).allclose(y)
-
-
 def test_immutability():
-    x = CliffordElement.scalar(2, 1.0)
-    with pytest.raises(AttributeError):
-        x.n = 3
-    with pytest.raises(ValueError):
-        x.coeffs[0] = 2.0
     p = Paravector(1.0, [2.0])
     with pytest.raises(AttributeError):
         p.s = 0.0
+    with pytest.raises(ValueError):
+        p.v[0] = 3.0
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_scalar_multiplication_commutes(n, seed):
     rng = np.random.default_rng(seed)
-    x = rand_element(rng, n)
+    x = rand_paravector(rng, n, complex_coeffs=bool(seed % 2))
     c = rng.standard_normal()
     assert (c * x).allclose(x * c)
+    assert (Paravector.scalar(c, n) * x).allclose(x * Paravector.scalar(c, n))
 
 
 def test_paravector_product_same_direction_stays_paravector():

@@ -115,6 +115,14 @@ def test_hat_en_is_product_of_negated_ratios():
     assert np.max(np.abs(got2 - omega_a_fn(1.0, ws) ** 2)) < 1e-15
 
 
+def test_hat_en_does_not_depend_on_grid_size():
+    # a grid past numpy's 256 KiB temporary-elision threshold used to round
+    # its complex products with the operands swapped
+    ws = np.linspace(-40.0, 40.0, 73333)
+    weights = (1.119155, -0.369429)
+    assert np.array_equal(hat_en(weights, ws)[:1000], hat_en(weights, ws[:1000]))
+
+
 def test_hat_en_dft_consistency():
     h = 1 / 256
     xs = np.arange(0, 2 + h / 2, h)

@@ -374,6 +374,13 @@ def test_exp_difference_recovered_equals_polynomial_expansion():
     assert rep.max_residual < 1e-10
 
 
+def test_exp_difference_residuals_do_not_depend_on_grid_size():
+    ws = np.linspace(-40.0, 40.0, 73333)
+    weights = (1.119155, -0.369429)
+    whole = exp_difference_check(weights, ws).residuals
+    assert np.array_equal(whole[:1000], exp_difference_check(weights, ws[:1000]).residuals)
+
+
 def test_exp_difference_classical_limit():
     eps = 1e-6
     rep = exp_difference_check((eps, eps, eps), np.linspace(-8, 8, 201))

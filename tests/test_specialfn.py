@@ -110,8 +110,8 @@ def test_gamma_hc_parity_in_v():
 def test_gamma_hc_commutes_with_argument():
     p = Paravector(2.3, [1.0, 0.5])
     g = gamma_hc(p)
-    lhs = g.as_clifford() * p.as_clifford()
-    rhs = p.as_clifford() * g.as_clifford()
+    lhs = g * p
+    rhs = p * g
     assert (lhs - rhs).norm() <= 1e-13 * (1 + lhs.norm())
 
 

@@ -407,11 +407,28 @@ def test_spline_order_validation():
 
 def test_nan_and_infinite_orders_are_rejected():
     # int() of them raises ValueError or OverflowError, not the check's error
-    for bad in (float("nan"), float("inf"), float("-inf")):
+    inf, nan = float("inf"), float("nan")
+    for bad in (nan, inf, -inf):
         with pytest.raises(OrderError):
             integer_order(bad)
         with pytest.raises(OrderError):
             eval_bn(bad, 1.0)
+        with pytest.raises(OrderError):
+            real_order(bad)
+        with pytest.raises(ParameterError):
+            exponential_weights((1.0, bad))
+        for z in (complex(2.0, bad), complex(bad, 1.0)):
+            with pytest.raises(OrderError):
+                complex_order(z)
+        for ups in (Paravector(2.5, [1.0, bad]), Paravector(bad, [1.0])):
+            with pytest.raises(OrderError):
+                hypercomplex_exponent(ups)
+    # Gamma used to divide by zero at an infinite imaginary part, and a
+    # NaN weight used to give NaN values
+    with pytest.raises(OrderError):
+        eval_bz(complex(2.0, inf), 1.0)
+    with pytest.raises(ParameterError):
+        eval_exp_bspline((nan,), 0.5)
     # NaN is no damping a > 0: the damped evaluator, transform, verifier
     # and operator reject it rather than return NaN
     nan = float("nan")
