@@ -50,9 +50,9 @@ print("  transform at w = 0:", hat_ez(az, zz, 0.0))
 
 print()
 print("The exponential difference operator turns the spline into a finite")
-print("atom sum; the recovered coefficients match the polynomial expansion:")
+print("atom sum, the expansion of prod_k (1 - e^(a_k) e^(-iw)):")
 rep = exp_difference_check((a, b), np.linspace(-8, 8, 401))
-print("  analytic coefficients:", [f"{c:.6f}" for c in rep.extras["analytic_coefficients"]])
-print("  recovered by least squares:",
-      [f"{c.real:.6f}" for c in np.array(rep.extras["recovered_coefficients"])])
+atoms = rep.extras["atom_sum"]
+for k, c in zip(atoms.shifts, atoms.components[:, 0]):
+    print(f"  atom at x = {k}: {c.real: .6f}")
 print(f"  identity residual over the grid: {rep.max_residual:.2e}")

@@ -5,12 +5,13 @@ harness.
 Exit codes: 0 pass, 1 usage or parameter error, 2 verification failure,
 3 I/O error.  All numeric output is printed with 17 significant digits so
 files round-trip exactly and identical configurations produce identical
-bytes.  _family_order parses each family's order flags once and checks
-their ranges with the order functions of splines; eval, transform and
-verify only choose the library call.  A value of eval, transform or
-fracop that is not finite is an error, not a cell, and main runs every
-command with numpy's floating-point warnings off, so that error is the
-first line on stderr.
+bytes.  Each subcommand takes only the flags it reads, and a config key
+only where its flag is taken.  _family_order parses each family's order
+flags once and checks their ranges with the order functions of splines;
+eval, transform and verify only choose the library call.  A value of
+eval, transform or fracop that is not finite is an error, not a cell,
+and main runs every command with numpy's floating-point warnings off, so
+that error is the first line on stderr.
 
 Tables (eval, transform, fracop) are written by _table_text, byte for byte
 as "%.16e" writes each float and "%d" each integer or boolean, but a piece
@@ -584,7 +585,7 @@ def _is_number(text: str) -> bool:
 
 
 def run_fracop(args) -> int:
-    _require(getattr(args, "op", None) is not None,
+    _require(args.op is not None,
              "fracop needs --op integral|derivative|shifted-derivative")
     _require(args.input is not None, "fracop needs --input CSV with columns x,value")
     _require(args.z is not None, "fracop needs --z (operator order)")
@@ -641,32 +642,34 @@ def build_parser() -> argparse.ArgumentParser:
                                  "their fractional operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, help_text, *, family: bool, table: bool):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with default option values")
-        p.add_argument("--family", choices=_CHOICES["family"])
-        p.add_argument("--n", type=int, help="integer order (classical family)")
-        p.add_argument("--alpha", type=float, help="real order > 1")
-        p.add_argument("--z", help="complex order re[,im] with re > 1")
-        p.add_argument("--a", help="weight tuple a1[,a2,...]; damping for "
-                                   "complex-exponential (a > 0)")
-        p.add_argument("--upsilon", help="hypercomplex order s,v1[,v2,...] "
-                                         "with s > 1")
-        p.add_argument("--grid", help="start:stop:step")
-        p.add_argument("--K", type=int, help="atom-sum truncation")
-        p.add_argument("--tol", type=float, help="verification tolerance")
+        if family:
+            p.add_argument("--family", choices=_CHOICES["family"])
+            p.add_argument("--n", type=int, help="integer order (classical family)")
+            p.add_argument("--alpha", type=float, help="real order > 1")
+            p.add_argument("--upsilon", help="hypercomplex order s,v1[,v2,...] with s > 1")
+            p.add_argument("--grid", help="start:stop:step")
+        p.add_argument("--z", help="complex order re[,im]: re > 1 for a family, "
+                                   "re > 0 for an operator")
+        p.add_argument("--a", help="weight tuple a1[,a2,...]; damping a > 0 for "
+                                   "complex-exponential and shifted-derivative")
         p.add_argument("--output", "-o", default="-", help="output path or - for stdout")
-        p.add_argument("--format", choices=_CHOICES["format"], default="csv")
+        if table:
+            p.add_argument("--format", choices=_CHOICES["format"], default="csv")
+        return p
 
-    p_eval = sub.add_parser("eval", help="evaluate a spline family on an x grid")
-    add_common(p_eval)
-    p_tr = sub.add_parser("transform", help="evaluate a family transform on an omega grid")
-    add_common(p_tr)
-    p_fr = sub.add_parser("fracop", help="apply a fractional operator to sampled data")
-    add_common(p_fr)
+    add_command("eval", "evaluate a spline family on an x grid", family=True, table=True)
+    add_command("transform", "evaluate a family transform on an omega grid",
+                family=True, table=True)
+    p_fr = add_command("fracop", "apply a fractional operator to sampled data",
+                       family=False, table=False)
     p_fr.add_argument("--op", choices=_CHOICES["op"])
     p_fr.add_argument("--input", help="input CSV with columns x,value")
-    p_ver = sub.add_parser("verify", help="verify a family's atom identity")
-    add_common(p_ver)
+    p_ver = add_command("verify", "verify a family's atom identity", family=True, table=False)
+    p_ver.add_argument("--K", type=int, help="atom-sum truncation")
+    p_ver.add_argument("--tol", type=float, help="verification tolerance")
     return parser
 
 

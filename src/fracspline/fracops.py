@@ -24,11 +24,13 @@ The three complex-order identities are one check: the damped one weights
 atom k by e^{-ak}, and the hypercomplex one is the complex one at the
 conjugate pair x0 +- i|v|, the idempotent split of span{1, u} (x) C.
 
-Every right-hand side is one AtomSum.evaluate: Horner's rule in
-q = e^{-iw}, so a check over N frequencies and K atoms works in
-O(columns N) memory, and the sum is rounded by at most
-gamma_{2K} sum_k |c_k| (Higham, Accuracy and Stability of Numerical
-Algorithms, sec. 5.1).
+Every identity is L^(w) B^(w) = sum_k c_k e^{-ikw}, and one report builder,
+_residual_report, checks it for all five verifiers: each verifier gives
+only its left-hand side, its atom coefficients and its tail rule.  Every
+right-hand side is one AtomSum.evaluate: Horner's rule in q = e^{-iw}, so
+a check over N frequencies and K atoms works in O(columns N) memory, and
+the sum is rounded by at most gamma_{2K} sum_k |c_k| (Higham, Accuracy and
+Stability of Numerical Algorithms, sec. 5.1).
 """
 
 from __future__ import annotations
@@ -307,19 +309,16 @@ class ResidualReport:
     excluded_omegas: list
     extras: dict = field(default_factory=dict)
 
-    def grid_dict(self) -> dict:
-        return {
-            "omega_min": float(np.min(self.omegas)),
-            "omega_max": float(np.max(self.omegas)),
-            "count": int(self.omegas.size),
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "family": self.family,
             "order": self.order,
             "K": int(self.K),
-            "grid": self.grid_dict(),
+            "grid": {
+                "omega_min": float(np.min(self.omegas)),
+                "omega_max": float(np.max(self.omegas)),
+                "count": int(self.omegas.size),
+            },
             "max_residual": float(self.max_residual),
             "tail_bound": float(self.tail_bound),
             "excluded_omegas": [float(w) for w in self.excluded_omegas],
@@ -338,7 +337,7 @@ def _as_omegas(grid) -> np.ndarray:
     return om
 
 
-def _admissible_split(base1: np.ndarray, base2: np.ndarray, omegas: np.ndarray):
+def _admissible_split(base1: np.ndarray, base2: np.ndarray) -> np.ndarray:
     """Branch filter for writing (base1 base2)^z as base1^z base2^z.
 
     The split is valid exactly where arg base1 + arg base2 stays in
@@ -354,20 +353,46 @@ def _admissible_split(base1: np.ndarray, base2: np.ndarray, omegas: np.ndarray):
             "no admissible frequencies on this grid; every point failed the "
             "branch filter"
         )
-    excluded = [float(w) for w in omegas[~admissible]]
-    return admissible, excluded
-
-
-def _require_finite(family: str, order: str, lhs, atoms) -> None:
-    """NumericError when the left-hand side or the atoms overflowed: their
-    residual would be inf or NaN."""
-    if not (np.isfinite(lhs).all() and np.isfinite(atoms).all()):
-        raise NumericError(f"the {family} identity at {order} overflows a float "
-                           "on this grid")
+    return admissible
 
 
 def _float_fuzz(*scales: float) -> float:
     return 64.0 * np.finfo(float).eps * (1.0 + max(scales, default=0.0))
+
+
+def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
+                     coeffs: np.ndarray, tail, admissible=None):
+    """The report on lhs = sum_{k<=K} c_k e^{-ikw}: one row of lhs per
+    column of coeffs, whose row k holds the atom c_k.
+
+    The residual at a frequency is the root mean square of the column
+    moduli (for the conjugate pair (z, conj z) that is the modulus of the
+    (1, u) components), NaN off the admissible set (every frequency when
+    admissible is None).  tail(lhs_scale, atom_scale) gives tail_bound from
+    the largest admissible RMS modulus of lhs and the largest RMS modulus
+    of an atom.  An lhs, an atom or a tail bound that overflowed is a
+    NumericError.  Returns the report and the right-hand rows.
+    """
+    overflow = NumericError(f"the {family} identity at {order} overflows a float "
+                            "on this grid")
+    if not (np.isfinite(lhs).all() and np.isfinite(coeffs).all()):
+        raise overflow
+    atoms = AtomSum(np.arange(len(coeffs)), coeffs)
+    rhs = atoms.evaluate(om)
+    if admissible is None:
+        admissible = np.ones(om.shape, dtype=bool)
+    rms = math.sqrt(len(lhs))
+    residuals = np.where(admissible, np.hypot.reduce(np.abs(lhs - rhs), axis=0) / rms, np.nan)
+    lhs_scale = float(np.max(np.hypot.reduce(np.abs(lhs[:, admissible]), axis=0))) / rms
+    tail_bound = float(tail(lhs_scale, atoms.sup_norm() / rms))
+    if not math.isfinite(tail_bound):
+        raise overflow
+    report = ResidualReport(
+        family, order, len(coeffs) - 1, om, residuals, admissible,
+        max_residual=float(np.nanmax(residuals)), tail_bound=tail_bound,
+        excluded_omegas=[float(w) for w in om[~admissible]],
+        extras={"atom_sum": atoms})
+    return report, rhs
 
 
 def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
@@ -376,8 +401,6 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
     """Check (base1 base2)^e = sum_{k<=K} (-1)^k binom(e,k) e^{-damping k}
     e^{-ikw} for each exponent e at once, one atom-sum column per exponent.
 
-    The residual is the root mean square of the column moduli: for the
-    conjugate pair (z, conj z) that is the modulus of the (1, u) components.
     The first dropped atom bounds the truncation tail: geometrically with
     ratio e^{-damping} once K + 1 >= 2|z|, else by the k^{-re z - 1} decay
     of the binomials.
@@ -385,41 +408,23 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
     """
     if K < 1:
         raise ParameterError("truncation K must be positive")
-    admissible, excluded = _admissible_split(base1, base2, om)
+    admissible = _admissible_split(base1, base2)
 
     lhs = _principal_power(base1, exponents) * _principal_power(base2, exponents)
     binoms = np.stack([binom_complex_sequence(e, K + 1) for e in exponents], axis=1)
-    _require_finite(family, order, lhs, binoms)
     k = np.arange(K + 1)
     weights = (-1.0) ** k * np.exp(-damping * k)
-    atoms = AtomSum(k, binoms[: K + 1] * weights[:, None])
-    rhs = atoms.evaluate(om)
-
-    rms = math.sqrt(len(exponents))
-    residuals = np.hypot.reduce(np.abs(lhs - rhs), axis=0) / rms
-    residuals = np.where(admissible, residuals, np.nan)
-    max_res = float(np.nanmax(np.where(admissible, residuals, -np.inf)))
 
     z = exponents[0]
     next_mod = abs(binoms[K + 1, 0]) * math.exp(-damping * (K + 1))
     if damping > 0 and K + 1 >= 2.0 * abs(z):
-        tail = 1.1 * next_mod / (1.0 - math.exp(-damping))
+        truncation = 1.1 * next_mod / (1.0 - math.exp(-damping))
     else:
-        tail = 1.1 * next_mod * (1.0 + (K + 1) / z.real)
-    lhs_scale = float(np.max(np.hypot.reduce(np.abs(lhs[:, admissible]), axis=0))) / rms
-    tail += _float_fuzz(lhs_scale, atoms.sup_norm() / rms)
-    report = ResidualReport(
-        family=family,
-        order=order,
-        K=K,
-        omegas=om,
-        residuals=residuals,
-        admissible=admissible,
-        max_residual=max_res,
-        tail_bound=float(tail),
-        excluded_omegas=excluded,
-        extras={"atom_sum": atoms},
-    )
+        truncation = 1.1 * next_mod * (1.0 + (K + 1) / z.real)
+    report, rhs = _residual_report(
+        family, order, om, lhs, binoms[: K + 1] * weights[:, None],
+        lambda lhs_scale, atom_scale: truncation + _float_fuzz(lhs_scale, atom_scale),
+        admissible)
     return report, lhs, rhs
 
 
@@ -440,20 +445,13 @@ def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
 
 def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     """Check (a+iw)^z Omega_a(w)^z against the exponentially damped
-    binomial atom sum; also reports the partial-sum modulus entering the
-    coefficient bound."""
+    binomial atom sum."""
     a = positive_damping(a)
     z = complex_order(z)
     om = _as_omegas(grid)
-    report, _, _ = _verify_binomial_atoms(
+    return _verify_binomial_atoms(
         "complex-exponential", f"a={a:g}, {_z_label(z)}", K, om,
-        a + 1j * om, omega_a_fn(a, om), (z,), damping=a)
-    coeffs = report.extras["atom_sum"].components[:, 0]
-    report.extras.update(
-        partial_sum_modulus=float(abs(np.sum(coeffs))),
-        coefficient_bound_scale=math.exp(abs(z - 1.0)),
-    )
-    return report
+        a + 1j * om, omega_a_fn(a, om), (z,), damping=a)[0]
 
 
 def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport:
@@ -486,69 +484,26 @@ def classical_atom_check(n: int, grid) -> ResidualReport:
     lhs = (1j * om) ** n * omega_fn(om) ** n
     coeffs = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)],
                       dtype=complex)
-    _require_finite("classical", f"n={n}", lhs, coeffs)
-    atoms = AtomSum(np.arange(n + 1), coeffs[:, None])
-    rhs = atoms.evaluate(om)[0]
-    residuals = np.abs(lhs - rhs)
-    admissible = np.ones(om.shape, dtype=bool)
-    tail = _float_fuzz(float(np.max(np.abs(lhs))), 2.0 ** n) * 2.0 ** n
-    return ResidualReport(
-        family="classical",
-        order=f"n={n}",
-        K=n,
-        omegas=om,
-        residuals=residuals,
-        admissible=admissible,
-        max_residual=float(np.max(residuals)),
-        tail_bound=float(tail),
-        excluded_omegas=[],
-        extras={"atom_sum": atoms, "coefficient_sum": float(np.sum(coeffs).real)},
-    )
+    return _residual_report(
+        "classical", f"n={n}", om, lhs[None], coeffs[:, None],
+        lambda lhs_scale, _: _float_fuzz(lhs_scale, 2.0 ** n) * 2.0 ** n)[0]
 
 
 def exp_difference_check(weights, grid) -> ResidualReport:
     """Check the exponential difference identity in the frequency domain:
     prod_k (iw - a_k) times the transform of the weight-(a_k) exponential
-    B-spline equals prod_k (1 - e^{a_k} e^{-iw}).
-
-    The atom coefficients are recovered two ways: analytically by expanding
-    the product polynomial in e^{-iw}, and numerically by least squares on
-    the grid samples; both are reported.
-    """
+    B-spline equals prod_k (1 - e^{a_k} e^{-iw}), whose expansion in e^{-iw}
+    gives the atoms."""
     wts = exponential_weights(weights)
     om = _as_omegas(grid)
     lhs = hat_en(wts, om)
     for a in wts:
         np.multiply(lhs, 1j * om - a, out=lhs)  # fixed operand order, as in hat_en
-
     poly = exp_difference_coefficients(wts)
-    order = "a=(" + ",".join(f"{a:g}" for a in wts) + ")"
-    _require_finite("exponential", order, lhs, poly)
-    atoms = AtomSum(np.arange(poly.size), poly.astype(complex)[:, None])
-    rhs = atoms.evaluate(om)[0]
-
-    phases = np.exp(-1j * np.outer(om, np.arange(poly.size)))
-    recovered, *_ = np.linalg.lstsq(phases, lhs, rcond=None)
-
-    residuals = np.abs(lhs - rhs)
-    admissible = np.ones(om.shape, dtype=bool)
-    tail = _float_fuzz(float(np.max(np.abs(lhs))), atoms.sup_norm()) * poly.size
-    return ResidualReport(
-        family="exponential",
-        order=order,
-        K=poly.size - 1,
-        omegas=om,
-        residuals=residuals,
-        admissible=admissible,
-        max_residual=float(np.max(residuals)),
-        tail_bound=float(tail),
-        excluded_omegas=[],
-        extras={
-            "atom_sum": atoms,
-            "analytic_coefficients": poly.tolist(),
-            "recovered_coefficients": recovered.tolist(),
-        },
-    )
+    return _residual_report(
+        "exponential", "a=(" + ",".join(f"{a:g}" for a in wts) + ")", om, lhs[None],
+        poly.astype(complex)[:, None],
+        lambda lhs_scale, atom_scale: _float_fuzz(lhs_scale, atom_scale) * poly.size)[0]
 
 
 # -- Mellin-type identity ----------------------------------------------------

@@ -21,8 +21,8 @@ Each order rule has one check, a function that returns the checked
 value and that every evaluator, transform and verifier calls:
 integer_order (n >= 1), real_order (alpha > 1), complex_order (re z > 1),
 exponential_weights (one nonzero weight at least), hypercomplex_exponent
-(scalar part > 1) and positive_damping (a > 0).  Orders and weights must
-also be finite; NaN fails every rule.
+(scalar part > 1) and positive_damping (a > 0).  Orders, weights and
+dampings must also be finite; NaN fails every rule.
 
 The exponential B-spline of weights (a_1..a_n) has the closed form
 beta(x) = sum_{k <= x} p_k rho(x - k) (Unser & Blu, Cardinal exponential
@@ -126,11 +126,11 @@ def hypercomplex_exponent(upsilon: Paravector) -> HypercomplexExponent:
 
 
 def positive_damping(a) -> float:
-    """The damping a of the weight e^{-ax} as a float; it must be
-    positive."""
+    """The damping a of the weight e^{-ax} as a float; it must be finite
+    and positive."""
     a = float(a)
-    if not a > 0:
-        raise ParameterError(f"damping needs a > 0, got {a:g}")
+    if not 0 < a < math.inf:
+        raise ParameterError(f"damping must be finite with a > 0, got {a:g}")
     return a
 
 

@@ -125,7 +125,8 @@ def test_eval_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "out")
     for cmd in ("eval", "transform", "verify"):
         for fam, flags in ORDER_FLAGS.items():
-            argv = [cmd, "--family", fam, "--grid=-1:1:0.5", "--tol", "1", "-o", out]
+            argv = [cmd, "--family", fam, "--grid=-1:1:0.5", "-o", out]
+            argv += ["--tol", "1"] if cmd == "verify" else []
             valid = {flag: ok for flag, (ok, _) in flags.items()}
             assert run_cli(argv + [*sum(valid.items(), ())]) == 0, (cmd, fam)
             for flag, (_, bad) in flags.items():
@@ -153,8 +154,9 @@ def test_eval_gamma_underflow_or_overflow_is_an_error(capsys):
 
 def test_non_finite_values_are_an_error(tmp_path, capsys):
     # a power that overflows or loses its phase, an alternating series that
-    # overflows, an integral that overflows, a NaN damping and an infinite
-    # order: an error, not inf or nan cells or a traceback
+    # overflows, an integral that overflows, a NaN damping, an infinite
+    # order and an infinite damping: an error, not inf, nan or zero cells or
+    # a traceback
     big, signal = tmp_path / "big.csv", tmp_path / "in.csv"
     write_signal(big, lambda x: 1e308, stop=2.0, h=0.1)
     write_signal(signal, lambda x: x * x)
@@ -169,6 +171,8 @@ def test_non_finite_values_are_an_error(tmp_path, capsys):
                   "--input", str(signal)],
                  ["eval", "--family", "complex", "--z", "2,inf", "--grid", "0:1:0.5"],
                  ["eval", "--family", "hypercomplex", "--upsilon", "2.5,inf",
+                  "--grid", "0:1:0.5"],
+                 ["transform", "--family", "complex-exponential", "--a", "inf", "--z", "2.5",
                   "--grid", "0:1:0.5"]):
         assert run_cli(argv) == 1, argv
         out, err = capsys.readouterr()
@@ -449,11 +453,15 @@ def test_verify_overflow_is_an_error(tmp_path, capsys):
     # n = 1100 overflow a float, (iw)^z at z = 800, and e^800 for the
     # weight 800: each used to write inf or NaN into the report, or to end
     # in an OverflowError traceback; numpy's RuntimeWarnings about the
-    # overflow used to be printed ahead of the error line
+    # overflow used to be printed ahead of the error line.  At z = 2+700i
+    # the binomials overflow from k = 506, and at K = 504 the tail bound
+    # overflows while the atoms and (iw)^z Omega^z on this grid stay
+    # finite; a tail_bound of inf used to be written into the report
     for order in (["--family", "classical", "--n", "300"],
                   ["--family", "classical", "--n", "1100"],
                   ["--family", "complex", "--z", "800"],
-                  ["--family", "exponential", "--a", "800"]):
+                  ["--family", "exponential", "--a", "800"],
+                  ["--family", "complex", "--z", "2,700", "--K", "504", "--grid", "0.01:0.5:0.01"]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli(["verify", *order]) == 1, order
@@ -512,6 +520,34 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     conf.write_text(json.dumps({"op": "nosuch", "z": "0.5", "input": str(signal)}))
     assert run_cli(["fracop", "--config", str(conf)]) == 1
     assert capsys.readouterr().err == "error: unknown op 'nosuch'\n"
+
+
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys):
+    # these flags used to be accepted and ignored with exit 0: fracop wrote
+    # CSV under --format json and verify wrote JSON under --format csv
+    signal = tmp_path / "in.csv"
+    write_signal(signal, lambda x: x)
+    out = str(tmp_path / "out")
+    classical = ["--family", "classical", "--n", "3", "--grid", "0:1:0.5"]
+    valid = {"eval": classical, "transform": classical, "verify": classical[:4],
+             "fracop": ["--op", "integral", "--z", "0.5", "--input", str(signal)]}
+    dropped = {"eval": {"--K": "3", "--tol": "1"},
+               "transform": {"--K": "3", "--tol": "1"},
+               "verify": {"--format": "csv"},
+               "fracop": {"--family": "classical", "--n": "3", "--alpha": "2.5",
+                          "--upsilon": "2.5,1", "--grid": "0:1:0.5", "--K": "3",
+                          "--tol": "1", "--format": "json"}}
+    for cmd, argv in valid.items():
+        assert run_cli([cmd, *argv, "-o", out]) == 0, cmd
+        capsys.readouterr()
+        for flag, value in dropped[cmd].items():
+            assert run_cli([cmd, *argv, flag, value, "-o", out]) == 1, (cmd, flag)
+            assert capsys.readouterr().err.splitlines()[0].startswith("error:"), (cmd, flag)
+    # a config key is taken only where its flag is
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"format": "json"}))
+    assert run_cli(["fracop", *valid["fracop"], "--config", str(conf), "-o", out]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'format'\n"
 
 
 def test_config_rejects_non_integral_counts(tmp_path, capsys):

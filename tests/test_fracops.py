@@ -23,6 +23,7 @@ from fracspline import (
     frac_derivative,
     frac_integral,
     gamma,
+    hat_en,
     mellin_check,
     shifted_frac_derivative,
     verify_atom_identity_complex,
@@ -268,7 +269,7 @@ def test_atom_expz_coefficient_bound():
     atoms = rep.extras["atom_sum"]
     assert atoms.sup_norm() < math.inf
     # the summed coefficients stay under the e^{|z-1|}-scale cap
-    assert rep.extras["partial_sum_modulus"] <= 10.0 * rep.extras["coefficient_bound_scale"]
+    assert abs(np.sum(atoms.components[:, 0])) <= 10.0 * math.exp(abs(2.5 + 1j - 1.0))
 
 
 def test_atom_expz_parameters():
@@ -339,7 +340,7 @@ def test_classical_atom_fourth_order():
     om = np.linspace(-20, 20, 801)
     rep = classical_atom_check(4, om)
     assert rep.max_residual < 1e-13
-    assert rep.extras["coefficient_sum"] == 0.0
+    assert np.sum(rep.extras["atom_sum"].components[:, 0]) == 0.0
 
 
 def test_exp_difference_single_weight_atoms():
@@ -347,7 +348,7 @@ def test_exp_difference_single_weight_atoms():
     # unit mass at 0 and -e^a at 1; cross-checked against a quadrature DFT
     a = 0.7
     rep = exp_difference_check((a,), np.linspace(-8, 8, 401))
-    b = rep.extras["analytic_coefficients"]
+    b = rep.extras["atom_sum"].components[:, 0]
     assert abs(b[0] - 1.0) < 1e-12 and abs(b[1] + math.exp(a)) < 1e-12
     for w in (0.7, 2.3):
         re, _ = quad(lambda x: math.exp(a * x) * math.cos(w * x), 0, 1)
@@ -359,7 +360,8 @@ def test_exp_difference_single_weight_atoms():
 
 def test_exp_difference_recovered_equals_polynomial_expansion():
     weights = (1.0, -0.5, 2.0)
-    rep = exp_difference_check(weights, np.linspace(-8, 8, 501))
+    om = np.linspace(-8, 8, 501)
+    rep = exp_difference_check(weights, om)
     # brute-force polynomial multiplication oracle
     poly = [1.0]
     for a in weights:
@@ -368,9 +370,15 @@ def test_exp_difference_recovered_equals_polynomial_expansion():
             new[i] += c
             new[i + 1] -= c * math.exp(a)
         poly = new
-    assert np.allclose(rep.extras["analytic_coefficients"], poly, rtol=1e-12)
-    assert np.allclose(rep.extras["recovered_coefficients"], poly,
-                       rtol=1e-9, atol=1e-9)
+    atoms = rep.extras["atom_sum"]
+    assert np.array_equal(atoms.shifts, np.arange(len(poly)))
+    assert np.allclose(atoms.components[:, 0], poly, rtol=1e-12)
+    # the transform samples determine the atoms: least squares on
+    # prod (iw - a_k) hat_en(w) recovers them
+    samples = hat_en(weights, om) * np.prod([1j * om - a for a in weights], axis=0)
+    phases = np.exp(-1j * np.outer(om, np.arange(len(poly))))
+    recovered, *_ = np.linalg.lstsq(phases, samples, rcond=None)
+    assert np.allclose(recovered, atoms.components[:, 0], rtol=1e-9, atol=1e-9)
     assert rep.max_residual < 1e-10
 
 
@@ -384,7 +392,7 @@ def test_exp_difference_residuals_do_not_depend_on_grid_size():
 def test_exp_difference_classical_limit():
     eps = 1e-6
     rep = exp_difference_check((eps, eps, eps), np.linspace(-8, 8, 201))
-    b = np.array(rep.extras["analytic_coefficients"])
+    b = rep.extras["atom_sum"].components[:, 0]
     ref = np.array([1.0, -3.0, 3.0, -1.0])
     assert np.max(np.abs(b - ref)) < 1e-4
 

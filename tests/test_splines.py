@@ -429,16 +429,17 @@ def test_nan_and_infinite_orders_are_rejected():
         eval_bz(complex(2.0, inf), 1.0)
     with pytest.raises(ParameterError):
         eval_exp_bspline((nan,), 0.5)
-    # NaN is no damping a > 0: the damped evaluator, transform, verifier
-    # and operator reject it rather than return NaN
-    nan = float("nan")
+    # NaN and +inf are no finite damping a > 0: the damped evaluator,
+    # transform, verifier and operator reject them rather than return NaN
+    # or 0
     signal = SampledSignal(0.0, 0.1, np.linspace(0.0, 1.0, 11) ** 2)
-    for call in (lambda: eval_ez(nan, 2.5, x=1.0),
-                 lambda: hat_ez(nan, 2.5, 1.0),
-                 lambda: verify_atom_identity_expz(nan, 2.5, 20, [0.5, 1.0]),
-                 lambda: shifted_frac_derivative(nan, 0.5, signal)):
-        with pytest.raises(ParameterError):
-            call()
+    for a in (nan, inf):
+        for call in (lambda: eval_ez(a, 2.5, x=1.0),
+                     lambda: hat_ez(a, 2.5, 1.0),
+                     lambda: verify_atom_identity_expz(a, 2.5, 20, [0.5, 1.0]),
+                     lambda: shifted_frac_derivative(a, 0.5, signal)):
+            with pytest.raises(ParameterError):
+                call()
 
 
 @settings(max_examples=60, deadline=None)
