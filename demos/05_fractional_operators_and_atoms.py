@@ -75,8 +75,6 @@ for K in (50, 100, 200, 400):
 
 print()
 print("The Mellin-type identity ties the powers to the Gamma function;")
-print("the oscillatory side is computed with damping extrapolated away:")
-res = mellin_check(Paravector(0.3, [0.4]), 2.0)
-print(f"  per-damping deviations: "
-      + ", ".join(f"{d:.2e}" for d in res.eps_deviations))
-print(f"  extrapolated deviation: {res.deviation:.2e}")
+print("the oscillatory side is a trapezoidal rule on a rotated ray:")
+res = mellin_check(Paravector(0.9, [3.0]), 1.0)
+print(f"  Y = 0.9 + 3 e1, w = 1: deviation {res.deviation:.2e}")

@@ -23,7 +23,6 @@ from .errors import (
     GridResolutionError,
     NumericError,
     OrderError,
-    OscillatoryIntegralError,
     ParameterError,
     PoleError,
     RangeOverflowError,
@@ -58,8 +57,6 @@ from .fracops import (
     verify_atom_identity_hc,
 )
 from .specialfn import (
-    binom_hc,
-    binomial_series,
     gamma,
     gamma_hc,
 )

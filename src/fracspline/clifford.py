@@ -12,11 +12,12 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError, DimensionMismatchError, DomainError
+from .errors import BranchCutError, DimensionMismatchError, DomainError, OrderError
 
 MAX_DIMENSION = 5
 
@@ -67,10 +68,17 @@ class Paravector:
         return not (np.iscomplexobj(self.v) or isinstance(self.s, complex))
 
     def vector_norm(self) -> float:
-        """Euclidean modulus of the vector part; real paravectors only."""
+        """Euclidean modulus of the vector part; real paravectors only.
+
+        The components are scaled by a power of two near the largest, so
+        the squares cannot overflow or underflow; the scaling is exact, so
+        in range the value has the bits of sqrt(sum v*v).
+        """
         if not self.is_real:
             raise DomainError("vector modulus of a complexified paravector is undefined")
-        return float(np.sqrt(np.sum(self.v * self.v)))
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(self.v))))[1] - 1)
+        w = self.v / scale
+        return float(np.sqrt(np.sum(w * w))) * scale
 
     def direction(self) -> np.ndarray:
         """Unit vector v/|v|; requires a nonzero real vector part."""
@@ -130,22 +138,6 @@ class Paravector:
             return Paravector(other * self.s, other * self.v)
         return NotImplemented
 
-    def inverse(self) -> "Paravector":
-        """Inverse (s - v) / (s^2 + sum v_i^2); the denominator is the
-        bilinear square, which can vanish for complexified values."""
-        den = self.s * self.s + np.sum(self.v * self.v)
-        den = complex(den) if not self.is_real else float(den)
-        if abs(den) < 1e-300 * max(1.0, self.norm() ** 2):
-            raise DomainError("paravector is not invertible (bilinear square ~ 0)")
-        return Paravector(self.s / den, -self.v / den)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex, np.number)):
-            return Paravector(self.s / other, self.v / other)
-        if isinstance(other, Paravector):
-            return self * other.inverse()
-        return NotImplemented
-
     def _check_peer(self, other):
         if not isinstance(other, Paravector):
             raise TypeError(f"expected Paravector, got {type(other)!r}")
@@ -187,15 +179,15 @@ class HypercomplexExponent:
                 "hypercomplex exponents must be real paravectors; "
                 "complexified exponents are unsupported"
             )
+        if not (math.isfinite(p.s) and np.isfinite(p.v).all()):
+            raise OrderError("hypercomplex order must be finite, got scalar part "
+                             f"{p.s:g} and vector part {p.v.tolist()}")
         vn = p.vector_norm()
         if vn == 0.0:
             return cls(float(p.s), 0.0, None, p.n)
         u = p.v / vn
         u.setflags(write=False)
         return cls(float(p.s), vn, u, p.n)
-
-    def reconstruct(self) -> Paravector:
-        return self.paravector(self.x0, self.vnorm)
 
     def paravector(self, alpha, beta) -> Paravector:
         """alpha + beta u, the value of the pair (alpha, beta) of span{1, u};

@@ -22,7 +22,8 @@ class PoleError(DomainError):
 
 
 class OrderError(DomainError):
-    """Spline order violates its scalar-part constraint."""
+    """Spline or hypercomplex order is not finite or violates its
+    scalar-part constraint."""
 
 
 class ParameterError(FracSplineError, ValueError):
@@ -43,10 +44,6 @@ class GridResolutionError(FracSplineError):
 
 class EmptyAdmissibleSetError(FracSplineError):
     """Every grid frequency was excluded by the branch-admissibility filter."""
-
-
-class OscillatoryIntegralError(FracSplineError):
-    """Damped-quadrature extrapolation failed to converge."""
 
 
 class SignalFormatError(FracSplineError, ValueError):

@@ -31,6 +31,11 @@ right-hand side is one AtomSum.evaluate: Horner's rule in q = e^{-iw}, so
 a check over N frequencies and K atoms works in O(columns N) memory, and
 the sum is rounded by at most gamma_{2K} sum_k |c_k| (Higham, Accuracy and
 Stability of Numerical Algorithms, sec. 5.1).
+
+The Mellin-type identity int_0^inf t^{Y-1} e^{-iwt} dt = Gamma(Y)/(iw)^Y
+is checked in the same split, one complex integral per column x0 +- i|v|,
+by the trapezoidal rule on the rotated ray t = r e^{-i pi/4}.  Its relative
+error is about 1e-11 for |v| <= 3 and grows like e^{3 pi |v|/4}.
 """
 
 from __future__ import annotations
@@ -40,27 +45,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from .clifford import (
-    HypercomplexExponent,
-    Paravector,
-    hc_power,
-    subalgebra_from_idempotent,
-)
+from .clifford import HypercomplexExponent, Paravector, subalgebra_from_idempotent
 from .errors import (
     ConditioningWarning,
     DomainError,
     EmptyAdmissibleSetError,
     NumericError,
-    OscillatoryIntegralError,
     ParameterError,
     RangeOverflowError,
     SignalFormatError,
 )
 from .fourier import FrequencyGrid, _principal_power, hat_en, omega_a_fn, omega_fn
-from .specialfn import binom_complex_sequence, gamma, gamma_hc
+from .specialfn import binom_complex_sequence, gamma
 from .splines import (
     complex_order,
     exp_difference_coefficients,
@@ -508,98 +506,60 @@ def exp_difference_check(weights, grid) -> ResidualReport:
 
 # -- Mellin-type identity ----------------------------------------------------
 
+# The rotated ray t = r e^{-i theta}, theta < pi/2, and the trapezoid with
+# step h in u = log(w r) over [-40, 5].  Left of -40, e^u < 2^-57 and the
+# terms are a geometric series in e^{-zh}; right of 5 they are below e^-100.
+_MELLIN_THETA = math.pi / 4
+_MELLIN_STEP = 0.1
+_MELLIN_U = np.arange(-40.0, 5.0, _MELLIN_STEP)
+
 
 @dataclass(frozen=True)
 class MellinCheckResult:
     lhs: Paravector
     rhs: Paravector
     deviation: float
-    eps_deviations: tuple
 
 
-def _damped_mellin_lhs(dec: HypercomplexExponent, omega: float, eps: float):
-    """Damped oscillatory integrals int t^{x0-1} trig(|v| log t) e^{-eps t}
-    e^{-i omega t} dt for trig = cos and sin, as a component pair.
+def mellin_check(upsilon: Paravector, omega: float) -> MellinCheckResult:
+    """Numerically verify int_0^inf t^Y e^{-i t w} dt/t = Gamma(Y)/(iw)^Y
+    for a scalar part x0 in (0, 1) and w > 0.
 
-    The unit interval is integrated after the substitution t = e^{-s},
-    which removes both the algebraic endpoint singularity and the
-    logarithmic oscillation; the remainder uses oscillatory-weighted
-    quadrature up to a cutoff where the damping makes the tail negligible.
-    """
-    x0, vn = dec.x0, dec.vnorm
-    cutoff = 1.0 + 45.0 / eps
+    Under the idempotent split of span{1, u} (x) C, Y is the column pair
+    z = x0 +- i|v| and the identity is one complex integral per column.
+    It converges only conditionally on the real axis; on the ray
+    t = r e^{-i pi/4}, with r = e^u/w, the left side becomes
 
-    def head(sign, trig, osc):
-        # t in (0, 1]; under t = e^{-s}, trig(|v| log t) = sign * trig(|v| s)
-        def f(s):
-            t = math.exp(-s)
-            return (math.exp(-x0 * s) * sign * trig(vn * s)
-                    * math.exp(-eps * t) * osc(omega * t))
-        val, _ = quad(f, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=300)
-        return val
+        e^{-i pi z/4} int exp(z (u - log w) - i e^u e^{-i pi/4}) du,
 
-    def tail(trig, weight):
-        def f(t):
-            return t ** (x0 - 1.0) * trig(vn * math.log(t)) * math.exp(-eps * t)
-        val, _ = quad(f, 1.0, cutoff, weight=weight, wvar=omega,
-                      epsabs=1e-12, epsrel=1e-11, limit=500)
-        return val
-
-    i_cos = complex(
-        head(1.0, math.cos, math.cos) + tail(math.cos, "cos"),
-        -(head(1.0, math.cos, math.sin) + tail(math.cos, "sin")),
-    )
-    i_sin = complex(
-        head(-1.0, math.sin, math.cos) + tail(math.sin, "cos"),
-        -(head(-1.0, math.sin, math.sin) + tail(math.sin, "sin")),
-    )
-    return i_cos, i_sin
-
-
-def mellin_check(upsilon: Paravector, omega: float,
-                 eps_values=(0.2, 0.1, 0.05)) -> MellinCheckResult:
-    """Numerically verify int_0^inf t^Y e^{-i t w} dt/t = Gamma(Y)/(iw)^Y.
-
-    The left side is an oscillatory integral that converges only
-    conditionally for scalar part in (0, 1); it is computed with damping
-    e^{-eps t} and Richardson extrapolation of the damping to zero.  The
-    right side uses the hypercomplex Gamma and power with division in the
-    commuting subalgebra.
+    whose integrand is analytic in a strip and decays exponentially on
+    both sides, so the trapezoidal rule converges geometrically in the
+    step (Trefethen and Weideman, SIAM Rev. 56, 2014).  The rule sums the
+    whole grid: the terms left of u = -40 in closed form, so its cost does
+    not depend on x0.  Against 40-digit values each column of the rule had
+    a relative error of at most 8e-12 over x0 in [1e-8, 0.9], |v| <= 3 and
+    w in [0.5, 5].  The error grows with |v| in the im z < 0 column, about
+    like e^{3 pi |v|/4}, because that column is e^{-pi |v|} while its
+    integrand reaches e^{-pi |v|/4}: at w = 1 and x0 = 0.05 it was 2e-9 at
+    |v| = 6 and 2e-4 at |v| = 10.  The im z > 0 column loses about
+    e^{pi |v|/4} (1e-11 at |v| = 10, 1e-2 at |v| = 40).  As alpha + beta u,
+    lhs and rhs hold the im z < 0 column only to about 1e-16 e^{pi |v|} of
+    its size.
     """
     dec = HypercomplexExponent.from_paravector(upsilon)
     if not 0.0 < dec.x0 < 1.0:
-        raise DomainError(
-            f"damped-quadrature check needs scalar part in (0, 1), got {dec.x0:g}"
-        )
+        raise DomainError(f"the Mellin check needs scalar part in (0, 1), got {dec.x0:g}")
     omega = float(omega)
-    if omega <= 0:
-        raise DomainError(f"check requires omega > 0, got {omega:g}")
-    eps_values = tuple(sorted(set(float(e) for e in eps_values), reverse=True))
-    if len(eps_values) < 2:
-        raise ParameterError("need at least two damping values to extrapolate")
-
-    pairs = [_damped_mellin_lhs(dec, omega, e) for e in eps_values]
-
-    # polynomial extrapolation of the damping parameter to zero
-    lag = []
-    for i, ei in enumerate(eps_values):
-        li = 1.0
-        for j, ej in enumerate(eps_values):
-            if j != i:
-                li *= ej / (ej - ei)
-        lag.append(li)
-    lhs_a = sum(l * p[0] for l, p in zip(lag, pairs))
-    lhs_b = sum(l * p[1] for l, p in zip(lag, pairs))
-
-    diffs = [abs(pairs[i][0] - pairs[i + 1][0]) + abs(pairs[i][1] - pairs[i + 1][1])
-             for i in range(len(pairs) - 1)]
-    if len(diffs) >= 2 and diffs[-1] > 1.2 * diffs[-2] + 1e-12:
-        raise OscillatoryIntegralError(
-            "damped quadrature values are not converging as eps decreases"
-        )
-
-    rhs = gamma_hc(upsilon) / hc_power(1j * omega, upsilon)
-    lhs = dec.paravector(lhs_a, lhs_b)
-    deviation = (lhs - rhs).norm()
-    eps_devs = [(dec.paravector(pa, pb) - rhs).norm() for pa, pb in pairs]
-    return MellinCheckResult(lhs, rhs, float(deviation), tuple(eps_devs))
+    if not 0 < omega < math.inf:
+        raise DomainError(f"the Mellin check needs finite omega > 0, got {omega:g}")
+    z = np.array([complex(dec.x0, dec.vnorm), complex(dec.x0, -dec.vnorm)])
+    log_omega = math.log(omega)
+    terms = np.exp(np.outer(z, _MELLIN_U - log_omega - 1j * _MELLIN_THETA)
+                   - 1j * np.exp(_MELLIN_U - 1j * _MELLIN_THETA))
+    left = terms[:, 0] / -np.expm1(-_MELLIN_STEP * z)
+    integrals = _MELLIN_STEP * (left + terms[:, 1:].sum(axis=1))
+    g = gamma(z[0])
+    columns = np.array([g, g.conjugate()]) * np.exp(-z * (log_omega + 0.5j * math.pi))
+    lhs = dec.paravector(*subalgebra_from_idempotent(*integrals))
+    rhs = dec.paravector(*subalgebra_from_idempotent(*columns))
+    return MellinCheckResult(lhs, rhs, float((lhs - rhs).norm()))

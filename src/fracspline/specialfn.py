@@ -1,5 +1,5 @@
 """Gamma function for real, complex and hypercomplex arguments, and
-generalized binomial coefficients and series.
+generalized binomial coefficients.
 """
 
 from __future__ import annotations
@@ -78,63 +78,3 @@ def binom_complex_sequence(z, kmax: int) -> np.ndarray:
     for j in range(1, kmax + 1):
         out[j] = out[j - 1] * (z - j + 1) / j
     return out
-
-
-def binom_hc(upsilon: Paravector, k: int) -> Paravector:
-    """Hypercomplex binomial coefficient binom(Y, k).
-
-    Y = x0 + |v| u lies in the commuting subalgebra span{1, u}, a copy of C
-    under u -> i, so the value is binom(x0 + i|v|, k) mapped back along u.
-    """
-    if k < 0 or k != int(k):
-        raise DomainError(f"binomial index must be a nonnegative integer, got {k!r}")
-    alpha, beta, dec = binom_hc_pair_sequence(upsilon, int(k))
-    return dec.paravector(alpha[-1], beta[-1])
-
-
-def _binom_hc_order(upsilon: Paravector) -> HypercomplexExponent:
-    dec = HypercomplexExponent.from_paravector(upsilon)
-    if dec.x0 <= 0:
-        raise DomainError(
-            f"hypercomplex binomial needs scalar part > 0, got {dec.x0:g}"
-        )
-    return dec
-
-
-def binom_hc_pair_sequence(upsilon: Paravector, kmax: int):
-    """Component pairs (alpha_k, beta_k) of binom(Y, k) for k = 0..kmax.
-
-    alpha + beta u are the coordinates in span{1, u}: the real and
-    imaginary parts of binom(x0 + i|v|, k).  For a zero vector part all
-    beta vanish.  Returns (alpha, beta, decomposition).
-    """
-    dec = _binom_hc_order(upsilon)
-    b = binom_complex_sequence(complex(dec.x0, dec.vnorm), kmax)
-    return b.real, b.imag, dec
-
-
-def binomial_series(upsilon: Paravector, z, N: int):
-    """Partial sum of (1 + z)^Y = sum_k binom(Y, k) z^k up to k = N.
-
-    Requires |z| <= 1 and scalar part x0 > 0.  Returns the partial sum as a
-    complexified paravector together with an estimate of the absolute tail
-    sum_{k>N} |binom(Y, k) z^k|.
-    """
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise DomainError(f"binomial series needs |z| <= 1, got |z| = {abs(z):g}")
-    alpha, beta, dec = binom_hc_pair_sequence(upsilon, N + 1)
-    powers = z ** np.arange(N + 1)
-    a_sum = np.sum(alpha[: N + 1] * powers)
-    b_sum = np.sum(beta[: N + 1] * powers)
-
-    next_mod = math.hypot(alpha[N + 1], beta[N + 1]) * abs(z) ** (N + 1)
-    if next_mod == 0.0:
-        remainder = 0.0
-    else:
-        # tail of a ~ k^{-x0-1} decay, with the geometric bound when |z| < 1
-        poly_tail = 1.0 + (N + 1) / dec.x0
-        geo_tail = 1.0 / (1.0 - abs(z)) if abs(z) < 1.0 else math.inf
-        remainder = 1.25 * next_mod * min(poly_tail, geo_tail)
-
-    return dec.paravector(a_sum, b_sum), float(remainder)

@@ -117,7 +117,7 @@ def hypercomplex_exponent(upsilon: Paravector) -> HypercomplexExponent:
     """The decomposition x0 + |v| u of a hypercomplex order, which must
     have a finite scalar part x0 > 1 and a finite |v|."""
     dec = HypercomplexExponent.from_paravector(upsilon)
-    if not (1 < dec.x0 < math.inf and math.isfinite(dec.vnorm)):
+    if not (dec.x0 > 1 and math.isfinite(dec.vnorm)):
         raise OrderError(
             "hypercomplex spline order must be finite with scalar part > 1,"
             f" got scalar part {dec.x0:g} and |v| = {dec.vnorm:g}"

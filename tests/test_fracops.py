@@ -407,29 +407,23 @@ def test_mellin_scalar_closed_form():
     assert abs(complex(res.lhs.s) - ref) <= 1e-3
 
 
-def test_mellin_eps_deviations_monotone():
-    res = mellin_check(Paravector(0.3, [0.4]), 2.0)
-    devs = res.eps_deviations
-    assert devs[0] > devs[1] > devs[2]
-    assert res.deviation < devs[-1]
-
-
-def test_mellin_cl1_matches_complex_closed_form():
-    # independent oracle: the damped integral has the closed form
-    # Gamma(z) / (eps + i w)^z in the complex image of span{1, u}
-    import mpmath
-    mpmath.mp.dps = 30
-    ups = Paravector(0.3, [0.4])
-    omega, eps = 2.0, 0.1
-    zc = complex(0.3, 0.4)
-    s = complex(eps, omega)
-    ref = complex(mpmath.gamma(mpmath.mpc(zc.real, zc.imag))) \
-        * cmath.exp(-zc * cmath.log(s))
-    from fracspline.clifford import HypercomplexExponent
-    from fracspline.fracops import _damped_mellin_lhs
-    i_cos, i_sin = _damped_mellin_lhs(
-        HypercomplexExponent.from_paravector(ups), omega, eps)
-    assert abs((i_cos + 1j * i_sin) - ref) < 1e-9
+def test_mellin_sweep_against_mpmath():
+    # both columns z = x0 +- i|v| of the idempotent split, mapped back along
+    # u, against 40-digit Gamma(z) / (iw)^z; the Cl(2) order exercises a
+    # direction u other than e1
+    with mpmath.workdps(40):
+        for x0 in (0.05, 0.3, 0.5, 0.9):
+            for vn in (0.0, 0.4, 2.0, 3.0):
+                for ups in (Paravector(x0, [vn]), Paravector(x0, [0.6 * vn, 0.8 * vn])):
+                    u = ups.v / vn if vn else np.zeros(ups.n)
+                    for w in (0.5, 1.0, 2.0, 5.0):
+                        res = mellin_check(ups, w)
+                        p, q = (complex(mpmath.gamma(mpmath.mpc(x0, y))
+                                        / mpmath.power(mpmath.mpc(0, w), mpmath.mpc(x0, y)))
+                                for y in (vn, -vn))
+                        ref = Paravector((p + q) / 2, (p - q) / 2j * u)
+                        assert (res.lhs - ref).norm() <= 1e-10 * ref.norm(), (x0, vn, w)
+                        assert (res.rhs - ref).norm() <= 1e-10 * ref.norm(), (x0, vn, w)
 
 
 def test_mellin_domain_checks():
@@ -437,6 +431,8 @@ def test_mellin_domain_checks():
         mellin_check(Paravector(1.5, [0.0]), 1.0)
     with pytest.raises(DomainError):
         mellin_check(Paravector(0.5, [0.0]), -1.0)
+    with pytest.raises(DomainError):
+        mellin_check(Paravector(0.5, [0.0]), float("nan"))
 
 
 # -- report plumbing ------------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import mpmath
@@ -10,11 +9,8 @@ from fracspline import (
     DomainError,
     Paravector,
     PoleError,
-    binom_hc,
-    binomial_series,
     gamma,
     gamma_hc,
-    hc_power,
 )
 from fracspline.specialfn import binom_complex_sequence
 
@@ -146,69 +142,6 @@ def test_binom_complex_asymptotic_slope():
     mods = np.abs(seq[ks])
     slope, _ = np.polyfit(np.log(ks), np.log(mods), 1)
     assert -3.8 <= slope <= -3.2
-
-
-def test_binom_hc_basics():
-    p = Paravector(2.5, [1.0, 1.0])
-    b0 = binom_hc(p, 0)
-    assert abs(b0.s - 1.0) < 1e-15 and np.all(b0.v == 0)
-    b1 = binom_hc(p, 1)
-    assert b1.allclose(p)
-
-
-def test_binom_hc_integer_reduction():
-    four = Paravector(4.0, [0.0])
-    vals = [binom_hc(four, k).s for k in range(7)]
-    assert np.allclose(vals, [1, 4, 6, 4, 1, 0, 0], atol=1e-13)
-
-
-def test_binom_hc_gamma_ratio_oracle():
-    # binom(Y, k) = Gamma(Y+1) / (Gamma(k+1) Gamma(Y-k+1)) inside span{1, u},
-    # checked through the complex image of the subalgebra
-    p = Paravector(3.2, [1.5])
-    zc = complex(3.2, 1.5)
-    for k in (1, 2, 3):
-        got = binom_hc(p, k)
-        ref = gamma(zc + 1) / (gamma(k + 1.0) * gamma(zc - k + 1))
-        assert abs(complex(got.s, got.v[0]) - ref) <= 1e-12 * abs(ref)
-
-
-# -- binomial series ---------------------------------------------------------------
-
-def test_binomial_series_at_zero():
-    val, rem = binomial_series(Paravector(1.5, [1.0]), 0.0, 10)
-    assert abs(val.s - 1.0) < 1e-15 and np.all(np.abs(val.v) < 1e-15)
-
-
-def test_binomial_series_terminating():
-    val, rem = binomial_series(Paravector(2.0, [0.0]), 0.3 + 0.1j, 5)
-    assert rem == 0.0
-    assert abs(complex(val.s) - (1 + 0.3 + 0.1j) ** 2) < 1e-14
-
-
-def test_binomial_series_matches_hc_power():
-    p = Paravector(1.5, [1.0])
-    val, rem = binomial_series(p, 0.5, 200)
-    ref = hc_power(1.5, p)
-    assert abs(complex(val.s) - complex(ref.s)) < 1e-6
-    assert np.max(np.abs(val.v - ref.v)) < 1e-6
-
-
-def test_binomial_series_remainder_bound_on_unit_circle():
-    # partial sums at z = -e^{-iw} against the hypercomplex power of 1 - e^{-iw}
-    p = Paravector(1.8, [0.7, 0.7])
-    for w in (0.5, 1.5, 2.5):
-        zarg = -cmath.exp(-1j * w)
-        val, rem = binomial_series(p, zarg, 400)
-        ref = hc_power(1.0 + zarg, p)
-        err = math.sqrt(abs(val.s - ref.s) ** 2
-                        + float(np.sum(np.abs(val.v - ref.v) ** 2)))
-        assert err <= rem, (w, err, rem)
-
-
-def test_binomial_series_domain():
-    with pytest.raises(DomainError):
-        binomial_series(Paravector(1.5, [1.0]), 1.2, 10)
 
 
 # -- power kernels -------------------------------------------------------------------

@@ -18,7 +18,10 @@ from fracspline import (
     eval_bz,
     eval_exp_bspline,
     eval_ez,
+    gamma_hc,
     hat_ez,
+    hc_power,
+    mellin_check,
     shifted_frac_derivative,
     verify_atom_identity_expz,
 )
@@ -423,6 +426,14 @@ def test_nan_and_infinite_orders_are_rejected():
         for ups in (Paravector(2.5, [1.0, bad]), Paravector(bad, [1.0])):
             with pytest.raises(OrderError):
                 hypercomplex_exponent(ups)
+        # the Gamma, the power and the Mellin check reject it as well,
+        # rather than divide by zero, return NaN or fail in math.log
+        for ups in (Paravector(0.5, [bad]), Paravector(bad, [1.0])):
+            for call in (lambda: gamma_hc(ups),
+                         lambda: hc_power(2.0, ups),
+                         lambda: mellin_check(ups, 1.0)):
+                with pytest.raises(OrderError):
+                    call()
     # Gamma used to divide by zero at an infinite imaginary part, and a
     # NaN weight used to give NaN values
     with pytest.raises(OrderError):
