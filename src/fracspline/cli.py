@@ -727,12 +727,17 @@ def _merge_config(args, argv) -> None:
         setattr(args, dest, value)
 
 
+# Built once: building takes longer than parsing one command line, and
+# parse_args keeps no state between calls (each returns a new namespace,
+# which _merge_config fills).
+_PARSER = build_parser()
+
+
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _merge_config(args, argv)
         if args.command in ("eval", "transform"):
             _require(args.grid is not None, f"{args.command} needs --grid start:stop:step")

@@ -27,6 +27,16 @@ MAX_DIMENSION = 5
 _PURITY_RTOL = 1e-10
 
 
+def _scaled_norm(parts: np.ndarray) -> float:
+    """sqrt(sum of squares) of real parts, which are first scaled by a
+    power of two near the largest, so the squares cannot overflow or
+    underflow; the scaling is exact, so in range the value has the bits of
+    the plain sum."""
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(parts))))[1] - 1)
+    w = parts / scale
+    return float(np.sqrt(np.sum(w * w))) * scale
+
+
 class Paravector:
     """Hypercomplex number: scalar part plus a grade-1 vector part.
 
@@ -68,17 +78,11 @@ class Paravector:
         return not (np.iscomplexobj(self.v) or isinstance(self.s, complex))
 
     def vector_norm(self) -> float:
-        """Euclidean modulus of the vector part; real paravectors only.
-
-        The components are scaled by a power of two near the largest, so
-        the squares cannot overflow or underflow; the scaling is exact, so
-        in range the value has the bits of sqrt(sum v*v).
-        """
+        """Euclidean modulus of the vector part, without overflow (see
+        _scaled_norm); real paravectors only."""
         if not self.is_real:
             raise DomainError("vector modulus of a complexified paravector is undefined")
-        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(self.v))))[1] - 1)
-        w = self.v / scale
-        return float(np.sqrt(np.sum(w * w))) * scale
+        return _scaled_norm(self.v)
 
     def direction(self) -> np.ndarray:
         """Unit vector v/|v|; requires a nonzero real vector part."""
@@ -88,7 +92,9 @@ class Paravector:
         return self.v / vn
 
     def norm(self) -> float:
-        return float(np.sqrt(abs(self.s) ** 2 + np.sum(np.abs(self.v) ** 2)))
+        """Euclidean modulus of all parts, complexified ones too, scaled as
+        in vector_norm so that the squares cannot overflow."""
+        return _scaled_norm(np.abs(np.append(self.s, self.v)))
 
     def conjugate(self) -> "Paravector":
         if self.is_real:

@@ -80,14 +80,24 @@ def omega_a_fn(a: float, omega):
     return _shaped((1.0 - damping * np.exp(-1j * w)) / (1j * w + a), shape)
 
 
-def _principal_power(base, exponent):
-    """base^exponent elementwise via the principal log, with 0 -> 0
-    (valid because every exponent here has positive real part).  An array
-    of exponents gives one row per exponent and takes the log once."""
+def _principal_log(base):
+    """The principal log of base elementwise, log|b| + i arg b with arg in
+    (-pi, pi], as log(hypot(re, im)) + i atan2(im, re): a real log and an
+    atan2 cost about a fifth of numpy's complex log.  Zeros have no log;
+    their entries read 0 and the returned mask marks them."""
     b = np.atleast_1d(np.asarray(base, dtype=complex))
     zero = b == 0
-    safe = np.where(zero, 1.0, b)
-    out = np.exp(np.multiply.outer(exponent, np.log(safe)))
+    re = np.where(zero, 1.0, b.real)
+    return np.log(np.hypot(re, b.imag)) + 1j * np.arctan2(b.imag, re), zero
+
+
+def _principal_power(base, exponent):
+    """base^exponent elementwise as exp(exponent log base) with the
+    principal log of _principal_log, and 0 -> 0 (valid because every
+    exponent here has positive real part).  An array of exponents gives
+    one row per exponent and takes the log once."""
+    log, zero = _principal_log(base)
+    out = np.exp(np.multiply.outer(exponent, log))
     out[..., zero] = 0.0
     return out
 

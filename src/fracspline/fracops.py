@@ -18,7 +18,9 @@ Each verifier applies a branch-admissibility filter: the split of the
 left-hand side into two principal powers is only valid where
 arg(base1) + arg(base2) stays in (-pi, pi], and points where a factor
 vanishes (so its log does not exist) are excluded and reported rather
-than silently patched.
+than silently patched.  The principal log of each base is taken once and
+serves both the filter and the left-hand side, exp(z (log base1 +
+log base2)).
 
 The three complex-order identities are one check: the damped one weights
 atom k by e^{-ak}, and the hypercomplex one is the complex one at the
@@ -27,15 +29,21 @@ conjugate pair x0 +- i|v|, the idempotent split of span{1, u} (x) C.
 Every identity is L^(w) B^(w) = sum_k c_k e^{-ikw}, and one report builder,
 _residual_report, checks it for all five verifiers: each verifier gives
 only its left-hand side, its atom coefficients and its tail rule.  Every
-right-hand side is one AtomSum.evaluate: Horner's rule in q = e^{-iw}, so
-a check over N frequencies and K atoms works in O(columns N) memory, and
-the sum is rounded by at most gamma_{2K} sum_k |c_k| (Higham, Accuracy and
-Stability of Numerical Algorithms, sec. 5.1).
+right-hand side is one AtomSum.evaluate: Horner's rule in q = e^{-iw},
+split into baby and giant steps so that the inner sums of a block of
+frequencies are one matrix product.  A check over N frequencies and K
+atoms works in O(columns N) memory, and the sum is rounded by at most
+gamma_{2K} sum_k |c_k| (Higham, Accuracy and Stability of Numerical
+Algorithms, sec. 5.1).  The truncation tail of the binomial atoms is
+bounded by their explicit sum up to where they decay, then by a power
+majorant (_binomial_tail), so tail_bound is an upper bound on the
+dropped atoms for every order.
 
 The Mellin-type identity int_0^inf t^{Y-1} e^{-iwt} dt = Gamma(Y)/(iw)^Y
 is checked in the same split, one complex integral per column x0 +- i|v|,
 by the trapezoidal rule on the rotated ray t = r e^{-i pi/4}.  Its relative
-error is about 1e-11 for |v| <= 3 and grows like e^{3 pi |v|/4}.
+error is about 1e-11 for |v| <= 3 and grows like e^{3 pi |v|/4}, so |v|
+is limited to 20.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from .errors import (
     RangeOverflowError,
     SignalFormatError,
 )
-from .fourier import FrequencyGrid, _principal_power, hat_en, omega_a_fn, omega_fn
+from .fourier import FrequencyGrid, _principal_log, hat_en, omega_a_fn, omega_fn
 from .specialfn import binom_complex_sequence, gamma
 from .splines import (
     complex_order,
@@ -84,8 +92,9 @@ __all__ = [
     "mellin_check",
 ]
 
-# Factors with modulus below this have no usable principal log.
-_LOG_FLOOR = 1e-14
+# Factors whose log modulus is below this (modulus 1e-14) have no usable
+# principal log.
+_LOG_FLOOR = math.log(1e-14)
 
 
 class SampledSignal:
@@ -232,6 +241,13 @@ def shifted_frac_derivative(a: float, z, signal: SampledSignal) -> SampledSignal
 # -- atom sums and residual reports ----------------------------------------
 
 
+# Frequencies per block of AtomSum.evaluate, and terms per step of the
+# explicit sum in _binomial_tail.  The last block of frequencies is padded
+# to it, so every matrix product has one shape and a value does not depend
+# on the grid around it.
+_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class AtomSum:
     """Coefficients of a Dirac comb sum c_k delta(. - k), stored per shift.
@@ -241,11 +257,24 @@ class AtomSum:
     either along (1, u) or as its idempotent parts (u -> i, u -> -i).
     Shifts are integers of either sign in any order; repeated shifts add up.
 
-    evaluate() is Horner's rule in q = e^{-iw}: working memory is
-    O(columns N) for N frequencies, whatever the number of shifts, and the
-    rounding error is at most gamma_{2K} sum_k |c_k| with K the span of the
-    shifts, because |q| = 1 (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 5.1).
+    evaluate() is Horner's rule in q = e^{-iw}, split into B baby steps and
+    J giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): with
+    M the span of the shifts, B = ceil(sqrt M) and J = ceil(M / B),
+
+        sum_k c_k q^k = sum_j (sum_{r<B} c_{jB+r} q^r) (q^B)^j,
+
+    so the J inner sums of every column are one matrix product of the
+    (columns J x B) coefficient table with the powers q^0..q^{B-1}, and
+    Horner's rule runs over the J blocks in q^B.  The frequencies go in
+    blocks of 4096, so the working memory is O((B + columns J) 4096) for
+    the powers and inner sums plus the (columns x N) result, whatever the
+    number of shifts.  Because |q| = 1, the rounding error is at most
+    gamma_{2K} sum_k |c_k| with K the span of the shifts, as for the plain
+    rule (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1):
+    atom jB + r passes through the products that build q^r and q^B (about
+    log2 B each), its own product, B - 1 sums inside its block and j
+    products and sums in the outer rule, at most 2K roundings in all for
+    every K but K = 2, where it is 5.
     """
 
     shifts: np.ndarray
@@ -267,24 +296,48 @@ class AtomSum:
         """Exponential sum sum_k c_k e^{-ik w}; returns one row per
         coefficient column.
 
-        Horner's rule in q = e^{-iw}: one exp over the N frequencies, then
-        one multiply-add pass per shift, from the highest down, over a
-        (columns x N) accumulator.  The sum starts at the lowest shift m,
-        and q^m multiplies the result when m != 0.
+        Per block of frequencies: q^0..q^B by repeated doubling, the inner
+        sums of all J blocks as one matrix product, then Horner's rule in
+        q^B over the blocks.  The sum starts at the lowest shift m, and q^m
+        multiplies the result when m != 0.  A single shift (M = 1) is c 1.
         """
         om = np.asarray(omegas, dtype=float).ravel()
         low = int(self.shifts.min())
-        table = np.zeros((int(self.shifts.max()) - low + 1, self.components.shape[1]),
-                         dtype=complex)
+        span = int(self.shifts.max()) - low + 1
+        cols = self.components.shape[1]
+        B = math.isqrt(span - 1) + 1
+        J = -(-span // B)
+        table = np.zeros((J * B, cols), dtype=complex)
         np.add.at(table, self.shifts - low, self.components)
-        q = np.exp(-1j * om)
-        acc = np.zeros((table.shape[1], om.size), dtype=complex)
-        for row in table[::-1]:
-            acc *= q
-            acc += row[:, None]
-        if low:
-            acc *= np.exp(-1j * low * om)
-        return acc
+        # row c J + j holds block j of column c: c_{jB}..c_{jB+B-1}
+        blocks = np.ascontiguousarray(table.reshape(J, B, cols).transpose(2, 0, 1)
+                                      ).reshape(cols * J, B)
+        out = np.empty((cols, om.size), dtype=complex)
+        w = np.zeros(_CHUNK)
+        powers = np.empty((B + 1, _CHUNK), dtype=complex)
+        powers[0] = 1.0
+        inner = np.empty((cols * J, _CHUNK), dtype=complex)
+        inner3 = inner.reshape(cols, J, _CHUNK)
+        acc = np.empty((cols, _CHUNK), dtype=complex)
+        for start in range(0, om.size, _CHUNK):
+            n = min(_CHUNK, om.size - start)
+            w[:n] = om[start:start + n]
+            w[n:] = 0.0
+            np.exp(-1j * w, out=powers[1])
+            m = 1
+            while m < B:  # q^{m+1}..q^{2m} from q^1..q^m and q^m
+                top = min(2 * m, B)
+                np.multiply(powers[1:top - m + 1], powers[m], out=powers[m + 1:top + 1])
+                m = top
+            np.matmul(blocks, powers[:B], out=inner)
+            acc[...] = inner3[:, J - 1]
+            for j in range(J - 2, -1, -1):
+                acc *= powers[B]
+                acc += inner3[:, j]
+            if low:
+                acc *= np.exp(-1j * low * w)
+            out[:, start:start + n] = acc[:, :n]
+        return out
 
 
 @dataclass
@@ -335,15 +388,16 @@ def _as_omegas(grid) -> np.ndarray:
     return om
 
 
-def _admissible_split(base1: np.ndarray, base2: np.ndarray) -> np.ndarray:
-    """Branch filter for writing (base1 base2)^z as base1^z base2^z.
+def _admissible_split(log1: np.ndarray, log2: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Branch filter for writing (base1 base2)^z as base1^z base2^z, from
+    the principal logs of the two bases and the mask of their zeros.
 
     The split is valid exactly where arg base1 + arg base2 stays in
     (-pi, pi]; frequencies where either factor is too small for a stable
     log are not decidable and are excluded as well.
     """
-    undefined = (np.abs(base1) < _LOG_FLOOR) | (np.abs(base2) < _LOG_FLOOR)
-    argsum = np.angle(base1) + np.angle(base2)
+    undefined = zero | (log1.real < _LOG_FLOOR) | (log2.real < _LOG_FLOOR)
+    argsum = log1.imag + log2.imag
     violated = (argsum <= -math.pi) | (argsum > math.pi)
     admissible = ~undefined & ~violated
     if not np.any(admissible):
@@ -393,35 +447,73 @@ def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
     return report, rhs
 
 
+def _binomial_tail(z: complex, K: int, first: float, damping: float) -> float:
+    """An upper bound on sum_{k>K} |binom(z, k)| e^{-damping k}, given its
+    first term first = |binom(z, K+1)| e^{-damping (K+1)}; re z > 1.
+
+    The term ratio is |k - z|/(k + 1) e^{-damping}.  For k > re z,
+    log sqrt(1 + u) <= u/2 and log(1 + 1/k) <= 1/k give |k - z|/(k + 1)
+    <= (k/(k + 1))^p for every p <= rate(k) = k ((re z + 1)/(k + 1)
+    - (im z)^2 / (2 (k - re z)^2)), which increases with k towards
+    re z + 1: the binomials decay like k^{-re z - 1}.  The terms are summed
+    explicitly, from k = K + 1, up to the first k1 > re z with
+    rate(k1) >= (re z + 2)/2; that is at or past the index where the
+    ratio drops below 1, (im z)^2 < (re z + 1)(2k + 1 - re z).  From k1 on
+    |c_k| <= |c_k1| (k1/k)^p e^{-damping (k - k1)} with p = rate(k1) > 1,
+    whose sum is at most |c_k1| min(1 + k1/(p - 1), 1/(1 - e^{-damping})).
+    Returns inf once the explicit sum overflows.
+    """
+    x, y2 = z.real, z.imag ** 2
+    decay = math.exp(-damping)
+
+    def rate(k):
+        return k * ((x + 1.0) / (k + 1.0) - y2 / (2.0 * (k - x) ** 2))
+
+    k, mod, explicit = K + 1, first, 0.0
+    while k <= x or rate(k) < (x + 2.0) / 2.0:
+        if not math.isfinite(explicit + mod):
+            return math.inf
+        ks = np.arange(k, k + _CHUNK, dtype=float)
+        mods = mod * np.cumprod(np.hypot(ks - x, z.imag) / (ks + 1.0) * decay)
+        explicit += mod + float(np.sum(mods[:-1]))
+        k, mod = k + _CHUNK, float(mods[-1])
+    majorant = 1.0 + k / (rate(k) - 1.0)
+    if damping > 0:
+        majorant = min(majorant, 1.0 / -math.expm1(-damping))
+    return explicit + mod * majorant
+
+
 def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
                            base1: np.ndarray, base2: np.ndarray, exponents,
                            damping: float = 0.0):
     """Check (base1 base2)^e = sum_{k<=K} (-1)^k binom(e,k) e^{-damping k}
     e^{-ikw} for each exponent e at once, one atom-sum column per exponent.
 
-    The first dropped atom bounds the truncation tail: geometrically with
-    ratio e^{-damping} once K + 1 >= 2|z|, else by the k^{-re z - 1} decay
-    of the binomials.
+    The left side is exp(e (log base1 + log base2)) with both principal
+    logs taken once: exp(a) exp(b) = exp(a + b), so it is base1^e base2^e
+    everywhere, off the admissible set too, and 0 where a base is 0.
+    The exponents are z or the pair (z, conj z), whose binomials have the
+    same moduli, and _binomial_tail bounds the truncation tail of z.
     Returns the report and the left- and right-hand rows.
     """
     if K < 1:
         raise ParameterError("truncation K must be positive")
-    admissible = _admissible_split(base1, base2)
+    log1, zero1 = _principal_log(base1)
+    log2, zero2 = _principal_log(base2)
+    zero = zero1 | zero2
+    admissible = _admissible_split(log1, log2, zero)
 
-    lhs = _principal_power(base1, exponents) * _principal_power(base2, exponents)
+    lhs = np.exp(np.multiply.outer(exponents, log1 + log2))
+    lhs[..., zero] = 0.0
     binoms = np.stack([binom_complex_sequence(e, K + 1) for e in exponents], axis=1)
     k = np.arange(K + 1)
     weights = (-1.0) ** k * np.exp(-damping * k)
 
-    z = exponents[0]
-    next_mod = abs(binoms[K + 1, 0]) * math.exp(-damping * (K + 1))
-    if damping > 0 and K + 1 >= 2.0 * abs(z):
-        truncation = 1.1 * next_mod / (1.0 - math.exp(-damping))
-    else:
-        truncation = 1.1 * next_mod * (1.0 + (K + 1) / z.real)
+    first = abs(binoms[K + 1, 0]) * math.exp(-damping * (K + 1))
     report, rhs = _residual_report(
         family, order, om, lhs, binoms[: K + 1] * weights[:, None],
-        lambda lhs_scale, atom_scale: truncation + _float_fuzz(lhs_scale, atom_scale),
+        lambda lhs_scale, atom_scale: (_binomial_tail(exponents[0], K, first, damping)
+                                       + _float_fuzz(lhs_scale, atom_scale)),
         admissible)
     return report, lhs, rhs
 
@@ -512,6 +604,8 @@ def exp_difference_check(weights, grid) -> ResidualReport:
 _MELLIN_THETA = math.pi / 4
 _MELLIN_STEP = 0.1
 _MELLIN_U = np.arange(-40.0, 5.0, _MELLIN_STEP)
+# Past this |v| the rule loses more than about 1e-7 (see mellin_check).
+_MELLIN_VMAX = 20.0
 
 
 @dataclass(frozen=True)
@@ -544,11 +638,15 @@ def mellin_check(upsilon: Paravector, omega: float) -> MellinCheckResult:
     |v| = 6 and 2e-4 at |v| = 10.  The im z > 0 column loses about
     e^{pi |v|/4} (1e-11 at |v| = 10, 1e-2 at |v| = 40).  As alpha + beta u,
     lhs and rhs hold the im z < 0 column only to about 1e-16 e^{pi |v|} of
-    its size.
+    its size.  So |v| must not exceed 20: there the deviation was at most
+    about 1e-7 of |rhs| over x0 in {0.05, 0.5, 0.9} and w in {0.5, 1, 5},
+    against 6e-2 at |v| = 35 and NaN from overflowing terms at |v| = 1000.
     """
     dec = HypercomplexExponent.from_paravector(upsilon)
     if not 0.0 < dec.x0 < 1.0:
         raise DomainError(f"the Mellin check needs scalar part in (0, 1), got {dec.x0:g}")
+    if dec.vnorm > _MELLIN_VMAX:
+        raise DomainError(f"the Mellin check needs |v| <= {_MELLIN_VMAX:g}, got {dec.vnorm:g}")
     omega = float(omega)
     if not 0 < omega < math.inf:
         raise DomainError(f"the Mellin check needs finite omega > 0, got {omega:g}")

@@ -504,6 +504,26 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows2) == 4
 
 
+def test_successive_calls_share_no_parser_state(tmp_path, capsys):
+    # main reuses one parser; nothing from one call may reach the next
+    base = ["eval", "--family", "classical", "--n", "2", "--grid", "0:1:0.5"]
+    out = tmp_path / "out"
+    assert run_cli(base + ["--format", "json", "-o", str(out)]) == 0
+    assert out.read_text().lstrip().startswith("[")
+    assert run_cli(base + ["-o", str(out)]) == 0
+    assert out.read_text().startswith("x,value,terms_used\n")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid": "0:3:0.5", "format": "json"}))
+    args = ["eval", "--family", "classical", "--n", "2", "-o", str(out)]
+    assert run_cli(args + ["--config", str(conf)]) == 0
+    assert out.read_text().lstrip().startswith("[")
+    assert run_cli(args) == 1  # the config's grid is gone with its call
+    assert capsys.readouterr().err == "error: eval needs --grid start:stop:step\n"
+    assert run_cli(args + ["--grid", "0:1:0.5"]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"family": "classical", "wat": 1}))

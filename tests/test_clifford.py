@@ -337,6 +337,16 @@ def test_vector_norm_does_not_overflow():
     assert Paravector(2.5, [0.0, 0.0]).vector_norm() == 0.0
 
 
+def test_norm_does_not_overflow():
+    # abs(s) ** 2 on Python floats used to raise OverflowError
+    assert math.isclose(Paravector(1e200, [1e200]).norm(), math.sqrt(2.0) * 1e200,
+                        rel_tol=1e-15)
+    assert math.isclose(Paravector(3e200j, [4e200 + 0j]).norm(), 5e200, rel_tol=1e-15)
+    assert math.isclose(Paravector(3e-200, [0.0, 4e-200]).norm(), 5e-200, rel_tol=1e-15)
+    assert Paravector(1 + 2j, [2.0, 4.0]).norm() == 5.0
+    assert Paravector(0.0, [0.0]).norm() == 0.0
+
+
 def test_vector_norm_keeps_the_bits_of_the_plain_sum_in_range():
     # scaling by a power of two is exact: orders like the CLI's get the
     # same |v|, so their outputs keep their bits

@@ -25,6 +25,7 @@ from fracspline import (
     gamma,
     hat_en,
     mellin_check,
+    omega_a_fn,
     shifted_frac_derivative,
     verify_atom_identity_complex,
     verify_atom_identity_expz,
@@ -433,6 +434,12 @@ def test_mellin_domain_checks():
         mellin_check(Paravector(0.5, [0.0]), -1.0)
     with pytest.raises(DomainError):
         mellin_check(Paravector(0.5, [0.0]), float("nan"))
+    # past |v| = 20 the rule loses its digits: a deviation of 2e-2 at
+    # |v| = 40, NaN after overflow warnings at |v| = 1000
+    mellin_check(Paravector(0.5, [20.0]), 1.0)
+    for v in (40.0, 1000.0):
+        with pytest.raises(DomainError):
+            mellin_check(Paravector(0.5, [0.6 * v, 0.8 * v]), 1.0)
 
 
 # -- report plumbing ------------------------------------------------------------------------------
@@ -487,7 +494,10 @@ def atom_columns(K, ncols):
     return np.stack(cols, axis=1)
 
 
-@pytest.mark.parametrize("K", [1, 50, 400])
+# the edges of the block rule for M = K + 1 atoms, B = ceil(sqrt M): K = 0 is
+# one atom, K = 3 and 15 fill a B x B square, and K = 2, 16 and 17 leave the
+# last block part-filled
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 15, 16, 17, 50, 400])
 @pytest.mark.parametrize("ncols", [1, 2])
 def test_atom_sum_horner_matches_mpmath(K, ncols):
     special = np.array([0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e3, -1e3])
@@ -512,6 +522,21 @@ def test_atom_sum_shift_layouts_match_phase_matrix():
         vals = AtomSum(np.array(shifts), comps).evaluate(om)
         ref = phase_matrix_sum(shifts, comps, om)
         assert np.max(np.abs(vals - ref)) <= 1e-13 * np.sum(np.abs(comps)), shifts
+
+
+def test_atom_sum_value_does_not_depend_on_its_grid():
+    # blocks of 4096 frequencies, the last one padded: a frequency's value
+    # is the same bits on any grid and at any place in a block
+    # (the one-column Horner loop it replaced differed in 60% of them)
+    om = np.linspace(-12.0, 12.0, 10001)
+    cases = [AtomSum(np.arange(K + 1), atom_columns(K, ncols))
+             for K, ncols in ((400, 2), (50, 1), (3, 1))]
+    cases.append(AtomSum([-2, 1, 4], np.array([[1.0 + 2j], [-0.5], [3j]])))
+    for atoms in cases:
+        vals = atoms.evaluate(om)
+        for i in (0, 4095, 4096, 4097, 10000):
+            assert np.array_equal(atoms.evaluate(om[i:i + 1])[:, 0], vals[:, i]), i
+        assert np.array_equal(atoms.evaluate(om[4000:8200]), vals[:, 4000:8200])
 
 
 def test_atom_sum_horner_memory_is_linear_in_frequencies():
@@ -540,6 +565,51 @@ def test_verifiers_certify_on_a_fine_grid(z):
     if z == 5.99:
         assert verify_atom_identity_expz(0.7, 2.5 + 0.5j, 400, om).verified()
         assert verify_atom_identity_hc(Paravector(5.9, [0.3]), 400, om).verified()
+
+
+def test_fused_lhs_equals_the_product_of_principal_powers():
+    # exp(z (log b1 + log b2)) = b1^z b2^z everywhere: off the admissible
+    # set, at the zeros of Omega(2 pi m) and at w = 0, where b1 = 0.  Both
+    # forms round z log b, so they agree to 1e-14, or to a few eps |z| |log b|
+    # where Omega(2 pi m) ~ 1e-17 has |log Omega| ~ 37
+    from fracspline.fourier import _principal_log, _principal_power
+    from fracspline.fracops import _verify_binomial_atoms
+    om = np.concatenate([np.linspace(-30.0, 30.0, 6001),
+                         2 * math.pi * np.arange(-4, 5), [1e-300, -1e-300]])
+    for z, a in ((2.5 + 1j, 0.0), (1.1 + 8j, 0.0), (5.9 - 0.3j, 0.0), (2.5 + 1j, 0.7)):
+        base1 = a + 1j * om
+        base2 = omega_a_fn(a, om)
+        exps = (z, z.conjugate())
+        rep, lhs, _ = _verify_binomial_atoms("complex", "z", 20, om, base1, base2, exps,
+                                             damping=a)
+        assert a > 0 or not rep.admissible.all()  # zeros and w = 0 are excluded
+        product = _principal_power(base1, exps) * _principal_power(base2, exps)
+        zero = product == 0
+        assert np.array_equal(lhs == 0, zero)
+        rel = np.abs(lhs[~zero] - product[~zero]) / np.abs(product[~zero])
+        logs = np.abs(_principal_log(base1)[0]) + np.abs(_principal_log(base2)[0])
+        tol = np.maximum(1e-14, 4 * np.finfo(float).eps * abs(z) * (1 + logs))
+        assert np.all(rel <= np.broadcast_to(tol, zero.shape)[~zero]), (z, a, np.max(rel))
+
+
+# the truncation tail, sum_{k>K} |c_k|, bounds the residual of an exact
+# identity at every frequency; K = 5 at z = 1.1+8i is 7 times past the
+# first-dropped-atom estimate, where the binomials still grow
+TAIL_ORDERS = [1.1 + 8j, 1.5 + 5j, 1.1 - 10j, 2.5 + 10j, 3.3 - 6j, 4.0 + 0j, 5.9 + 2j]
+
+
+@pytest.mark.parametrize("z", TAIL_ORDERS)
+def test_tail_bound_bounds_the_residual(z):
+    om = np.linspace(-12.0, 12.0, 4001)
+    for K in (1, 2, 5, 12, 20, 37, 60, 150, 400):
+        reports = [verify_atom_identity_complex(z, K, om),
+                   verify_atom_identity_expz(0.05, z, K, om),
+                   verify_atom_identity_expz(1.5, z, K, om),
+                   verify_atom_identity_hc(Paravector(z.real, [0.6 * z.imag, 0.8 * z.imag]),
+                                           K, om)]
+        for rep in reports:
+            assert rep.max_residual <= rep.tail_bound, (rep.family, rep.order, K,
+                                                        rep.max_residual / rep.tail_bound)
 
 
 def test_report_json_schema():
