@@ -18,9 +18,11 @@ Each verifier applies a branch-admissibility filter: the split of the
 left-hand side into two principal powers is only valid where
 arg(base1) + arg(base2) stays in (-pi, pi], and points where a factor
 vanishes (so its log does not exist) are excluded and reported rather
-than silently patched.  The principal log of each base is taken once and
-serves both the filter and the left-hand side, exp(z (log base1 +
-log base2)).
+than silently patched.  Nothing else is excluded: the principal log of
+every base here, and the branch decision read from it, is reliable
+wherever it exists (see _admissible_split).  The principal log of each
+base is taken once and serves both the filter and the left-hand side,
+exp(z (log base1 + log base2)).
 
 The three complex-order identities are one check: the damped one weights
 atom k by e^{-ak}, and the hypercomplex one is the complex one at the
@@ -91,11 +93,6 @@ __all__ = [
     "exp_difference_check",
     "mellin_check",
 ]
-
-# Factors whose log modulus is below this (modulus 1e-14) have no usable
-# principal log.
-_LOG_FLOOR = math.log(1e-14)
-
 
 class SampledSignal:
     """Uniformly sampled signal on [start, start + (count-1) step],
@@ -393,13 +390,15 @@ def _admissible_split(log1: np.ndarray, log2: np.ndarray, zero: np.ndarray) -> n
     the principal logs of the two bases and the mask of their zeros.
 
     The split is valid exactly where arg base1 + arg base2 stays in
-    (-pi, pi]; frequencies where either factor is too small for a stable
-    log are not decidable and are excluded as well.
+    (-pi, pi]; a frequency where either base is 0 has no log and is
+    excluded as well.  Nothing else is: iw and a + iw are exact, omega_fn
+    keeps its relative precision at every nonzero value, and the damped
+    ratio's numerator has real part at least 1 - e^{-a} > 0, so the
+    principal logs, and the branch decision read from them, hold wherever
+    they exist.
     """
-    undefined = zero | (log1.real < _LOG_FLOOR) | (log2.real < _LOG_FLOOR)
     argsum = log1.imag + log2.imag
-    violated = (argsum <= -math.pi) | (argsum > math.pi)
-    admissible = ~undefined & ~violated
+    admissible = ~zero & (argsum > -math.pi) & (argsum <= math.pi)
     if not np.any(admissible):
         raise EmptyAdmissibleSetError(
             "no admissible frequencies on this grid; every point failed the "
@@ -588,7 +587,7 @@ def exp_difference_check(weights, grid) -> ResidualReport:
     om = _as_omegas(grid)
     lhs = hat_en(wts, om)
     for a in wts:
-        np.multiply(lhs, 1j * om - a, out=lhs)  # fixed operand order, as in hat_en
+        lhs = np.multiply(lhs, 1j * om - a)  # as in hat_en
     poly = exp_difference_coefficients(wts)
     return _residual_report(
         "exponential", "a=(" + ",".join(f"{a:g}" for a in wts) + ")", om, lhs[None],

@@ -25,8 +25,6 @@ from fracspline import (
     omega_a_fn,
     omega_fn,
 )
-from fracspline.fourier import RHO
-
 
 # -- base ratio ----------------------------------------------------------------
 
@@ -44,16 +42,43 @@ def test_omega_zeros():
         assert abs(omega_fn(2 * math.pi * k)) < 1e-15
 
 
-def test_omega_series_ratio_agree_at_switch():
-    for w in (RHO * 0.999, RHO * 1.001, -RHO * 0.999):
-        series_like = omega_fn(w)
-        ratio = (1 - cmath.exp(-1j * w)) / (1j * w)
-        assert abs(series_like - ratio) < 1e-14
+def test_omega_matches_mpmath_to_an_ulp():
+    # the floats next to every zero 2 pi m and 1e-9 and 1e-4 away, tiny |w|,
+    # both sides of |w| = 1e-2 and large |w|, against 40-digit values of
+    # (1 - e^{-iw}) / (iw): the quotient itself loses up to 1e-9 near 2 pi m
+    centres = 2 * math.pi * np.arange(-20, 21)
+    ws = np.concatenate([
+        np.linspace(-60.0, 60.0, 1200),
+        (centres[:, None] + [-1e-4, -1e-9, 1e-9, 1e-4]).ravel(),
+        np.nextafter(centres, math.inf), np.nextafter(centres, -math.inf),
+        [1e-300, -1e-300, 1e-20, -1e-15, 1e-8, 0.999e-2, 1.001e-2, -1e-2, 1e8, -1e8],
+    ])
+    got = omega_fn(ws)
+    with mpmath.workdps(40):
+        for w, value in zip(ws, got):
+            iw = mpmath.mpc(0, float(w))
+            ref = (1 - mpmath.exp(-iw)) / iw
+            assert abs(mpmath.mpc(complex(value)) - ref) <= 1e-15 * abs(ref), w
 
 
 def test_omega_conjugate_symmetry():
-    ws = np.linspace(0.1, 30, 57)
-    assert np.allclose(omega_fn(-ws), np.conj(omega_fn(ws)), rtol=0, atol=1e-15)
+    ws = np.concatenate([np.linspace(0.1, 30, 57), 2 * math.pi * np.arange(1, 6),
+                         [1e-300, 1e-15, 1e-2, 1e8]])
+    assert np.array_equal(omega_fn(-ws), np.conj(omega_fn(ws)))
+
+
+@pytest.mark.parametrize("transform", [
+    omega_fn,
+    lambda w: omega_a_fn(0.7, w),
+    lambda w: hat_bz(2.5 + 1j, w),
+    lambda w: hat_ez(0.7, 2.5 + 1j, w),
+])
+def test_one_frequency_gets_the_bits_of_its_grid(transform):
+    ws = np.linspace(-12.0, 12.0, 5001)
+    grid = transform(ws)
+    for i in range(0, ws.size, 7):
+        assert transform(ws[i]) == grid[i], ws[i]
+        assert transform(ws[i:i + 1])[0] == grid[i], ws[i]
 
 
 def test_omega_a_values():
@@ -63,6 +88,12 @@ def test_omega_a_values():
     got = omega_a_fn(1.0, math.pi)
     ref = (1 + math.exp(-1)) / (1j * math.pi + 1)
     assert abs(got - ref) < 1e-15
+
+
+def test_omega_a_rejects_a_non_finite_damping():
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            omega_a_fn(a, np.linspace(-3, 3, 7))
 
 
 # -- transforms -----------------------------------------------------------------
@@ -117,10 +148,14 @@ def test_hat_en_is_product_of_negated_ratios():
 
 def test_hat_en_does_not_depend_on_grid_size():
     # a grid past numpy's 256 KiB temporary-elision threshold used to round
-    # its complex products with the operands swapped
+    # its complex products with the operands swapped, and a single
+    # frequency rounded an in-place product differently
     ws = np.linspace(-40.0, 40.0, 73333)
     weights = (1.119155, -0.369429)
-    assert np.array_equal(hat_en(weights, ws)[:1000], hat_en(weights, ws[:1000]))
+    grid = hat_en(weights, ws)
+    assert np.array_equal(grid[:1000], hat_en(weights, ws[:1000]))
+    for i in range(0, 1000, 7):
+        assert hat_en(weights, ws[i]) == grid[i], ws[i]
 
 
 def test_hat_en_dft_consistency():

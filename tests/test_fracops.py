@@ -388,6 +388,8 @@ def test_exp_difference_residuals_do_not_depend_on_grid_size():
     weights = (1.119155, -0.369429)
     whole = exp_difference_check(weights, ws).residuals
     assert np.array_equal(whole[:1000], exp_difference_check(weights, ws[:1000]).residuals)
+    for i in range(0, 1000, 7):
+        assert exp_difference_check(weights, [ws[i]]).residuals[0] == whole[i], ws[i]
 
 
 def test_exp_difference_classical_limit():
@@ -569,9 +571,9 @@ def test_verifiers_certify_on_a_fine_grid(z):
 
 def test_fused_lhs_equals_the_product_of_principal_powers():
     # exp(z (log b1 + log b2)) = b1^z b2^z everywhere: off the admissible
-    # set, at the zeros of Omega(2 pi m) and at w = 0, where b1 = 0.  Both
-    # forms round z log b, so they agree to 1e-14, or to a few eps |z| |log b|
-    # where Omega(2 pi m) ~ 1e-17 has |log Omega| ~ 37
+    # set, next to the zeros of Omega at 2 pi m and at w = 0, where b1 = 0.
+    # Both forms round z log b, so they agree to 1e-14, or to a few
+    # eps |z| |log b| where Omega(2 pi m) ~ 1e-17 has |log Omega| ~ 37
     from fracspline.fourier import _principal_log, _principal_power
     from fracspline.fracops import _verify_binomial_atoms
     om = np.concatenate([np.linspace(-30.0, 30.0, 6001),
@@ -582,7 +584,7 @@ def test_fused_lhs_equals_the_product_of_principal_powers():
         exps = (z, z.conjugate())
         rep, lhs, _ = _verify_binomial_atoms("complex", "z", 20, om, base1, base2, exps,
                                              damping=a)
-        assert a > 0 or not rep.admissible.all()  # zeros and w = 0 are excluded
+        assert a > 0 or not rep.admissible.all()  # w = 0 is excluded
         product = _principal_power(base1, exps) * _principal_power(base2, exps)
         zero = product == 0
         assert np.array_equal(lhs == 0, zero)
@@ -590,6 +592,22 @@ def test_fused_lhs_equals_the_product_of_principal_powers():
         logs = np.abs(_principal_log(base1)[0]) + np.abs(_principal_log(base2)[0])
         tol = np.maximum(1e-14, 4 * np.finfo(float).eps * abs(z) * (1 + logs))
         assert np.all(rel <= np.broadcast_to(tol, zero.shape)[~zero]), (z, a, np.max(rel))
+
+
+def test_verifiers_admit_every_nonzero_frequency():
+    # Omega keeps its relative precision at the floats next to its zeros
+    # 2 pi m and at tiny |w|, so only w = 0, where iw = 0, is excluded, and
+    # there the residual, about the whole tail sum_{k>K} c_k, is in bound
+    near = 2 * math.pi * np.arange(-5, 6)[:, None] + [-3e-15, -1e-15, 0.0, 1e-15, 3e-15]
+    om = np.concatenate([np.linspace(-33.0, 33.0, 6601), near.ravel(),
+                         [1e-300, -1e-20, 1e-15]])
+    reports = [verify_atom_identity_complex(2.5 + 1j, 200, om),
+               verify_atom_identity_complex(1.1 + 8j, 200, om),
+               verify_atom_identity_complex(1.5, 200, om),
+               verify_atom_identity_hc(Paravector(2.5, [1.0, 1.0]), 200, om)]
+    for rep in reports:
+        assert np.array_equal(rep.admissible, om != 0), rep.order
+        assert rep.max_residual <= rep.tail_bound, (rep.order, rep.max_residual / rep.tail_bound)
 
 
 # the truncation tail, sum_{k>K} |c_k|, bounds the residual of an exact
