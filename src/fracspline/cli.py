@@ -21,18 +21,18 @@ arithmetic (Dekker's two-product, 10^s from a table of exact hi + lo
 pairs).  A cell that product cannot certify is written by "%.16e" itself:
 non-finite cells, |x| outside [1e-280, 1e280], fractions within 2^-30 of
 .5 (ties included), and digits that round up to 10^17 (9.99...95
-carrying into the next exponent).  _json_layout lays out the verify
-report and the JSON record of a table row alike.  A fracop input CSV is
-parsed by one np.loadtxt call; when that raises or a sample is not
-finite, a line-by-line float parse runs instead, which names the file
-line of a bad sample.
+carrying into the next exponent).  A piece is one word matrix whose
+unused bytes are NUL, and one bytes.translate drops them.  _json_layout
+lays out the verify report and the JSON record of a table row alike.  A
+fracop input CSV is parsed by one np.loadtxt call; when that raises or a
+sample is not finite, a line-by-line float parse runs instead, which
+names the file line of the first bad sample.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
@@ -136,18 +136,18 @@ _POW10_SCALES = range(-270, 301)
 # here too, and "%.16e" settles them all
 _HALF_MARGIN = 2.0 ** -30
 
-# Rows are built as little-endian 4-byte words, each with a mask word whose
-# bytes are 1 where the text byte is in use and 0 where it is padding.
+# Rows are built as little-endian 4-byte words whose padding bytes are NUL;
+# a piece drops them all at once, so no literal or cell may hold a NUL.
 _WORD = np.dtype("<u4")
-# a float cell: "\0-d." (padding, sign, leading digit, point), four words
-# of digits, and the exponent "e+HT" "O\0\0\0"
-_FLOAT_WORDS = 7
+# a float cell, the 24 bytes of the longest "%.16e": "-d.d" (sign or NUL,
+# the leading digit, the point and one digit), three words of four digits,
+# "ddde", and the exponent "+05" or "+105" NUL-padded to a word
+_FLOAT_WORDS = 6
 
 
-def _words(text: bytes, used: bytes):
-    """text and its mask as words, zero-padded to a whole word."""
-    pad = bytes(-len(text) % 4)
-    return np.frombuffer(text + pad, _WORD), np.frombuffer(used + pad, _WORD)
+def _words(text: bytes):
+    """text as words, NUL-padded to a whole word."""
+    return np.frombuffer(text + bytes(-len(text) % 4), _WORD)
 
 
 def _pow10_pairs():
@@ -167,17 +167,17 @@ _POW10_HI, _POW10_LO = _pow10_pairs()
 # word i holds the four ASCII digits of i, zero-padded
 _DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(
     np.uint8).view(_WORD).ravel()
-# word k keeps the last k bytes of a word in use
-_TAIL_USED = np.frombuffer(b"".join(bytes(4 - k) + b"\1" * k for k in range(5)), _WORD)
-# the exponent "e+05" or "e+105" of a float cell as two words, for E in
-# +-_EXP_MAX; the hundreds digit is in use only for three-digit exponents
+# word k keeps the last k bytes of a word and sets the others to NUL
+_TAIL_KEEP = _words(b"".join(bytes(4 - k) + b"\xff" * k for k in range(5)))
+# word 100 s + i of a float cell's head: sign (s = 1) or NUL, then i as "d.d"
+_HEAD = _words(b"".join(b"%c%d.%d" % (sign, i // 10, i % 10)
+                        for sign in b"\0-" for i in range(100)))
+# word i: the last three digits "%03d" % i and the e of the exponent
+_DIGITS3E = _words(b"".join(b"%03de" % i for i in range(1000)))
+# the exponent's sign and digits as one word, for E in +-_EXP_MAX
 _EXP_MAX = 300
-_EXP_TEXT, _EXP_USED = (a.reshape(-1, 2).T.copy() for a in _words(
-    b"".join(b"e%+04d\0\0\0" % e for e in range(-_EXP_MAX, _EXP_MAX + 1)),
-    b"".join(b"\1\1%c\1\1\0\0\0" % (abs(e) >= 100) for e in range(-_EXP_MAX, _EXP_MAX + 1))))
-# the first word of a float cell, before its leading digit is added
-_HEAD_TEXT = int.from_bytes(b"\0-0.", "little")
-_HEAD_USED = int.from_bytes(b"\0\0\1\1", "little")
+_EXP_TEXT = _words(b"".join((b"%+03d" % e).rjust(4, b"\0")
+                            for e in range(-_EXP_MAX, _EXP_MAX + 1)))
 # 10^1 .. 10^19: an integer has one digit more than the number it reaches
 _INT_POW10 = np.array([10 ** k for k in range(1, 20)], dtype=np.uint64)
 
@@ -203,8 +203,8 @@ def _scaled17(mag, e):
 
 
 def _float_cells(values):
-    """The words of "%.16e" % v for each float v, and their masks: two
-    (count, _FLOAT_WORDS) word arrays.
+    """The words of "%.16e" % v for each float v, NUL-padded: a (count,
+    _FLOAT_WORDS) word array.
 
     The 17 digits are |v| 10^(16 - E) rounded to the nearest integer, the
     product taken in double-double arithmetic.  Cells whose digits that
@@ -224,47 +224,39 @@ def _float_cells(values):
         e[off] += np.where(n[off] < 10 ** 16, -1, 1)
         n[off], frac[off] = _scaled17(mag[off], e[off])
     n += frac > 0.5
-    slow = ~fast & (v != 0)
-    slow |= fast & (np.abs(frac - 0.5) < _HALF_MARGIN)
     # n = 10^17 (9.99...95 carrying into the next exponent, 14 doubles in
     # all) and any other n without 17 digits go to the fallback too
-    slow |= fast & ((n < 10 ** 16) | (n >= 10 ** 17))
-    n[~fast] = 0  # zeros, and placeholders for the slow cells
+    slow = (np.abs(frac - 0.5) < _HALF_MARGIN) | (n < 10 ** 16) | (n >= 10 ** 17)
+    slow = np.where(fast, slow, v != 0)
+    n[~fast | slow] = 0  # zeros, and placeholders for the slow cells
     e[~fast] = 0
 
     text = np.empty((v.size, _FLOAT_WORDS), _WORD)
-    used = np.empty_like(text)
     # digit groups by floor division alone, which numpy does by a
-    # multiplication when the divisor is a scalar
-    lead = n // 10 ** 16
-    n -= lead * 10 ** 16
-    high = n // 10 ** 8
-    text[:, 0] = _HEAD_TEXT + (lead << 16).astype(_WORD)
-    used[:, 0] = _HEAD_USED + (np.signbit(v).astype(_WORD) << 8)
-    for w, eight in ((1, high), (3, n - high * 10 ** 8)):
-        eight = eight.astype(np.uint32)
-        four = eight // 10 ** 4
-        text[:, w] = _DIGITS4[four]
-        text[:, w + 1] = _DIGITS4[eight - four * 10 ** 4]
-    used[:, 1:5] = _TAIL_USED[4]
-    for w in (0, 1):
-        text[:, 5 + w] = _EXP_TEXT[w][e + _EXP_MAX]
-        used[:, 5 + w] = _EXP_USED[w][e + _EXP_MAX]
+    # multiplication when the divisor is a scalar; the indices stay int64,
+    # as numpy converts any other index before it gathers
+    top = n // 10 ** 15
+    text[:, 0] = _HEAD[top + 100 * np.signbit(v)]
+    n -= top * 10 ** 15
+    for w, scale in ((1, 10 ** 11), (2, 10 ** 7), (3, 10 ** 3)):
+        group = n // scale
+        text[:, w] = _DIGITS4[group]
+        n -= group * scale
+    text[:, 4] = _DIGITS3E[n]
+    text[:, 5] = _EXP_TEXT[e + _EXP_MAX]
     if slow.any():
-        # one %-format for all of them, each padded by spaces to the 28
-        # bytes of its _FLOAT_WORDS words; "%.16e" writes no space itself
+        # one %-format for all of them, each padded to the 24 bytes of its
+        # _FLOAT_WORDS words; "%.16e" writes no space itself
         rest = v[slow].tolist()
-        cells = np.frombuffer(b"%-28.16e" * len(rest) % tuple(rest), np.uint8)
-        cells = cells.reshape(len(rest), -1)
-        text[slow] = cells.view(_WORD)
-        used[slow] = (cells != ord(" ")).view(np.uint8).view(_WORD)
-    return text, used
+        cells = (b"%-24.16e" * len(rest) % tuple(rest)).replace(b" ", b"\0")
+        text[slow] = np.frombuffer(cells, _WORD).reshape(len(rest), _FLOAT_WORDS)
+    return text
 
 
 def _int_cells(values):
-    """The words of "%d" % v for each integer or boolean v, and their
-    masks: two (count, 1 + g) word arrays, a sign word and g words of
-    four digits, g set by the longest cell."""
+    """The words of "%d" % v for each integer or boolean v, NUL-padded: a
+    (count, 1 + g) word array, a sign word and g words of four digits, g
+    set by the longest cell."""
     v = np.asarray(values).ravel()
     if v.dtype.kind == "u":
         neg, mag = np.zeros(v.size, bool), v.astype(np.uint64)
@@ -275,45 +267,35 @@ def _int_cells(values):
     digits = 1 + np.searchsorted(_INT_POW10, mag, side="right")
     g = -(-int(digits.max(initial=1)) // 4)
     text = np.empty((v.size, 1 + g), _WORD)
-    used = np.empty_like(text)
-    text[:, 0] = ord("-") << 24
-    used[:, 0] = neg.astype(_WORD) << 24
+    text[:, 0] = neg.astype(_WORD) * (ord("-") << 24)
     for w in range(g, 0, -1):
         rest = mag // np.uint64(10 ** 4)
-        text[:, w] = _DIGITS4[mag - rest * np.uint64(10 ** 4)]
-        used[:, w] = _TAIL_USED[np.clip(digits - 4 * (g - w), 0, 4)]
+        # leading zeros are ANDed to NUL
+        text[:, w] = _DIGITS4[mag - rest * np.uint64(10 ** 4)] & _TAIL_KEEP[
+            np.clip(digits - 4 * (g - w), 0, 4)]
         mag = rest
-    return text, used
+    return text
 
 
 def _rows_text(literals, specs, columns) -> str:
     """Rows literals[0] cell literals[1] cell ... literals[-1], the cells
     of column j written by specs[j] ("%.16e" or "%d"): the text the
     %-template gives.  The piece is laid out as one rows x width word
-    matrix and its padding bytes are dropped."""
+    matrix whose padding bytes are NUL, and one translate drops them."""
     rows = columns[0].size
-    blocks = []  # words of each literal and cell in row order, with masks
+    floats = [j for j, spec in enumerate(specs) if spec == "%.16e"]
+    # every float column of the piece in one pass, column after column
+    cells = _float_cells([columns[j] for j in floats])
+    cells = dict(zip(floats, cells.reshape(len(floats), rows, _FLOAT_WORDS)))
+    blocks = []  # words of each literal and cell in row order
     for j, literal in enumerate(literals):
-        raw = literal.encode("ascii")
-        blocks.append(_words(raw, b"\1" * len(raw)))
+        words = _words(literal.encode("ascii"))
+        blocks.append(np.broadcast_to(words, (rows, words.size)))
         if j < len(specs):
-            # a float column is written once its place in the matrix is
-            # known, so that only one column's temporaries are alive
-            blocks.append(j if specs[j] == "%.16e" else _int_cells(columns[j]))
-    widths = [_FLOAT_WORDS if isinstance(b, int) else b[0].shape[-1] for b in blocks]
-    text = np.empty((rows, sum(widths)), _WORD)
-    used = np.empty_like(text)
-    at = 0
-    for block, width in zip(blocks, widths):
-        if isinstance(block, int):
-            block = _float_cells(columns[block])
-        text[:, at:at + width], used[:, at:at + width] = block
-        at += width
-    # a boolean index copies the kept bytes without the index array that
-    # np.compress would build, 8 bytes per byte kept
-    kept = text.view(np.uint8)[used.view(bool)]
-    del text, used  # the piece's peak memory is both matrices and kept
-    return str(kept, "ascii")
+            blocks.append(cells[j] if j in cells else _int_cells(columns[j]))
+    text = np.concatenate(blocks, axis=1)
+    del blocks, cells  # the piece's peak is the matrix, its bytes and the kept text
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _table_text(fmt: str, header: list[str], columns, fields=None):
@@ -556,24 +538,36 @@ def _read_signal_csv(path: str) -> SampledSignal:
 
 def _signal_lines(lines, skip: int):
     """(x, value) rows of the lines after the first skip, parsed one line
-    at a time by float; a bad line raises SignalFormatError with its line
-    number in the file."""
-    rows = []
+    at a time by float; the first bad line in the file, malformed or with
+    a sample that is not finite, raises SignalFormatError with its line
+    number.  Finiteness is checked once over the rows parsed, and the file
+    line of a row is looked up only when that check fails."""
+    xs, vs, error = [], [], None
     for line_no, line in enumerate(lines[skip:], start=skip + 1):
         line = line.strip()
         if not line:
             continue
         cells = line.split(",")
         if len(cells) < 2:
-            raise SignalFormatError(f"line {line_no}: need columns x,value")
+            error = SignalFormatError(f"line {line_no}: need columns x,value")
+            break
         try:
-            row = float(cells[0]), float(cells[1])
+            x, v = float(cells[0]), float(cells[1])
         except ValueError as exc:
-            raise SignalFormatError(f"line {line_no}: {exc}") from exc
-        if not all(map(math.isfinite, row)):
-            raise SignalFormatError(f"line {line_no}: samples must be finite, got {line!r}")
-        rows.append(row)
-    return np.array(rows).reshape(-1, 2)
+            error = SignalFormatError(f"line {line_no}: {exc}")
+            break
+        xs.append(x)
+        vs.append(v)
+    data = np.column_stack([xs, vs])
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        # the non-blank lines after skip are the rows, in order
+        line_no = [n for n, line in enumerate(lines[skip:], start=skip + 1) if line.strip()][bad[0]]
+        raise SignalFormatError(f"line {line_no}: samples must be finite, "
+                                f"got {lines[line_no - 1].strip()!r}")
+    if error is not None:
+        raise error
+    return data
 
 
 def _is_number(text: str) -> bool:

@@ -2,13 +2,18 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspline.cli import main
 
@@ -799,6 +804,102 @@ def test_table_text_near_half_fractions():
     want = "x\n" + "".join("%.16e\n" % v for v in xs.tolist())
     got = "".join(_table_text("csv", ["x"], [xs]))
     assert first_difference(got, want) is None
+
+
+# every float64 bit pattern, and the cells _float_cells hands to "%.16e":
+# subnormals, |x| past 1e280, non-finite ones, digits that carry into 10^17
+# and fractions next to .5
+FALLBACK_FLOATS = [5e-324, 2.225073858507201e-308, 1e-281, 1e281, 1.7976931348623157e308,
+                   math.inf, -math.inf, math.nan,
+                   *(float(f"9.99999999999999995e{k}") for k in (-200, -17, 0, 22, 150)),
+                   *near_half_doubles([-40, 40]).tolist()]
+FLOAT_CELLS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+    st.sampled_from(FALLBACK_FLOATS + [-v for v in FALLBACK_FLOATS]),
+    st.floats(allow_subnormal=True))
+INT_CELLS = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1), st.sampled_from([-2 ** 63, 2 ** 63 - 1]))
+COLUMN_KINDS = {"float": (FLOAT_CELLS, np.float64), "int": (INT_CELLS, np.int64),
+                "bool": (st.booleans(), bool)}
+
+
+@st.composite
+def small_tables(draw):
+    """(header, columns, fields): 0-9 rows of 1-5 float, int64 or boolean
+    columns, and for JSON records nested as transform writes them or flat."""
+    rows = draw(st.integers(0, 9))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
+    columns = [np.array(draw(st.lists(COLUMN_KINDS[k][0], min_size=rows, max_size=rows)),
+                        dtype=COLUMN_KINDS[k][1]) for k in kinds]
+    header = [f"c{i}" for i in range(len(kinds))]
+    specs = ["%.16e" if k == "float" else "%d" for k in kinds]
+    fields = None
+    if len(kinds) > 1 and draw(st.booleans()):
+        fields = {header[0]: specs[0], "value": dict(zip(header[1:], specs[1:]))}
+    return header, columns, fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=small_tables(), fmt=st.sampled_from(["csv", "json"]),
+       piece=st.sampled_from([1, 3, 4096]))
+def test_table_text_property_matches_the_template_oracle(table, fmt, piece):
+    # padding bytes are NUL and each piece drops them: no cell, sign,
+    # exponent or fallback text may lose or keep a byte it should not
+    import fracspline.cli
+
+    header, columns, fields = table
+    args = (fmt, header, columns, fields if fmt == "json" else None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracspline.cli, "_ROWS_PER_PIECE", piece)
+        got = "".join(fracspline.cli._table_text(*args))
+    assert first_difference(got, template_table_text(*args)) is None
+
+
+def test_command_templates_hold_no_nul(tmp_path, monkeypatch):
+    # a piece drops every NUL byte of its text, a literal's too
+    import fracspline.cli
+    from fracspline.cli import _json_layout
+
+    calls, table_text = [], fracspline.cli._table_text
+
+    def spy(fmt, header, columns, fields=None):
+        calls.append((header, fields))
+        return table_text(fmt, header, columns, fields)
+
+    monkeypatch.setattr(fracspline.cli, "_table_text", spy)
+    out, src = str(tmp_path / "out"), tmp_path / "in.csv"
+    for fam, order in EVAL_ORDERS.items():
+        for cmd, grid in (("eval", "--grid=-1:1:0.5"), ("transform", "--grid=-1:1:0.5")):
+            for fmt in ("csv", "json"):
+                assert run_cli([cmd, "--family", fam, *order, grid, "--format", fmt,
+                                "-o", out]) == 0
+    write_signal(src, lambda x: x, stop=0.01)
+    for op in ("integral", "derivative", "shifted-derivative"):
+        assert run_cli(["fracop", "--op", op, "--z", "0.5", "--a", "0.7", "--input", str(src),
+                        "-o", out]) == 0
+    assert len(calls) == 4 * len(EVAL_ORDERS) + 3
+    for header, fields in calls:
+        literals = ",".join(header) + _json_layout(fields or dict.fromkeys(header, 0), 1, str)
+        assert "\0" not in literals, (header, fields)
+
+
+def test_table_text_memory_stays_per_piece():
+    # the writer holds one piece at a time: its peak does not grow with rows
+    from fracspline.cli import _table_text
+
+    peaks = []
+    for rows in (50_000, 200_000):
+        x = np.linspace(0.0, 60.0, rows)
+        columns = [x, np.sin(x), np.cos(x), np.arange(rows) % 60]
+        tracemalloc.start()
+        try:
+            for piece in _table_text("json", ["x", "value_re", "value_im", "terms_used"],
+                                     columns):
+                pass
+            del piece
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0] < 8e6, peaks
 
 
 # -- determinism across interpreters -------------------------------------------------
