@@ -270,8 +270,8 @@ def _int_cells(values):
     text[:, 0] = neg.astype(_WORD) * (ord("-") << 24)
     for w in range(g, 0, -1):
         rest = mag // np.uint64(10 ** 4)
-        # leading zeros are ANDed to NUL
-        text[:, w] = _DIGITS4[mag - rest * np.uint64(10 ** 4)] & _TAIL_KEEP[
+        # an int64 index, which numpy gathers unconverted; leading zeros are ANDed to NUL
+        text[:, w] = _DIGITS4[(mag - rest * np.uint64(10 ** 4)).astype(np.int64)] & _TAIL_KEEP[
             np.clip(digits - 4 * (g - w), 0, 4)]
         mag = rest
     return text
@@ -455,11 +455,7 @@ def run_eval(args) -> int:
         values = [eval_bn(order, xs)]
     elif fam == "hypercomplex":
         alpha, beta, dec = eval_bupsilon_components(order, xs)
-        zero = np.zeros(xs.size)
-        vector = [zero] * dec.n if dec.u is None else [beta * uj for uj in dec.u.tolist()]
-        values = [alpha, zero]
-        for comp in vector:
-            values += [comp, zero]
+        values = [part for comp in dec.components(alpha, beta) for part in (comp.real, comp.imag)]
     elif fam == "fractional":
         values = [eval_bz(order, x=xs).real]
     else:
@@ -478,22 +474,16 @@ def run_transform(args) -> int:
     fam, order = args.family, _family_order(args)
     if fam == "hypercomplex":
         alpha, beta, dec = hat_bupsilon_components(order, omegas)
-        values = [alpha.real, alpha.imag]
-        for uj in (dec.u if dec.u is not None else np.zeros(dec.n)).tolist():
-            # beta * (uj + 0i) spelled out: the signed zeros of scalar
-            # complex arithmetic, which the vector loop does not keep
-            values += [beta.real * uj - beta.imag * 0.0,
-                       beta.real * 0.0 + beta.imag * uj]
+        comps = dec.components(alpha, beta)
+    elif fam == "classical":
+        comps = [omega_fn(omegas) ** order]
+    elif fam == "exponential":
+        comps = [hat_en(order, omegas)]
+    elif fam == "complex-exponential":
+        comps = [hat_ez(*order, omegas)]
     else:
-        if fam == "classical":
-            vals = omega_fn(omegas) ** order
-        elif fam == "exponential":
-            vals = hat_en(order, omegas)
-        elif fam == "complex-exponential":
-            vals = hat_ez(*order, omegas)
-        else:
-            vals = hat_bz(complex(order), omegas)
-        values = [vals.real, vals.imag]
+        comps = [hat_bz(complex(order), omegas)]
+    values = [part for comp in comps for part in (comp.real, comp.imag)]
     _require_finite(f"transform of the {fam} family", values)
     header = _value_header(len(values))
     fields = {"omega": "%.16e", "value": {h: "%.16e" for h in header}}
@@ -630,7 +620,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The parser; an absent flag named in defaults takes its value there."""
     parser = _Parser(prog="fracspline",
                      description="spline families of generalized order and "
                                  "their fractional operators")
@@ -652,6 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default="-", help="output path or - for stdout")
         if table:
             p.add_argument("--format", choices=_CHOICES["format"], default="csv")
+        # options added after this call take these defaults too
+        p.set_defaults(**(defaults or {}))
         return p
 
     add_command("eval", "evaluate a spline family on an x grid", family=True, table=True)
@@ -684,10 +677,9 @@ def _config_int(key, value) -> int:
     raise UsageError(f"config key {key!r} needs an integer, got {value!r}")
 
 
-def _merge_config(args, argv) -> None:
-    """Fill unset options from the JSON config; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args) -> dict:
+    """The checked values of the JSON config file args.config, by option
+    name: the defaults of its flags, so an explicit flag wins in any spelling."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             conf = json.load(fh)
@@ -697,14 +689,11 @@ def _merge_config(args, argv) -> None:
         raise UsageError(f"config {args.config!r} is not valid JSON: {exc}") from exc
     if not isinstance(conf, dict):
         raise UsageError("config file must hold a JSON object")
-    passed = {tok[2:].split("=", 1)[0].replace("-", "_")
-              for tok in argv if tok.startswith("--")}
+    defaults = {}
     for key, value in conf.items():
         dest = str(key).replace("-", "_")
         if dest in ("command", "config") or not hasattr(args, dest):
             raise UsageError(f"unknown config key {key!r}")
-        if dest in passed:
-            continue
         try:
             if dest in ("n", "K"):
                 value = _config_int(key, value)
@@ -718,12 +707,13 @@ def _merge_config(args, argv) -> None:
             raise UsageError(f"config key {key!r} needs a number, got {value!r}") from exc
         if dest in _CHOICES and value not in _CHOICES[dest]:
             raise UsageError(f"unknown {dest} {value!r}")
-        setattr(args, dest, value)
+        defaults[dest] = value
+    return defaults
 
 
 # Built once: building takes longer than parsing one command line, and
-# parse_args keeps no state between calls (each returns a new namespace,
-# which _merge_config fills).
+# parse_args keeps no state between calls (each returns a new namespace).
+# A config file gets a parser of its own, whose defaults are its values.
 _PARSER = build_parser()
 
 
@@ -732,7 +722,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _PARSER.parse_args(argv)
-        _merge_config(args, argv)
+        if args.config:
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         if args.command in ("eval", "transform"):
             _require(args.grid is not None, f"{args.command} needs --grid start:stop:step")
         if args.command == "eval":

@@ -1,17 +1,18 @@
 """Paravectors (hypercomplex numbers s + v in Cl(n), whose generators
-anticommute and square to -1), the hypercomplex power, and the map back
-from the idempotent split of the complexified subalgebra span{1, u}.
+anticommute and square to -1), the hypercomplex power, and the lift
+between span{1, u} and C.
 
 The library needs no more of Cl(n) than this: the powers, Gamma values,
 binomials and B-splines of an order x0 + |v| u all lie in span{1, u},
 which is a copy of C, so two paravectors are multiplied in closed form and
-a product that leaves the paravector space is an error.  Every value is
-immutable after construction and every operation is a pure function.
+a product that leaves the paravector space is an error.  The lift is
+HypercomplexExponent's: every hypercomplex function is its complex
+counterpart at z = x0 + i|v|, mapped back once by components.  Every value
+is immutable after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -195,10 +196,29 @@ class HypercomplexExponent:
         u.setflags(write=False)
         return cls(float(p.s), vn, u, p.n)
 
+    @property
+    def z(self) -> complex:
+        """x0 + i|v|, the image of the order under u -> i."""
+        return complex(self.x0, self.vnorm)
+
+    def components(self, alpha, beta) -> list:
+        """[alpha, beta u_1, ..., beta u_n], the components of alpha + beta u,
+        for numbers or arrays.  A complex beta u_j is beta (u_j + 0i) with
+        the signed zeros of scalar complex arithmetic, whatever loop numpy
+        picks; with v = 0, u is undefined and the vector part is +0.0."""
+        beta = np.asarray(beta)
+        if self.u is None:
+            return [alpha, *np.zeros((self.n, *beta.shape), beta.dtype)]
+        if not np.iscomplexobj(beta):
+            return [alpha, *np.multiply.outer(self.u, beta)]
+        vector = np.empty((self.n, *beta.shape), complex)
+        np.subtract(np.multiply.outer(self.u, beta.real), beta.imag * 0.0, out=vector.real)
+        np.add(beta.real * 0.0, np.multiply.outer(self.u, beta.imag), out=vector.imag)
+        return [alpha, *vector]
+
     def paravector(self, alpha, beta) -> Paravector:
-        """alpha + beta u, the value of the pair (alpha, beta) of span{1, u};
-        beta is dropped when the vector part is zero and u is undefined."""
-        return Paravector(alpha, np.zeros(self.n) if self.u is None else beta * self.u)
+        """alpha + beta u as a Paravector: the components at one value."""
+        return Paravector(alpha, self.components(alpha, beta)[1:])
 
 
 # -- commuting subalgebra -------------------------------------------------
@@ -214,22 +234,12 @@ def subalgebra_from_idempotent(p, q):
     return (p + q) / 2, (p - q) / 2j
 
 
-def _principal_log(z: complex) -> complex:
-    if z == 0:
-        raise DomainError("log of zero")
-    if z.imag == 0 and z.real < 0:
-        raise BranchCutError(
-            f"base {z!r} lies on the negative real axis; principal power undefined"
-        )
-    return cmath.log(z)
-
-
 def hc_power(z, upsilon: Paravector) -> Paravector:
-    """Hypercomplex power z^Y = z^{x0} (cos(|v| log z) + u sin(|v| log z)).
+    """Hypercomplex power z^Y = z^{x0} (cos(|v| log z) + u sin(|v| log z)),
+    from the principal powers z^{x0 +- i|v|} by the idempotent split.
 
-    Uses the principal branch of log z.  z = 0 maps to 0 when x0 > 0 (the
-    modulus factor dominates the bounded oscillation) and is a domain error
-    otherwise.
+    z = 0 maps to 0 when x0 > 0 (the modulus factor dominates the bounded
+    oscillation) and is a domain error otherwise.
     """
     dec = HypercomplexExponent.from_paravector(upsilon)
     z = complex(z)
@@ -237,9 +247,8 @@ def hc_power(z, upsilon: Paravector) -> Paravector:
         if dec.x0 > 0:
             return Paravector(0.0 + 0.0j, np.zeros(dec.n, dtype=complex))
         raise DomainError("0 cannot be raised to an exponent with scalar part <= 0")
-    logz = _principal_log(z)
-    mod = cmath.exp(dec.x0 * logz)
-    if dec.u is None:
-        return Paravector(mod, np.zeros(dec.n, dtype=complex))
-    theta = dec.vnorm * logz
-    return Paravector(mod * cmath.cos(theta), (mod * cmath.sin(theta)) * dec.u)
+    if z.imag == 0 and z.real < 0:
+        raise BranchCutError(
+            f"base {z!r} lies on the negative real axis; principal power undefined"
+        )
+    return dec.paravector(*subalgebra_from_idempotent(z ** dec.z, z ** dec.z.conjugate()))

@@ -145,8 +145,7 @@ def hat_bupsilon_components(upsilon: Paravector, omega):
     Omega^z and Omega^{conj z}, z = x0 + i|v|."""
     dec = hypercomplex_exponent(upsilon)
     om = omega_fn(np.atleast_1d(np.asarray(omega, dtype=float)))
-    z = complex(dec.x0, dec.vnorm)
-    alpha, beta = subalgebra_from_idempotent(*_principal_power(om, [z, z.conjugate()]))
+    alpha, beta = subalgebra_from_idempotent(*_principal_power(om, [dec.z, dec.z.conjugate()]))
     return alpha, beta, dec
 
 

@@ -551,11 +551,10 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport
     """
     dec = hypercomplex_exponent(upsilon)
     om = _as_omegas(grid)
-    z = complex(dec.x0, dec.vnorm)
     comps_label = ",".join(f"{c:g}" for c in [upsilon.s, *upsilon.v.tolist()])
     report, lhs, rhs = _verify_binomial_atoms(
         "hypercomplex", f"upsilon=({comps_label})", K, om,
-        1j * om, omega_fn(om), (z, z.conjugate()))
+        1j * om, omega_fn(om), (dec.z, dec.z.conjugate()))
     report.extras.update(
         lhs_pair=subalgebra_from_idempotent(*lhs),
         rhs_pair=subalgebra_from_idempotent(*rhs),
@@ -649,13 +648,13 @@ def mellin_check(upsilon: Paravector, omega: float) -> MellinCheckResult:
     omega = float(omega)
     if not 0 < omega < math.inf:
         raise DomainError(f"the Mellin check needs finite omega > 0, got {omega:g}")
-    z = np.array([complex(dec.x0, dec.vnorm), complex(dec.x0, -dec.vnorm)])
+    z = np.array([dec.z, dec.z.conjugate()])
     log_omega = math.log(omega)
     terms = np.exp(np.outer(z, _MELLIN_U - log_omega - 1j * _MELLIN_THETA)
                    - 1j * np.exp(_MELLIN_U - 1j * _MELLIN_THETA))
     left = terms[:, 0] / -np.expm1(-_MELLIN_STEP * z)
     integrals = _MELLIN_STEP * (left + terms[:, 1:].sum(axis=1))
-    g = gamma(z[0])
+    g = gamma(dec.z)
     columns = np.array([g, g.conjugate()]) * np.exp(-z * (log_omega + 0.5j * math.pi))
     lhs = dec.paravector(*subalgebra_from_idempotent(*integrals))
     rhs = dec.paravector(*subalgebra_from_idempotent(*columns))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .clifford import HypercomplexExponent, Paravector
-from .errors import DomainError, PoleError
+from .errors import DomainError, NumericError, PoleError
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 4.7421875
@@ -37,7 +37,9 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 def gamma(z) -> complex:
     """Euler Gamma for complex argument (Lanczos, reflection for re z < 0.5).
 
-    Raises PoleError at the poles (nonpositive integers).
+    Raises PoleError at the poles (nonpositive integers) and NumericError
+    where the Lanczos factor t**(w + 0.5) overflows, which it does before
+    Gamma itself, near re z = 143 for real z (gamma(142) is finite).
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
@@ -50,7 +52,10 @@ def gamma(z) -> complex:
     for k in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[k] / (w + k)
     t = w + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
+    try:
+        return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
+    except OverflowError as exc:
+        raise NumericError(f"Gamma(z) overflows at z = {z}") from exc
 
 
 def gamma_hc(upsilon: Paravector) -> Paravector:
@@ -63,7 +68,7 @@ def gamma_hc(upsilon: Paravector) -> Paravector:
     dec = HypercomplexExponent.from_paravector(upsilon)
     if dec.x0 <= 0:
         raise DomainError(f"hypercomplex gamma needs scalar part > 0, got {dec.x0:g}")
-    g = gamma(complex(dec.x0, dec.vnorm))
+    g = gamma(dec.z)
     return dec.paravector(g.real, g.imag)
 
 

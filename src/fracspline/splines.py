@@ -135,8 +135,10 @@ def positive_damping(a) -> float:
 
 
 def _abscissae(x):
-    """x as a flat float array, and the shape to give the values back."""
+    """x as a flat array of finite floats, and the shape to give the values back."""
     xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ParameterError("abscissae must be finite")
     return xs.ravel(), xs.shape
 
 
@@ -216,18 +218,13 @@ def eval_bz(z, x):
     (1/Gamma(z)) sum_{k<=x} (-1)^k binom(z,k) (x-k)_+^{z-1}.
 
     Raises NumericError when Gamma(z) underflows (large |im z|) or
-    overflows: dividing by it is then meaningless.  The Lanczos factor
-    t**(w + 0.5) of gamma overflows before Gamma itself does, near re z =
-    143 for real z: gamma(142) is finite and gamma(143) overflows."""
+    overflows (see gamma): dividing by it is then meaningless."""
     z = complex_order(z)
     xs, shape = _abscissae(x)
     out = np.zeros(xs.size, dtype=complex)
     live = xs >= 0.0
     if live.any():
-        try:
-            g = gamma(z)
-        except OverflowError as exc:
-            raise NumericError(f"Gamma(z) overflows at z = {z}; division is meaningless") from exc
+        g = gamma(z)
         if g.real * g.real + g.imag * g.imag < 1e-300:
             raise NumericError(f"Gamma(z) too small at z = {z}; division is meaningless")
         coeffs = binom_complex_sequence(z, int(math.floor(xs[live].max())))
@@ -310,7 +307,7 @@ def eval_bupsilon_components(upsilon: Paravector, x):
     alpha + i beta = B_{x0 + i|v|}(x).
     """
     dec = hypercomplex_exponent(upsilon)
-    value = eval_bz(complex(dec.x0, dec.vnorm), x=np.atleast_1d(x))
+    value = eval_bz(dec.z, x=np.atleast_1d(x))
     return value.real, value.imag, dec
 
 

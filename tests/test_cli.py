@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracspline import Paravector, eval_bupsilon, hat_bupsilon
 from fracspline.cli import main
 
 FLOAT17 = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}")
@@ -74,6 +75,29 @@ def test_eval_hypercomplex_columns(tmp_path):
     header, rows = read_csv(out)
     assert header == ["x", "s_re", "s_im", "v1_re", "v1_im", "v2_re", "v2_im",
                       "terms_used"]
+
+
+def test_hypercomplex_columns_are_the_library_values(tmp_path):
+    # every value column of eval and transform is a component of
+    # eval_bupsilon or hat_bupsilon at its grid point, bit for bit (the
+    # "%.16e" text keeps the sign of a zero): dimensions 1 to 5, v = 0, a
+    # -0.0 direction component and negative components
+    for spec in ("2.5,1", "2.5,0,0", "2.5,1,-0.0,0", "3.1,-0.4,1.2,-2,0.5",
+                 "2.2,0.3,-0.7,0.1,-1.1,0.9"):
+        vals = [float(c) for c in spec.split(",")]
+        ups = Paravector(vals[0], vals[1:])
+        for cmd, value_at, grid in (("eval", eval_bupsilon, "0:4.5:0.25"),
+                                    ("transform", hat_bupsilon, "-13:13:0.5")):
+            out = tmp_path / f"{cmd}.csv"
+            assert run_cli([cmd, "--family", "hypercomplex", "--upsilon", spec,
+                            f"--grid={grid}", "-o", str(out)]) == 0, (cmd, spec)
+            header, rows = read_csv(out)
+            assert len(header) - (cmd == "eval") == 1 + 2 * len(vals), (cmd, spec)
+            for row in rows:
+                p = value_at(ups, float(row[0]))
+                want = ["%.16e" % part for comp in (p.s, *p.v.tolist())
+                        for part in (complex(comp).real, complex(comp).imag)]
+                assert row[1:1 + len(want)] == want, (cmd, spec, row[0])
 
 
 def test_eval_17_significant_digits(tmp_path):
@@ -178,7 +202,9 @@ def test_non_finite_values_are_an_error(tmp_path, capsys):
                  ["eval", "--family", "hypercomplex", "--upsilon", "2.5,inf",
                   "--grid", "0:1:0.5"],
                  ["transform", "--family", "complex-exponential", "--a", "inf", "--z", "2.5",
-                  "--grid", "0:1:0.5"]):
+                  "--grid", "0:1:0.5"],
+                 # Gamma(202) overflows: this used to end in an OverflowError traceback
+                 ["fracop", "--op", "integral", "--z", "200", "--input", str(signal)]):
         assert run_cli(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), argv
@@ -507,6 +533,25 @@ def test_config_file_with_flag_override(tmp_path):
                     "-o", str(out2)]) == 0
     _, rows2 = read_csv(out2)
     assert len(rows2) == 4
+
+
+def test_config_loses_to_short_and_abbreviated_flags(tmp_path, capsys, monkeypatch):
+    # explicit flags used to be found by their "--name" in argv, so -o and an
+    # abbreviation such as --form lost to the config file
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"output": "from_config.csv", "format": "json"}))
+    base = ["eval", "--family", "classical", "--n", "2", "--grid", "0:1:0.5",
+            "--config", str(conf)]
+    assert run_cli(base + ["-o", "explicit.csv"]) == 0
+    assert not (tmp_path / "from_config.csv").exists()
+    assert (tmp_path / "explicit.csv").read_text().startswith("[")  # the config's format
+    capsys.readouterr()
+    assert run_cli(base + ["--form", "csv", "-o", "-"]) == 0
+    assert capsys.readouterr().out.startswith("x,value,terms_used\n")
+    assert run_cli(base + ["--outp=abbreviated.csv"]) == 0
+    assert (tmp_path / "abbreviated.csv").read_text().startswith("[")
+    assert not (tmp_path / "from_config.csv").exists()
 
 
 def test_successive_calls_share_no_parser_state(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -327,6 +328,38 @@ def test_hypercomplex_exponent_roundtrip():
     assert abs(np.linalg.norm(dec.u) - 1.0) < 1e-15
     dec0 = HypercomplexExponent.from_paravector(Paravector(1.5, [0.0]))
     assert dec0.u is None and dec0.vnorm == 0.0
+
+
+def test_components_lift_alpha_plus_beta_u():
+    # z is the image x0 + i|v|; components maps alpha + beta u back, for
+    # numbers and arrays alike
+    dec = HypercomplexExponent.from_paravector(Paravector(2.5, [3.0, -0.0, -4.0]))
+    assert dec.z == complex(2.5, 5.0)
+    u = [0.6, -0.0, -0.8]
+    betas = np.array([complex(re, im) for re in (0.0, -0.0, 1.5, -1.5)
+                      for im in (0.0, -0.0, 2.0, -2.0)])
+    alpha, *vector = dec.components(betas + 1.0, betas)
+    assert np.array_equal(alpha, betas + 1.0) and len(vector) == 3
+    for comp, uj in zip(vector, u):
+        for b, got in zip(betas.tolist(), comp.tolist()):
+            # beta (u_j + 0i) with the signed zeros of scalar complex arithmetic
+            want = (b.real * uj - b.imag * 0.0, b.real * 0.0 + b.imag * uj)
+            assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", *want), (b, uj)
+    # a real beta gives real components, and one value gives numbers
+    real = dec.components(np.array([-2.0, 0.0]), np.array([-2.0, 0.0]))
+    assert all(c.dtype == float for c in real)
+    assert np.array_equal(np.signbit(real[2]), [False, True])
+    p = dec.paravector(1.5, -2.0)
+    assert p.is_real and p.s == 1.5 and p.v.tolist() == [-1.2, 0.0, 1.6]
+    # v = 0 leaves u undefined: the vector part is +0.0, not beta * 0
+    dec0 = HypercomplexExponent.from_paravector(Paravector(1.5, [0.0, 0.0]))
+    assert dec0.z == 1.5
+    for beta in (-2.0, complex(-2.0, -1.0), np.array([-1.0, complex(0.0, -3.0)])):
+        _, *vector = dec0.components(0.0, beta)
+        assert len(vector) == 2
+        for comp in vector:
+            parts = np.concatenate([np.ravel(np.real(comp)), np.ravel(np.imag(comp))])
+            assert np.all(parts == 0.0) and not np.any(np.signbit(parts)), beta
 
 
 def test_vector_norm_does_not_overflow():

@@ -18,10 +18,18 @@ from fracspline import (
     eval_bz,
     eval_exp_bspline,
     eval_ez,
+    frac_integral,
+    gamma,
     gamma_hc,
+    hat_bupsilon,
+    hat_bupsilon_components,
+    hat_bz,
+    hat_en,
     hat_ez,
     hc_power,
     mellin_check,
+    omega_a_fn,
+    omega_fn,
     shifted_frac_derivative,
     verify_atom_identity_expz,
 )
@@ -297,6 +305,13 @@ def test_gamma_underflow_and_overflow_are_numeric_errors():
         eval_bupsilon(Paravector(2.5, [600.0, 800.0]), 1.5)
     with pytest.raises(NumericError):  # Gamma(200) overflows
         eval_bz(200.0, 1.5)
+    # gamma owns that rule: its Lanczos factor overflows from near re z = 143,
+    # which used to end in a bare OverflowError outside eval_bz
+    for call in (lambda: gamma(200),
+                 lambda: gamma_hc(Paravector(200.0, [1.0])),
+                 lambda: frac_integral(200, SampledSignal(0.0, 0.1, np.ones(8)))):
+        with pytest.raises(NumericError):
+            call()
     # left of the support nothing is divided
     assert eval_bz(2.5 + 1000j, -1.0) == 0.0
 
@@ -451,6 +466,35 @@ def test_nan_and_infinite_orders_are_rejected():
                      lambda: shifted_frac_derivative(a, 0.5, signal)):
             with pytest.raises(ParameterError):
                 call()
+
+
+def test_non_finite_points_are_rejected():
+    # no value is defined at NaN or +-inf: eval_bz(2.5, nan) used to be 0j,
+    # eval_bn and eval_exp_bspline gave 0.0, eval_ez NaN, and eval_bz(2.5, inf)
+    # a bare OverflowError; one bad point fails a whole grid
+    ups = Paravector(2.5, [1.0, -1.0])
+    grid_calls = (lambda x: eval_bn(3, x),
+                  lambda x: eval_bz(2.5, x),
+                  lambda x: eval_bz(2.5 + 1j, x),
+                  lambda x: eval_exp_bspline((1.0, -0.5), x),
+                  lambda x: eval_ez(0.5, 2.5, x),
+                  lambda x: eval_bupsilon_components(ups, x),
+                  lambda x: series_terms(x),
+                  lambda x: omega_fn(x),
+                  lambda x: omega_a_fn(0.7, x),
+                  lambda x: hat_bz(2.5 + 1j, x),
+                  lambda x: hat_en((1.0, -0.5), x),
+                  lambda x: hat_ez(0.7, 2.5, x),
+                  lambda x: hat_bupsilon_components(ups, x))
+    point_calls = (lambda x: eval_bupsilon(ups, x), lambda x: hat_bupsilon(ups, x))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for call in grid_calls:
+            for x in (bad, np.array([0.5, bad, 1.5]), np.array([[bad]])):
+                with pytest.raises(ParameterError):
+                    call(x)
+        for call in point_calls:
+            with pytest.raises(ParameterError):
+                call(bad)
 
 
 @settings(max_examples=60, deadline=None)
