@@ -22,11 +22,13 @@ pairs).  A cell that product cannot certify is written by "%.16e" itself:
 non-finite cells, |x| outside [1e-280, 1e280], fractions within 2^-30 of
 .5 (ties included), and digits that round up to 10^17 (9.99...95
 carrying into the next exponent).  A piece is one word matrix whose
-unused bytes are NUL, and one bytes.translate drops them.  _json_layout
-lays out the verify report and the JSON record of a table row alike.  A
-fracop input CSV is parsed by one np.loadtxt call; when that raises or a
-sample is not finite, a line-by-line float parse runs instead, which
-names the file line of the first bad sample.
+unused bytes are NUL, and one bytes.translate drops them; the bytes go
+to a binary file or stdout's buffer as they are.  _json_layout lays out
+the verify report and the JSON record of a table row alike.  A fracop
+input CSV is read by one np.loadtxt call on its path, past the header
+that its leading lines show; when that raises or a sample is not
+finite, a line-by-line float parse runs instead, which names the file
+line of the first bad sample.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ def _int_cells(values):
     return text
 
 
-def _rows_text(literals, specs, columns) -> str:
+def _rows_text(literals, specs, columns) -> bytes:
     """Rows literals[0] cell literals[1] cell ... literals[-1], the cells
     of column j written by specs[j] ("%.16e" or "%d"): the text the
     %-template gives.  The piece is laid out as one rows x width word
@@ -295,7 +297,7 @@ def _rows_text(literals, specs, columns) -> str:
             blocks.append(cells[j] if j in cells else _int_cells(columns[j]))
     text = np.concatenate(blocks, axis=1)
     del blocks, cells  # the piece's peak is the matrix, its bytes and the kept text
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().translate(None, b"\0")
 
 
 def _table_text(fmt: str, header: list[str], columns, fields=None):
@@ -314,13 +316,13 @@ def _table_text(fmt: str, header: list[str], columns, fields=None):
     count = columns[0].size
     if fmt == "json":
         if not count:
-            yield "[]\n"
+            yield b"[]\n"
             return
         template = "  " + _json_layout(fields or dict(zip(header, specs)), 1, str)
-        sep, head, tail = ",\n", "[\n", "\n]\n"
+        sep, head, tail = ",\n", b"[\n", b"\n]\n"
     else:
         template = ",".join(specs)
-        sep, head, tail = "\n", ",".join(header) + "\n", "\n"
+        sep, head, tail = "\n", (",".join(header) + "\n").encode("ascii"), b"\n"
         if not count:
             yield head
             return
@@ -413,14 +415,15 @@ def _family_order(args):
 
 
 def _write_text(path: str, text):
-    """Write a string, or an iterable of string pieces, to path or to
-    stdout for '-'."""
-    pieces = [text] if isinstance(text, str) else text
+    """Write bytes, or an iterable of byte pieces, to path or to stdout
+    for '-'."""
+    pieces = [text] if isinstance(text, bytes) else text
     if path in (None, "-"):
-        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(pieces)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(pieces)
     except OSError as exc:
         raise IOError(f"cannot write {path!r}: {exc}") from exc
@@ -496,26 +499,33 @@ def _read_signal_csv(path: str) -> SampledSignal:
     """The signal in columns x,value of a CSV file, under an optional
     header line; blank lines are skipped and further columns ignored.
 
-    One np.loadtxt call parses the samples.  When it raises, or a sample
-    is not finite, _signal_lines parses the lines again one by one with
-    float, which names the file line of a bad sample or accepts spellings
-    only float reads (such as 1_000)."""
+    The leading lines locate the header, and one np.loadtxt call reads the
+    samples from the file after it.  When that raises, or a sample is not
+    finite, _signal_lines parses the lines again one by one with float,
+    which names the file line of a bad sample or accepts spellings only
+    float reads (such as 1_000)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines, nonblank = [], 0  # the leading lines, through the third non-blank one
+            for line in fh:
+                lines.append(line)
+                nonblank += bool(line.strip())
+                if nonblank == 3:
+                    break
     except OSError as exc:
         raise IOError(f"cannot read {path!r}: {exc}") from exc
     first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     header = first < len(lines) and not _is_number(lines[first].split(",")[0])
     data = None
-    if len(lines) - first - header >= 2:
+    if nonblank - header >= 2:
         try:
-            data = np.loadtxt(lines[first + header:], delimiter=",", usecols=(0, 1),
-                              comments=None, ndmin=2)
+            data = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None, ndmin=2,
+                              skiprows=first + header, encoding="utf-8")
         except ValueError:
             pass
     if data is None or not np.isfinite(data).all():
-        data = _signal_lines(lines, first + header)
+        with open(path, "r", encoding="utf-8") as fh:
+            data = _signal_lines(fh.readlines(), first + header)
     if len(data) < 2:
         raise SignalFormatError("input signal needs at least two samples")
     xs = data[:, 0]
@@ -608,7 +618,7 @@ def run_verify(args) -> int:
     doc = report.to_json_dict()
     doc["tolerance"] = float(tol)
     doc["passed"] = bool(report.max_residual <= tol)
-    _write_text(args.output, _json_layout(doc) + "\n")
+    _write_text(args.output, (_json_layout(doc) + "\n").encode("utf-8"))
     return 0 if doc["passed"] else 2
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .clifford import Paravector, subalgebra_from_idempotent
 from .errors import GridResolutionError, NumericError, ParameterError
@@ -192,6 +191,12 @@ class InverseTransformResult:
     quadrature_estimate: float
 
 
+def _simpson(y: np.ndarray, dx: float):
+    """Composite Simpson rule over an odd number of samples y spaced dx
+    apart: the weighted panel sums first, then one product with dx / 3."""
+    return np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0)
+
+
 def inverse_quadrature(transform, x: float, grid: FrequencyGrid, decay: float,
                        tol: float | None = None) -> InverseTransformResult:
     """Inverse Fourier transform (1/2pi) int value(w) e^{iwx} dw by composite
@@ -212,8 +217,8 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid, decay: float,
     if vals.shape != om.shape:
         raise ParameterError("transform callable must evaluate elementwise")
     integrand = vals * np.exp(1j * om * x)
-    s_full = simpson(integrand, dx=grid.step)
-    s_half = simpson(integrand[::2], dx=2.0 * grid.step)
+    s_full = _simpson(integrand, grid.step)
+    s_half = _simpson(integrand[::2], 2.0 * grid.step)
     quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)
 
     outer = np.abs(om) >= grid.omega_max / 10.0

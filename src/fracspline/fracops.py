@@ -55,7 +55,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .clifford import HypercomplexExponent, Paravector, subalgebra_from_idempotent
 from .errors import (
@@ -152,6 +151,27 @@ def _signed_power(p: np.ndarray, e: complex) -> np.ndarray:
     return out
 
 
+def _fft_length(m: int) -> int:
+    """The least length >= m whose prime factors all lie in {2, 3, 5, 7, 11},
+    the lengths pocketfft transforms fastest."""
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full linear convolution of two complex arrays, as the product of
+    their transforms zero-padded to a fast length."""
+    m = a.size + b.size - 1
+    length = _fft_length(m)
+    return np.fft.ifft(np.fft.fft(a, length) * np.fft.fft(b, length))[:m]
+
+
 def frac_integral(z, signal: SampledSignal) -> SampledSignal:
     """Fractional integral of order z (re z > 0): convolution with the
     one-sided power kernel t^{z-1}/Gamma(z), discretized by the
@@ -169,13 +189,17 @@ def frac_integral(z, signal: SampledSignal) -> SampledSignal:
     pz = _signed_power(m, z)
 
     out = np.zeros(n, dtype=complex)
-    pref = np.exp(z * math.log(h)) / gamma(z + 2.0)
+    try:
+        pref = np.exp(z * math.log(h)) / gamma(z + 2.0)
+    except NumericError as exc:
+        raise NumericError(f"fractional integral of order z = {z!r} overflows: "
+                           "Gamma(z + 2) is out of range") from exc
     ms = np.arange(1, n)
     w0 = pz1[ms - 1] - pz1[ms] + (z + 1.0) * pz[ms]
     out[1:] = w0 * f[0] + f[1:]
     if n > 2:
         wmid = pz1[2:n] - 2.0 * pz1[1 : n - 1] + pz1[: n - 2]  # p = 1..n-2
-        conv = fftconvolve(f[1 : n - 1], wmid)
+        conv = _fft_convolve(f[1 : n - 1], wmid)
         out[2:] += conv[: n - 2]
     out *= pref
     if not np.iscomplexobj(signal.values) and z.imag == 0.0:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -40,13 +41,28 @@ def gamma(z) -> complex:
     Raises PoleError at the poles (nonpositive integers) and NumericError
     where the Lanczos factor t**(w + 0.5) overflows, which it does before
     Gamma itself, near re z = 143 for real z (gamma(142) is finite).
+    Left of re z = 0.5 at |im z| > 226, where sin(pi z) overflows, the
+    reflection takes its decaying form; there Gamma is below 1e-150 and
+    is 0 past |im z| of about 450.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError(f"gamma has a pole at {z.real:g}")
     if z.real < 0.5:
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        try:
+            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        except OverflowError:
+            # |im z| > 226: 1/sin(pi z) = 2is e^{is pi z} / (e^{2is pi z} - 1),
+            # s = sign(im z), with e^{is pi z} = h^2 decaying.  |gamma(1 - z)|
+            # is about 2.5 |h| |im z|^(1/2 - re z), so dividing by it before
+            # the second h underflows no factor while h is a normal float.
+            # |gamma(z)| is at most 2.6 |h|: 0 is returned once h is subnormal
+            s = math.copysign(1.0, z.imag)
+            h = cmath.exp(0.5j * s * math.pi * z)
+            if abs(h) < sys.float_info.min:
+                return 0j
+            return 2j * s * math.pi * h / gamma(1.0 - z) * h / (h ** 4 - 1.0)
     w = z - 1.0
     acc = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):

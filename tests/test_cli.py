@@ -430,6 +430,16 @@ def test_signal_reader_round_trips_17_digit_values(tmp_path, monkeypatch):
     assert np.asarray(sig.values).tobytes() == values.tobytes()
 
 
+def test_fracop_overflow_names_the_order_given(tmp_path, capsys):
+    # frac_integral divides by Gamma(z + 2); the message names z itself
+    src = tmp_path / "in.csv"
+    write_signal(src, lambda x: x * x)
+    assert run_cli(["fracop", "--op", "integral", "--z", "200", "--input", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fractional integral of order z = (200+0j) overflows"), err
+    assert "202" not in err
+
+
 def test_fracop_missing_input_file(tmp_path):
     assert run_cli(["fracop", "--op", "integral", "--z", "1",
                     "--input", str(tmp_path / "nope.csv"), "-o", "-"]) == 3
@@ -694,7 +704,7 @@ def test_table_text_special_values(monkeypatch):
     from fracspline.cli import _table_text
 
     def text(*args):
-        return "".join(_table_text(*args))
+        return b"".join(_table_text(*args)).decode("ascii")
 
     xs = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 1 / 3, np.inf, np.nan])
     terms = np.arange(xs.size)
@@ -784,7 +794,7 @@ def test_table_text_matches_the_template_oracle(monkeypatch):
         cols, nest = [c[:size] for c in columns], [c[:size] for c in nested]
         for args in (("csv", header, cols), ("json", header, cols),
                      ("json", ["omega", "re", "count", "im"], nest, fields)):
-            got = "".join(_table_text(*args))
+            got = b"".join(_table_text(*args)).decode("ascii")
             assert first_difference(got, template_table_text(*args)) is None, rows
 
 
@@ -847,7 +857,7 @@ def test_table_text_near_half_fractions():
     assert xs.size > 10_000
     xs = np.concatenate([xs, -xs])
     want = "x\n" + "".join("%.16e\n" % v for v in xs.tolist())
-    got = "".join(_table_text("csv", ["x"], [xs]))
+    got = b"".join(_table_text("csv", ["x"], [xs])).decode("ascii")
     assert first_difference(got, want) is None
 
 
@@ -895,7 +905,7 @@ def test_table_text_property_matches_the_template_oracle(table, fmt, piece):
     args = (fmt, header, columns, fields if fmt == "json" else None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fracspline.cli, "_ROWS_PER_PIECE", piece)
-        got = "".join(fracspline.cli._table_text(*args))
+        got = b"".join(fracspline.cli._table_text(*args)).decode("ascii")
     assert first_difference(got, template_table_text(*args)) is None
 
 
@@ -963,6 +973,18 @@ def fresh_interpreter_outputs(commands, tmp_path, hashseed):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     return [out.read_bytes() for out in outs]
+
+
+def test_import_loads_numpy_and_no_scipy():
+    # the runtime needs numpy only; scipy serves the tests as an oracle
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = ("import sys, fracspline, fracspline.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_thread_count_determinism(tmp_path):

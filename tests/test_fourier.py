@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from fracspline import (
     FrequencyGrid,
@@ -335,3 +335,13 @@ def test_inverse_quadrature_hypercomplex_components():
     ref = eval_bupsilon(ups, x)
     assert abs(res_a.value - ref.s) <= res_a.error
     assert abs(res_b.value - ref.v[0]) <= res_b.error
+
+
+@pytest.mark.parametrize("count", [5, 401, 40001])
+def test_simpson_equals_scipy_bit_for_bit(count):
+    from fracspline.fourier import _simpson
+
+    rng = np.random.default_rng(count)
+    y = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    for samples, dx in ((y, 0.0123), (y[::2], 0.0246)):
+        assert _simpson(samples, dx) == simpson(samples, dx=dx)

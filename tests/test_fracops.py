@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
 from fracspline import (
     AtomSum,
@@ -659,3 +660,14 @@ def test_residual_bounded_under_grid_refinement():
     assert fine.max_residual <= fine.tail_bound
     # shared endpoints evaluate identically
     assert abs(coarse.residuals[0] - fine.residuals[0]) < 1e-15
+
+
+@pytest.mark.parametrize("n", [7, 1001, 50000])
+def test_fft_convolve_equals_fftconvolve_bit_for_bit(n):
+    # the same transform length (11-smooth) and order of operations
+    from fracspline.fracops import _fft_convolve
+
+    rng = np.random.default_rng(n)
+    a, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    got, want = _fft_convolve(a, b), fftconvolve(a, b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -55,6 +55,15 @@ def test_gamma_reflection_region():
         assert abs(gamma(z) - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("imag", [226.0, -226.0, 230.0, -230.0, 400.0, -400.0])
+def test_gamma_reflection_where_sin_overflows(imag):
+    # sin(pi z) overflows past |im z| of about 226, while Gamma is tiny there
+    for real in (0.49, 0.3, 0.0, -0.7, -3.2, -10.5):
+        ref = complex(mpmath.gamma(mpmath.mpc(real, imag)))
+        got = gamma(complex(real, imag))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (real, got, ref)
+
+
 @pytest.mark.parametrize("pole", [0.0, -1.0, -5.0])
 def test_gamma_poles(pole):
     with pytest.raises(PoleError):

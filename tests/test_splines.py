@@ -218,9 +218,11 @@ def mp_exp_bspline(weights, x):
         return float(total)
 
 
-# repeated, near-equal, nearly zero and mixed-sign weights
+# repeated, near-equal, nearly zero and mixed-sign weights, and six and
+# eight weights with spreads up to 7
 EXP_WEIGHTS = [(0.7,), (1.0, 2.0), (-0.4, -0.4), (0.3, 0.3 + 1e-9), (1e-6,) * 3,
-               (1.0, 1.0, 1.0, -1.0), (-1.3, 0.2, 0.9, 1.4), (1.5,) * 4]
+               (1.0, 1.0, 1.0, -1.0), (-1.3, 0.2, 0.9, 1.4), (1.5,) * 4,
+               (3.0, -2.5, 0.5, 1.0, -4.0, 2.0), (-1.2, 0.8, 0.3, 0.3, -0.5, 1.1, -2.0, 0.9)]
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -231,9 +233,11 @@ def test_exp_bspline_closed_form_matches_oracles(weights):
                   + [k + 0.45 for k in range(n)])
     got = eval_exp_bspline(weights, xs)
     for x, g in zip(xs, got):
-        assert abs(g - quad_exp_bspline(weights, x)) <= 1e-10, (x, g)
+        if n <= 4:  # n nested quad calls: past four weights they take minutes
+            assert abs(g - quad_exp_bspline(weights, x)) <= 1e-10, (x, g)
         ref = mp_exp_bspline(weights, x)
-        assert abs(g - ref) <= 1e-11 * max(1.0, abs(ref)), (x, g, ref)
+        # the tolerance eval_exp_bspline states
+        assert abs(g - ref) <= 2e-13 * max(1.0, abs(ref)), (x, g, ref)
 
 
 def test_exp_bspline_exact_zeros_off_support():
