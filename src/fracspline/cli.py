@@ -23,18 +23,32 @@ non-finite cells, |x| outside [1e-280, 1e280], fractions within 2^-30 of
 .5 (ties included), and digits that round up to 10^17 (9.99...95
 carrying into the next exponent).  A piece is one word matrix whose
 unused bytes are NUL, and one bytes.translate drops them; the bytes go
-to a binary file or stdout's buffer as they are.  _json_layout lays out
-the verify report and the JSON record of a table row alike.  A fracop
-input CSV is read by one np.loadtxt call on its path, past the header
-that its leading lines show; when that raises or a sample is not
-finite, a line-by-line float parse runs instead, which names the file
-line of the first bad sample.
+to a binary file or stdout's buffer as they are (as ASCII text to a
+stdout with no buffer).  _json_layout lays out the verify report and the
+JSON record of a table row alike.
+
+A fracop input CSV is read once, in binary, into a padded buffer, past
+the header its leading bytes show; rows split on "," and "\n" (a "\r"
+before "\n" dropped) with any constant count of two or more fields, of
+which the first two are read, a piece of about 32k at a time.
+_float_fields, the writer's inverse, reads a field shaped like "%.16e"
+output from 64-bit words, eight digits per word, and forms m 10^(E - 16)
+in double-double with the writer's tables.  It keeps the rounded double
+only when it is certified: the residual is not within 2^-30 ulp of a
+rounding midpoint, the double is not a power of two, and |x| is in
+[1e-280, 1e280] with 10^(E - 16) in the table.  Every other field goes
+to float, one at a time.  A file that is not ASCII, has a "\r" not
+before "\n", a blank or ragged line, a field float does not read or a
+sample that is not finite is parsed again by _signal_lines, one line at
+a time with float, which names the file line of the first bad sample.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import re
 import sys
 
@@ -255,6 +269,84 @@ def _float_cells(values):
     return text
 
 
+# _float_fields reads the 24 bytes from each field's leading digit at once,
+# so its buffer holds this many bytes past the last field
+_FIELD_PAD = 32
+# bytes of lines _signal_rows reads at once: about 32k "%.16e" fields
+_READ_PIECE = 3 << 18
+# the exponent bits of a double, and its fraction bits
+_EXP_BITS, _FRAC_BITS = 0x7FF << 52, (1 << 52) - 1
+
+
+def _eight_digits(words):
+    """Each little-endian word of eight ASCII digits as its value, and
+    whether it is eight digits (Lemire's SWAR test and sum)."""
+    v = words - 0x3030303030303030
+    ok = ((words + 0x4646464646464646) | v) & 0x8080808080808080 == 0
+    v = v * 10 + (v >> 8)  # byte 2i: 10 d[2i] + d[2i + 1]
+    v = ((v & 0x000000FF000000FF) * (100 + (1000000 << 32))
+         + ((v >> 16) & 0x000000FF000000FF) * (1 + (10000 << 32))) >> 32
+    return v, ok
+
+
+def _float_fields(buf, starts, stops):
+    """float(buf[s:e]) for each field start s and stop e: the inverse of
+    _float_cells.  buf is a bytearray holding _FIELD_PAD bytes past the
+    last stop.
+
+    A field of the shape "%.16e" writes, [-]d.<16 digits>e+-dd[d], is read
+    from words of buf: its 17 digits form an integer m, two groups of
+    eight by _eight_digits.  x = m 10^(E - 16) is formed in double-double
+    arithmetic with the writer's tables and kept when it is certified: the
+    residual of the rounded double is not within _HALF_MARGIN ulp of a
+    rounding midpoint, x is not a power of two (whose lower neighbour is
+    nearer), and |x| is in [_FAST_MIN, _FAST_MAX], where no partial
+    product under- or overflows.  Every other field, a zero, one not
+    certified or one spelled otherwise, goes to float, one at a time; its
+    ValueError propagates."""
+    byte = np.frombuffer(buf, np.uint8)
+    neg = byte[starts] == ord("-")
+    p = starts + neg  # the leading digit
+    # three words from it: "d.dddddd", eight digits, and "dde+dd" with the
+    # exponent's third digit or the byte after the field
+    words = np.ndarray((len(buf) - 23,), "V24", buf, strides=(1,))[p]
+    head, body, tail = words.view("<u8").reshape(-1, 3).T
+    hi, ok_hi = _eight_digits((head >> 16) | (body << 48))
+    lo, ok_lo = _eight_digits((body >> 16) | (tail << 48))
+    lead = head & 0xF
+    marker = (tail >> 16) & 0xF0F0FFFF  # "e", the sign and two exponent digits
+    minus = marker == 0x30302D65
+    e = tail >> 32  # the exponent digits, ASCII
+    third = (e >> 16 & 0xFF) - ord("0")
+    width = stops - p
+    shape = (ok_hi & ok_lo & ((head & 0xFFF0) == 0x2E30) & (lead < 10)
+             & (minus | (marker == 0x30302B65)) & ((((e & 0x0F0F) + 0x0606) & 0xF0F0) == 0)
+             & ((width == 22) | (width == 23) & (third < 10)))
+    e = ((e & 0xF) * 10 + (e >> 8 & 0xF)).view(np.int64)
+    e += (width == 23) * (9 * e + third.view(np.int64))  # a third digit
+    # the table index of 10^(E - 16), checked as unsigned so that one test
+    # takes both ends
+    k = -16 - _POW10_SCALES.start + e * (1 - 2 * minus.view(np.int8))
+    shape &= k.view(np.uint64) < len(_POW10_SCALES)
+    m = ((lead * 10 ** 8 + hi) * 10 ** 8 + lo).view(np.int64)
+    mag = m.astype(np.float64)
+    mag_lo = (m - mag.astype(np.int64)).astype(np.float64)
+    p_hi, p_lo = _POW10_HI.take(k, mode="clip"), _POW10_LO.take(k, mode="clip")
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod, err = _two_product(mag, p_hi)
+        low = err + (mag * p_lo + mag_lo * p_hi)
+        x = prod + low
+        resid = (prod - x) + low
+        bits = x.view(np.int64)
+        half_ulp = (bits & _EXP_BITS).view(np.float64) * 2.0 ** -53
+        certified = (shape & (np.abs(resid) < (1 - 2 * _HALF_MARGIN) * half_ulp)
+                     & (bits & _FRAC_BITS != 0) & (x >= _FAST_MIN) & (x <= _FAST_MAX))
+    np.negative(x, out=x, where=neg)
+    for i in np.flatnonzero(~certified).tolist():
+        x[i] = float(buf[starts[i]:stops[i]].decode("ascii"))
+    return x
+
+
 def _int_cells(values):
     """The words of "%d" % v for each integer or boolean v, NUL-padded: a
     (count, 1 + g) word array, a sign word and g words of four digits, g
@@ -416,11 +508,15 @@ def _family_order(args):
 
 def _write_text(path: str, text):
     """Write bytes, or an iterable of byte pieces, to path or to stdout
-    for '-'."""
+    for '-': its binary buffer, or the ASCII text of the pieces when
+    sys.stdout is a text stream with no buffer."""
     pieces = [text] if isinstance(text, bytes) else text
     if path in (None, "-"):
         sys.stdout.flush()
-        sys.stdout.buffer.writelines(pieces)
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.writelines(pieces)
+        else:  # a text stream, such as the StringIO of contextlib.redirect_stdout
+            sys.stdout.writelines(piece.decode("ascii") for piece in pieces)
         return
     try:
         with open(path, "wb") as fh:
@@ -499,33 +595,28 @@ def _read_signal_csv(path: str) -> SampledSignal:
     """The signal in columns x,value of a CSV file, under an optional
     header line; blank lines are skipped and further columns ignored.
 
-    The leading lines locate the header, and one np.loadtxt call reads the
-    samples from the file after it.  When that raises, or a sample is not
-    finite, _signal_lines parses the lines again one by one with float,
-    which names the file line of a bad sample or accepts spellings only
-    float reads (such as 1_000)."""
+    The file is read once, into a padded buffer, and _signal_rows reads
+    its rows with _float_fields.  When the layout is not one it reads, a
+    field float does not read, or a sample is not finite, _signal_lines
+    parses the text again one line at a time with float, which names the
+    file line of a bad sample."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines, nonblank = [], 0  # the leading lines, through the third non-blank one
-            for line in fh:
-                lines.append(line)
-                nonblank += bool(line.strip())
-                if nonblank == 3:
-                    break
+        with open(path, "rb") as fh:
+            buf = bytearray(os.fstat(fh.fileno()).st_size + _FIELD_PAD)
+            size = fh.readinto(buf)
+            if size > len(buf) - _FIELD_PAD:  # a pipe, or a file that grew
+                buf[size:] = fh.read() + bytes(_FIELD_PAD)
+                size = len(buf) - _FIELD_PAD
     except OSError as exc:
         raise IOError(f"cannot read {path!r}: {exc}") from exc
-    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-    header = first < len(lines) and not _is_number(lines[first].split(",")[0])
-    data = None
-    if nonblank - header >= 2:
-        try:
-            data = np.loadtxt(path, delimiter=",", usecols=(0, 1), comments=None, ndmin=2,
-                              skiprows=first + header, encoding="utf-8")
-        except ValueError:
-            pass
+    try:
+        data = _signal_rows(buf, size)
+    except ValueError:
+        data = None
     if data is None or not np.isfinite(data).all():
-        with open(path, "r", encoding="utf-8") as fh:
-            data = _signal_lines(fh.readlines(), first + header)
+        with io.TextIOWrapper(io.BytesIO(memoryview(buf)[:size]), encoding="utf-8") as text:
+            lines = text.readlines()  # the lines a text-mode open reads
+        data = _signal_lines(lines, _skip_count(lines))
     if len(data) < 2:
         raise SignalFormatError("input signal needs at least two samples")
     xs = data[:, 0]
@@ -534,6 +625,63 @@ def _read_signal_csv(path: str) -> SampledSignal:
     if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
         raise SignalFormatError("input grid must be uniform and increasing")
     return SampledSignal(float(xs[0]), h, data[:, 1])
+
+
+def _skip_count(lines) -> int:
+    """The number of lines before the first row: leading blank lines and a
+    header, a first non-blank line whose first field float does not read.
+    lines needs to run through the first non-blank line only."""
+    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    return first + (first < len(lines) and not _is_number(lines[first].split(",")[0]))
+
+
+def _signal_rows(buf, size: int):
+    """The (x, value) rows of the CSV text buf[:size], read by
+    _float_fields a piece of lines at a time; None when the text is not
+    ASCII, holds a carriage return other than before a line feed, or has a
+    row, blank or ragged, whose field count differs from the first row's
+    or is below two.  A field float does not read raises ValueError.
+
+    Rows are split on "," and "\n", a "\r" before "\n" is dropped, and
+    fields past the second are not read.  buf holds _FIELD_PAD bytes past
+    size; a final line feed is written there when the text has none."""
+    if not buf.isascii():
+        return None
+    lines, start = [], 0  # the leading lines, through the first non-blank one
+    while start < size and not (lines and lines[-1].strip()):
+        stop = buf.find(b"\n", start, size) + 1 or size
+        lines.append(buf[start:stop].decode("ascii"))
+        start = stop
+    if any(line.count("\r") > line.endswith("\r\n") for line in lines):
+        return None
+    start = sum(map(len, lines[:_skip_count(lines)]))
+    if start == size:
+        return np.empty((0, 2))
+    if buf[size - 1] != ord("\n"):
+        buf[size] = ord("\n")
+        size += 1
+    crlf = buf.find(b"\r", start, size) >= 0
+    byte = np.frombuffer(buf, np.uint8)
+    pieces, cols = [], None
+    while start < size:
+        stop = buf.find(b"\n", min(start + _READ_PIECE, size - 1), size) + 1
+        piece = byte[start:stop]
+        ends = np.flatnonzero((piece == ord(",")) | (piece == ord("\n"))) + start
+        rows = np.count_nonzero(byte[ends] == ord("\n"))
+        cols = cols or ends.size // rows
+        line_ends = ends[cols - 1::cols]
+        if cols < 2 or ends.size != rows * cols or (byte[line_ends] != ord("\n")).any():
+            return None
+        begins = np.concatenate(([start], ends[:-1] + 1))
+        if crlf:
+            cr = byte[line_ends - 1] == ord("\r")
+            if np.count_nonzero(piece == ord("\r")) != np.count_nonzero(cr):
+                return None
+            line_ends -= cr
+        pieces.append(_float_fields(buf, begins.reshape(rows, cols)[:, :2].ravel(),
+                                    ends.reshape(rows, cols)[:, :2].ravel()).reshape(rows, 2))
+        start = stop
+    return np.concatenate(pieces)
 
 
 def _signal_lines(lines, skip: int):

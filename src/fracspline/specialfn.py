@@ -43,7 +43,8 @@ def gamma(z) -> complex:
     Gamma itself, near re z = 143 for real z (gamma(142) is finite).
     Left of re z = 0.5 at |im z| > 226, where sin(pi z) overflows, the
     reflection takes its decaying form; there Gamma is below 1e-150 and
-    is 0 past |im z| of about 450.
+    is 0 past |im z| of about 450.  Where the reflection's Gamma(1 - z)
+    overflows, the NumericError names the z given.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
@@ -51,7 +52,12 @@ def gamma(z) -> complex:
     if z.real < 0.5:
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
         try:
-            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+            reflected = gamma(1.0 - z)
+        except NumericError as exc:
+            raise NumericError(f"Gamma(z) at z = {z} takes Gamma(1 - z) in its "
+                               f"reflection, and Gamma(1 - z) overflows") from exc
+        try:
+            return math.pi / (cmath.sin(math.pi * z) * reflected)
         except OverflowError:
             # |im z| > 226: 1/sin(pi z) = 2is e^{is pi z} / (e^{2is pi z} - 1),
             # s = sign(im z), with e^{is pi z} = h^2 decaying.  |gamma(1 - z)|
@@ -62,7 +68,7 @@ def gamma(z) -> complex:
             h = cmath.exp(0.5j * s * math.pi * z)
             if abs(h) < sys.float_info.min:
                 return 0j
-            return 2j * s * math.pi * h / gamma(1.0 - z) * h / (h ** 4 - 1.0)
+            return 2j * s * math.pi * h / reflected * h / (h ** 4 - 1.0)
     w = z - 1.0
     acc = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):

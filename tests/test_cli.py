@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -418,7 +420,7 @@ def test_signal_reader_round_trips_17_digit_values(tmp_path, monkeypatch):
     import fracspline.cli
     from fracspline.cli import _read_signal_csv
 
-    monkeypatch.setattr(fracspline.cli, "_signal_lines", None)  # np.loadtxt alone
+    monkeypatch.setattr(fracspline.cli, "_signal_lines", None)  # the vectorized reader alone
     values = np.random.default_rng(3).integers(0, 2 ** 64, 40_000, dtype=np.uint64)
     values = values.view(np.float64)
     values = values[np.isfinite(values)]
@@ -428,6 +430,129 @@ def test_signal_reader_round_trips_17_digit_values(tmp_path, monkeypatch):
     sig = _read_signal_csv(str(src))
     assert (sig.start, sig.step) == (0.0, 0.25)
     assert np.asarray(sig.values).tobytes() == values.tobytes()
+
+
+def float_field_classes(rng, count):
+    """Fields of the writer's shape, [-]d.<16 digits>e+-dd[d], by class."""
+    def sign():
+        return rng.choice(["", "-"], count).tolist()
+
+    def doubles(v):
+        return ["%.16e" % x for x in v.tolist()]
+
+    digits = rng.integers(10 ** 16, 10 ** 17, count).astype(str).tolist()
+    bits = rng.integers(0, 2 ** 64, 4 * count, dtype=np.uint64).view(np.float64)
+    normal = bits[np.isfinite(bits) & (np.abs(bits) >= 2.0 ** -1022)][:count]
+    powers = 2.0 ** np.arange(-1074, 1024, 3)
+    powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    powers = powers[np.isfinite(powers)]
+    odd = (rng.integers(2 ** 52, 2 ** 55, count) * 2 + 1).astype(str).tolist()
+    big = rng.uniform(1, 10, count) * 10.0 ** rng.integers(100, 308, count)
+    small = rng.uniform(1, 10, count) * 10.0 ** -rng.integers(100, 308, count)
+    near300 = np.concatenate([c * (1 + rng.uniform(-1e-3, 1e-3, count // 4))
+                              for c in (1e300, 1e-300, 1e280, 1e-280)])
+    subnormal = rng.integers(1, 2 ** 52, count // 4, dtype=np.uint64).view(np.float64)
+    return {
+        # 17 digits that no double prints as, at random exponents
+        "decimals": [f"{s}{d[0]}.{d[1:]}e{e:+03d}" for s, d, e in
+                     zip(sign(), digits, rng.integers(-330, 330, count).tolist())],
+        "normal doubles": doubles(normal),
+        "powers of two and their neighbours": doubles(np.concatenate([powers, -powers])),
+        # each odd integer in [2^53, 2^54) is a tie between two doubles, and above
+        # 2^54 lies within a few units of one
+        "odd integers in [2^53, 2^56)": [f"{s}{n[0]}.{n[1:].ljust(16, '0')}e+{len(n) - 1:02d}"
+                                         for s, n in zip(sign(), odd)],
+        "3-digit exponents": doubles(np.concatenate([big, -small])),
+        "zeros, subnormals and near 1e+-300": ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
+        + doubles(np.concatenate([subnormal, -near300])),
+    }
+
+
+def test_float_fields_match_float_bit_for_bit(monkeypatch):
+    import fracspline.cli
+    from fracspline.cli import _FIELD_PAD, _float_fields
+
+    calls = []
+
+    def counted_float(text):
+        calls.append(text)
+        return float(text)
+
+    monkeypatch.setattr(fracspline.cli, "float", counted_float, raising=False)
+    # the least share of each class the double-double product certifies
+    floors = {"decimals": 0.7, "normal doubles": 0.8, "powers of two and their neighbours": 0.5,
+              "odd integers in [2^53, 2^56)": 0.8, "3-digit exponents": 0.7,
+              "zeros, subnormals and near 1e+-300": 0.0}
+    for name, fields in float_field_classes(np.random.default_rng(17), 4000).items():
+        data = [f.encode("ascii") for f in fields]
+        assert all(FLOAT17.fullmatch(f) for f in fields), name
+        buf = bytearray(b",".join(data) + bytes(_FIELD_PAD))
+        stops = np.cumsum([len(d) + 1 for d in data]) - 1
+        calls.clear()
+        got = _float_fields(buf, stops - [len(d) for d in data], stops)
+        want = np.array([float(f) for f in fields])
+        wrong = [f for f, g, w in zip(fields, got.tolist(), want.tolist())
+                 if struct.pack("<d", g) != struct.pack("<d", w)]
+        assert not wrong, (name, wrong[:5])
+        assert 1 - len(calls) / len(fields) >= floors[name], (name, len(calls))
+
+
+def test_signal_reader_layouts(tmp_path, monkeypatch):
+    import fracspline.cli
+    from fracspline.cli import _read_signal_csv
+
+    lines_parsed = []
+    signal_lines = fracspline.cli._signal_lines
+
+    def counted_signal_lines(lines, skip):
+        lines_parsed.append(skip)
+        return signal_lines(lines, skip)
+
+    monkeypatch.setattr(fracspline.cli, "_signal_lines", counted_signal_lines)
+    rng = np.random.default_rng(5)
+    values = (rng.standard_normal(300) * 10.0 ** rng.integers(-120, 120, 300)).tolist()
+    rows = [f"{0.5 * i:.16e},{v:.16e}" for i, v in enumerate(values)]
+    spelled = rows[:]
+    spelled[1:6] = ["0.5, 2.5 ", "1.0,1_000", "1.5,+.5", "2,7", "2.5e0,-0.0"]
+    ragged, blank = rows[:], rows[:]
+    ragged[7] += ",note"
+    blank[7] += "\n"
+    # layout: text, whether the vectorized reader reads it alone
+    layouts = {
+        "header": ("x,value\n" + "\n".join(rows) + "\n", True),
+        "no header": ("\n".join(rows) + "\n", True),
+        "leading blank lines": ("\n \n\t\nx,value\n" + "\n".join(rows) + "\n", True),
+        "CRLF": ("x,value\r\n" + "\r\n".join(rows) + "\r\n", True),
+        "no final newline": ("x,value\n" + "\n".join(rows), True),
+        "constant third column": ("x,value,note\n" + "\n".join(r + ",n" for r in rows) + "\n", True),
+        "other spellings": ("x,value\n" + "\n".join(spelled) + "\n", True),
+        "ragged row": ("x,value\n" + "\n".join(ragged) + "\n", False),
+        "blank line mid-file": ("x,value\n" + "\n".join(blank) + "\n", False),
+        "CR alone": ("x,value\r" + "\r".join(rows) + "\r", False),
+    }
+    src = tmp_path / "in.csv"
+    for name, (text, alone) in layouts.items():
+        src.write_bytes(text.encode("ascii"))
+        lines_parsed.clear()
+        sig = _read_signal_csv(str(src))
+        want = line_by_line_signal(text)
+        assert (sig.start, sig.step) == want[:2], name
+        assert np.asarray(sig.values).tobytes() == want[2].tobytes(), name
+        assert bool(lines_parsed) != alone, name
+
+
+def test_fracop_reads_its_input_from_a_pipe(tmp_path):
+    # the size of a pipe is not known before it is read
+    if not os.path.exists("/dev/stdin"):
+        pytest.skip("no /dev/stdin")
+    src, from_file, from_pipe = tmp_path / "in.csv", tmp_path / "a.csv", tmp_path / "b.csv"
+    write_signal(src, lambda x: x * x, stop=20.0)
+    argv = ["fracop", "--op", "derivative", "--z", "0.5", "--input"]
+    assert run_cli(argv + [str(src), "-o", str(from_file)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "fracspline.cli", *argv, "/dev/stdin",
+                           "-o", str(from_pipe)], input=src.read_bytes(), capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert from_pipe.read_bytes() == from_file.read_bytes()
 
 
 def test_fracop_overflow_names_the_order_given(tmp_path, capsys):
@@ -443,6 +568,19 @@ def test_fracop_overflow_names_the_order_given(tmp_path, capsys):
 def test_fracop_missing_input_file(tmp_path):
     assert run_cli(["fracop", "--op", "integral", "--z", "1",
                     "--input", str(tmp_path / "nope.csv"), "-o", "-"]) == 3
+
+
+def test_stdout_redirected_to_a_text_stream_gets_the_file_bytes(tmp_path):
+    # contextlib.redirect_stdout puts a StringIO, which has no buffer, in sys.stdout
+    out = tmp_path / "out"
+    for argv in (["eval", "--family", "complex", "--z", "2.5,1", "--grid", "0:2:0.25"],
+                 ["transform", "--family", "fractional", "--alpha", "2.5",
+                  "--grid=-1:1:0.5", "--format", "json"],
+                 ["verify", "--family", "classical", "--n", "3"]):
+        assert run_cli(argv + ["-o", str(out)]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert run_cli(argv + ["-o", "-"]) == 0
+        assert text.getvalue().encode("ascii") == out.read_bytes(), argv
 
 
 # -- verify ----------------------------------------------------------------------

@@ -90,6 +90,19 @@ def test_omega_a_values():
     assert abs(got - ref) < 1e-15
 
 
+def test_omega_a_near_the_zeros_of_omega_at_small_damping():
+    # 1 - e^{-a} cos w once cancelled here, to a relative error of 1.1e-9 at
+    # a = 1e-8 and w = 10 pi; without a difference the worst measured against
+    # 50-digit values is 2.4e-16
+    ws = (2 * math.pi * np.arange(1, 6)[:, None] + [-1e-3, 0.0, 1e-3]).ravel()
+    ws = np.concatenate([ws, -ws])
+    with mpmath.workdps(50):
+        for a in (1e-2, 1e-5, 1e-8):
+            for w, value in zip(ws.tolist(), omega_a_fn(a, ws).tolist()):
+                ref = (1 - mpmath.exp(-a) * mpmath.exp(mpmath.mpc(0, -w))) / mpmath.mpc(a, w)
+                assert abs(mpmath.mpc(value) - ref) <= 1e-15 * abs(ref), (a, w)
+
+
 def test_omega_a_rejects_a_non_finite_damping():
     for a in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from fracspline import (
     DomainError,
+    NumericError,
     Paravector,
     PoleError,
     gamma,
@@ -62,6 +63,17 @@ def test_gamma_reflection_where_sin_overflows(imag):
         ref = complex(mpmath.gamma(mpmath.mpc(real, imag)))
         got = gamma(complex(real, imag))
         assert abs(got - ref) <= 1e-12 * abs(ref), (real, got, ref)
+
+
+def test_gamma_reflection_overflow_names_the_argument_given():
+    # Gamma(1 - z) = Gamma(141.7 - 440i) overflows inside the reflection;
+    # the message is about the z the caller passed
+    with pytest.raises(NumericError) as info:
+        gamma(complex(-140.7, 440))
+    message = str(info.value)
+    assert message.startswith("Gamma(z) at z = (-140.7+440j) "), message
+    assert "Gamma(1 - z)" in message and "overflows" in message
+    assert "141.7" not in message
 
 
 @pytest.mark.parametrize("pole", [0.0, -1.0, -5.0])
