@@ -52,23 +52,20 @@ def gamma(z) -> complex:
     if z.real < 0.5:
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
         try:
-            reflected = gamma(1.0 - z)
-        except NumericError as exc:
-            raise NumericError(f"Gamma(z) at z = {z} takes Gamma(1 - z) in its "
-                               f"reflection, and Gamma(1 - z) overflows") from exc
-        try:
-            return math.pi / (cmath.sin(math.pi * z) * reflected)
+            sin_pz = cmath.sin(math.pi * z)
         except OverflowError:
             # |im z| > 226: 1/sin(pi z) = 2is e^{is pi z} / (e^{2is pi z} - 1),
             # s = sign(im z), with e^{is pi z} = h^2 decaying.  |gamma(1 - z)|
             # is about 2.5 |h| |im z|^(1/2 - re z), so dividing by it before
             # the second h underflows no factor while h is a normal float.
-            # |gamma(z)| is at most 2.6 |h|: 0 is returned once h is subnormal
+            # |gamma(z)| is at most 2.6 |h|: 0 is returned once h is subnormal,
+            # before gamma(1 - z) is formed (it may overflow there)
             s = math.copysign(1.0, z.imag)
             h = cmath.exp(0.5j * s * math.pi * z)
             if abs(h) < sys.float_info.min:
                 return 0j
-            return 2j * s * math.pi * h / reflected * h / (h ** 4 - 1.0)
+            return 2j * s * math.pi * h / _reflected_gamma(z) * h / (h ** 4 - 1.0)
+        return math.pi / (sin_pz * _reflected_gamma(z))
     w = z - 1.0
     acc = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
@@ -78,6 +75,15 @@ def gamma(z) -> complex:
         return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
     except OverflowError as exc:
         raise NumericError(f"Gamma(z) overflows at z = {z}") from exc
+
+
+def _reflected_gamma(z: complex) -> complex:
+    """Gamma(1 - z) for the reflection of gamma(z); an overflow names z."""
+    try:
+        return gamma(1.0 - z)
+    except NumericError as exc:
+        raise NumericError(f"Gamma(z) at z = {z} takes Gamma(1 - z) in its "
+                           f"reflection, and Gamma(1 - z) overflows") from exc
 
 
 def gamma_hc(upsilon: Paravector) -> Paravector:

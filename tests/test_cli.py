@@ -497,6 +497,26 @@ def test_float_fields_match_float_bit_for_bit(monkeypatch):
         assert 1 - len(calls) / len(fields) >= floors[name], (name, len(calls))
 
 
+def test_float_fields_read_other_spellings_as_float():
+    from fracspline.cli import _FIELD_PAD, _float_fields
+
+    v = np.random.default_rng(9).standard_normal(500) * 10.0 ** np.arange(-250, 250)
+    fields = ["0.5", " 2.5 ", "1_000", "0.1\r", "-0", "7"]
+    fields += [repr(x) for x in v.tolist()] + ["%.18e" % x for x in v.tolist()]
+    fields += ["%.6f" % x for x in v.tolist()] + ["%.16e" % x for x in v.tolist()]
+    data = [f.encode("ascii") for f in fields]
+    stops = np.cumsum([len(d) + 1 for d in data]) - 1
+    starts = stops - [len(d) for d in data]
+    got = _float_fields(bytearray(b",".join(data) + bytes(_FIELD_PAD)), starts, stops)
+    assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
+    for bad in (["1.5", "2\x005"], ["1e", "2"], ["", "2"]):
+        data = [f.encode("ascii") for f in bad]
+        stops = np.cumsum([len(d) + 1 for d in data]) - 1
+        with pytest.raises(ValueError):
+            _float_fields(bytearray(b",".join(data) + bytes(_FIELD_PAD)),
+                          stops - [len(d) for d in data], stops)
+
+
 def test_signal_reader_layouts(tmp_path, monkeypatch):
     import fracspline.cli
     from fracspline.cli import _read_signal_csv
@@ -524,6 +544,8 @@ def test_signal_reader_layouts(tmp_path, monkeypatch):
         "leading blank lines": ("\n \n\t\nx,value\n" + "\n".join(rows) + "\n", True),
         "CRLF": ("x,value\r\n" + "\r\n".join(rows) + "\r\n", True),
         "no final newline": ("x,value\n" + "\n".join(rows), True),
+        "trailing blank line": ("x,value\n" + "\n".join(rows) + "\n\n", True),
+        "trailing blank CRLF lines": ("x,value\r\n" + "\r\n".join(rows) + "\r\n \r\n\t\r\n", True),
         "constant third column": ("x,value,note\n" + "\n".join(r + ",n" for r in rows) + "\n", True),
         "other spellings": ("x,value\n" + "\n".join(spelled) + "\n", True),
         "ragged row": ("x,value\n" + "\n".join(ragged) + "\n", False),

@@ -76,6 +76,13 @@ def test_gamma_reflection_overflow_names_the_argument_given():
     assert "141.7" not in message
 
 
+def test_gamma_reflection_underflow_returns_zero_before_gamma_1_minus_z():
+    # sin(pi z) overflows and |h| = e^-785 underflows, so the value is 0j,
+    # although Gamma(1 - z) = Gamma(1001 - 500i) would overflow
+    assert gamma(complex(-1000, 500)) == 0j
+    assert gamma(complex(-1000, -500)) == 0j
+
+
 @pytest.mark.parametrize("pole", [0.0, -1.0, -5.0])
 def test_gamma_poles(pole):
     with pytest.raises(PoleError):
