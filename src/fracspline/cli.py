@@ -27,29 +27,27 @@ to a binary file or stdout's buffer as they are (as ASCII text to a
 stdout with no buffer).  _json_layout lays out the verify report and the
 JSON record of a table row alike.
 
-A fracop input CSV is read once, in binary, into a padded buffer, past
-the header its leading bytes show; rows split on "," and "\n" (a "\r"
-before "\n" dropped) with any constant count of two or more fields, of
-which the first two are read, a piece of about 32k at a time.
-_float_fields, the writer's inverse, reads a field shaped like "%.16e"
-output from 64-bit words, eight digits per word, and forms m 10^(E - 16)
-in double-double with the writer's tables.  It keeps the rounded double
-only when it is certified: the residual is not within 2^-30 ulp of a
-rounding midpoint, the double is not a power of two, and |x| is in
-[1e-280, 1e280] with 10^(E - 16) in the table.  Every other field goes
-to float, which reads the fields' bytes in a loop that map runs in C; a
-file spelled otherwise (shortest repr digits, "%.18e", fixed point)
-reads about 2.5 to 5 times slower than one in the writer's spelling.  A
-file that is not ASCII, has a "\r" not before "\n", a ragged line or a
-blank line before its last row, a field float does not read or a sample
-that is not finite is parsed again by _signal_lines, one line at a time
-with float, which names the file line of the first bad sample.
+A fracop input CSV is read once, in binary, into a padded buffer, and
+_signal_rows reads every layout on one path, a piece of about 32k fields
+at a time, locating each line ("\n", "\r\n" or a lone "\r", as in text
+mode) from its piece's separators.  _float_fields, the writer's inverse,
+reads a field shaped like "%.16e" output from 64-bit words, eight digits
+per word, and forms m 10^(E - 16) in double-double with the writer's
+tables.  It keeps the rounded double only when it is certified: the
+residual is not within 2^-30 ulp of a rounding midpoint, the double is
+not a power of two, and |x| is in [1e-280, 1e280] with 10^(E - 16) in
+the table.  Every other field goes to float, which reads the fields'
+bytes in a loop that map runs in C; a file spelled otherwise (shortest
+repr digits, "%.18e", fixed point) reads about 2.5 to 5 times slower
+than one in the writer's spelling.  A piece with a malformed line, a
+field float does not read or a sample that is not finite is read again
+one line at a time by _line_rows, which names the file line of the first
+bad one.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
@@ -277,6 +275,8 @@ def _float_cells(values):
 _FIELD_PAD = 32
 # bytes of lines _signal_rows reads at once: about 32k "%.16e" fields
 _READ_PIECE = 3 << 18
+# a line end, as text mode reads them
+_LINE_END = re.compile(rb"\r\n?|\n")
 # the exponent bits of a double, and its fraction bits
 _EXP_BITS, _FRAC_BITS = 0x7FF << 52, (1 << 52) - 1
 
@@ -608,12 +608,8 @@ def run_transform(args) -> int:
 def _read_signal_csv(path: str) -> SampledSignal:
     """The signal in columns x,value of a CSV file, under an optional
     header line; blank lines are skipped and further columns ignored.
-
     The file is read once, into a padded buffer, and _signal_rows reads
-    its rows with _float_fields.  When the layout is not one it reads, a
-    field float does not read, or a sample is not finite, _signal_lines
-    parses the text again one line at a time with float, which names the
-    file line of a bad sample."""
+    its rows."""
     try:
         with open(path, "rb") as fh:
             buf = bytearray(os.fstat(fh.fileno()).st_size + _FIELD_PAD)
@@ -623,119 +619,114 @@ def _read_signal_csv(path: str) -> SampledSignal:
                 size = len(buf) - _FIELD_PAD
     except OSError as exc:
         raise IOError(f"cannot read {path!r}: {exc}") from exc
-    try:
-        data = _signal_rows(buf, size)
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        with io.TextIOWrapper(io.BytesIO(memoryview(buf)[:size]), encoding="utf-8") as text:
-            lines = text.readlines()  # the lines a text-mode open reads
-        data = _signal_lines(lines, _skip_count(lines))
-    if len(data) < 2:
+    xs, values = _signal_rows(buf, size)
+    del buf  # the text is read: free it before the signal's copy
+    if xs.size < 2:
         raise SignalFormatError("input signal needs at least two samples")
-    xs = data[:, 0]
     steps = np.diff(xs)
     h = float(steps[0])
     if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
         raise SignalFormatError("input grid must be uniform and increasing")
-    return SampledSignal(float(xs[0]), h, data[:, 1])
-
-
-def _skip_count(lines) -> int:
-    """The number of lines before the first row: leading blank lines and a
-    header, a first non-blank line whose first field float does not read.
-    lines needs to run through the first non-blank line only."""
-    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-    return first + (first < len(lines) and not _is_number(lines[first].split(",")[0]))
+    return SampledSignal(float(xs[0]), h, values)
 
 
 def _signal_rows(buf, size: int):
-    """The (x, value) rows of the CSV text buf[:size], read by
-    _float_fields a piece of lines at a time; None when the text is not
-    ASCII, holds a carriage return other than before a line feed, or has a
-    row, blank or ragged, whose field count differs from the first row's
-    or is below two; blank lines after the last row are left out.  A field
-    float does not read raises ValueError.
+    """The x and value columns of the CSV text buf[:size]: a (2, rows)
+    array, read a piece of lines at a time.
 
-    Rows are split on "," and "\n", a "\r" before "\n" is dropped, and
-    fields past the second are not read.  buf holds _FIELD_PAD bytes past
-    size; a final line feed is written there when the text has none."""
+    Lines end at "\n", "\r\n" or a lone "\r", as in text mode.  A line
+    with a comma is a row: field 0 ends at its first comma, field 1 at the
+    next comma or the line end, and further fields are not read.  A line
+    with no comma is blank when its text strips to nothing, and malformed
+    otherwise; the first non-blank line is a header when its first field
+    float does not read.  _float_fields reads the rows of a piece.  When it
+    raises, a row is malformed or a sample is not finite, _line_rows reads
+    the piece's rows again, one line at a time, and names the first bad
+    line.  Text that is not UTF-8 raises SignalFormatError with the line
+    of its first bad byte.  buf holds _FIELD_PAD bytes past size; a final
+    line feed is written there when the text has no line end, and a lone
+    "\r" is written over with "\n"."""
     if not buf.isascii():
-        return None
-    # blank lines at the end, which _signal_lines skips too, are left out
-    end = size
-    while end and buf[end - 1] in b" \t\n\r\x0b\x0c":
-        end -= 1
-    size = buf.find(b"\n", end, size) + 1 or size
-    lines, start = [], 0  # the leading lines, through the first non-blank one
-    while start < size and not (lines and lines[-1].strip()):
-        stop = buf.find(b"\n", start, size) + 1 or size
-        lines.append(buf[start:stop].decode("ascii"))
-        start = stop
-    if any(line.count("\r") > line.endswith("\r\n") for line in lines):
-        return None
-    start = sum(map(len, lines[:_skip_count(lines)]))
-    if start == size:
-        return np.empty((0, 2))
-    if buf[size - 1] != ord("\n"):
+        try:
+            str(memoryview(buf)[:size], "utf-8")
+        except UnicodeDecodeError as exc:
+            head = buf[:exc.start]
+            line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise SignalFormatError(f"line {line_no}: not UTF-8 text ({exc.reason})") from exc
+    if size and buf[size - 1] not in b"\r\n":
         buf[size] = ord("\n")
         size += 1
-    crlf = buf.find(b"\r", start, size) >= 0
     byte = np.frombuffer(buf, np.uint8)
-    pieces, cols = [], None
+    columns, line_no, header, start = [], 0, True, 0  # header: no non-blank line yet
     while start < size:
-        stop = buf.find(b"\n", min(start + _READ_PIECE, size - 1), size) + 1
+        # the piece ends at the first line end from start + _READ_PIECE on
+        end = _LINE_END.search(buf, min(start + _READ_PIECE, size - 1), size)
+        stop = end.end() if end else size
         piece = byte[start:stop]
+        crs = np.count_nonzero(piece == ord("\r")) if buf.find(b"\r", start, stop) >= 0 else 0
         ends = np.flatnonzero((piece == ord(",")) | (piece == ord("\n"))) + start
-        rows = np.count_nonzero(byte[ends] == ord("\n"))
-        cols = cols or ends.size // rows
-        line_ends = ends[cols - 1::cols]
-        if cols < 2 or ends.size != rows * cols or (byte[line_ends] != ord("\n")).any():
-            return None
-        begins = np.concatenate(([start], ends[:-1] + 1))
-        if crlf:
-            cr = byte[line_ends - 1] == ord("\r")
-            if np.count_nonzero(piece == ord("\r")) != np.count_nonzero(cr):
-                return None
-            line_ends -= cr
-        pieces.append(_float_fields(buf, begins.reshape(rows, cols)[:, :2].ravel(),
-                                    ends.reshape(rows, cols)[:, :2].ravel()).reshape(rows, 2))
+        eol = np.flatnonzero(byte[ends] != ord(","))  # the line ends, as indices of ends
+        line_end = ends[eol]
+        begin = np.concatenate(([start], line_end[:-1] + 1))
+        if crs:
+            crlf = byte[line_end - 1] == ord("\r")  # byte[-1] is padding
+            if crs > np.count_nonzero(crlf):
+                # a lone "\r" ends a line as "\n" does: write it so, and read the piece again
+                lone = piece == ord("\r")
+                lone[:-1] &= piece[1:] != ord("\n")
+                piece[lone] = ord("\n")
+                continue
+            line_end -= crlf  # a "\r\n" line ends at its "\r"
+            ends[eol] = line_end
+        after = np.concatenate(([0], eol[:-1] + 1))  # each line's first separator
+        commas = eol - after
+        stop0, stop1 = ends[after], ends.take(after + 1, mode="clip")
+        # every line is a row when each has a comma and the header is settled
+        keep, x = slice(None), None
+        if header or not commas.all():
+            skip = commas == 0  # blank, unless the line's text shows otherwise
+            for i in np.flatnonzero(skip & (line_end > begin)).tolist():
+                skip[i] = not buf[begin[i]:line_end[i]].decode().strip()
+            if header and not skip.all():
+                i = int(np.argmin(skip))  # the first non-blank line
+                skip[i] = not _is_number(buf[begin[i]:stop0[i]].decode())
+                header = False
+            keep = np.flatnonzero(~skip)
+        if commas[keep].all():
+            try:
+                x = _float_fields(buf, np.concatenate((begin[keep], stop0[keep] + 1)),
+                                  np.concatenate((stop0[keep], stop1[keep])))
+            except ValueError:
+                pass
+        if x is None or not np.isfinite(x).all():
+            lines = np.arange(eol.size)[keep]
+            x = _line_rows(buf, begin[lines], line_end[lines], lines + line_no + 1)
+        columns.append(x.reshape(2, -1))
+        line_no += eol.size
         start = stop
-    return np.concatenate(pieces)
+    return np.concatenate(columns, axis=1) if columns else np.empty((2, 0))
 
 
-def _signal_lines(lines, skip: int):
-    """(x, value) rows of the lines after the first skip, parsed one line
-    at a time by float; the first bad line in the file, malformed or with
-    a sample that is not finite, raises SignalFormatError with its line
-    number.  Finiteness is checked once over the rows parsed, and the file
-    line of a row is looked up only when that check fails."""
-    xs, vs, error = [], [], None
-    for line_no, line in enumerate(lines[skip:], start=skip + 1):
-        line = line.strip()
-        if not line:
-            continue
+def _line_rows(buf, begins, ends, line_nos):
+    """The x and value of each line buf[b:e], read one line at a time with
+    float from its stripped text: a (2, lines) array.  The first line
+    that is malformed, holds a field float does not read or a sample that
+    is not finite raises SignalFormatError with its line number.  A field
+    only text reads, such as a Unicode digit, is read here too."""
+    rows = []
+    for b, e, line_no in zip(begins.tolist(), ends.tolist(), line_nos.tolist()):
+        line = buf[b:e].decode().strip()
         cells = line.split(",")
         if len(cells) < 2:
-            error = SignalFormatError(f"line {line_no}: need columns x,value")
-            break
+            raise SignalFormatError(f"line {line_no}: need columns x,value")
         try:
-            x, v = float(cells[0]), float(cells[1])
+            row = float(cells[0]), float(cells[1])
         except ValueError as exc:
-            error = SignalFormatError(f"line {line_no}: {exc}")
-            break
-        xs.append(x)
-        vs.append(v)
-    data = np.column_stack([xs, vs])
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        # the non-blank lines after skip are the rows, in order
-        line_no = [n for n, line in enumerate(lines[skip:], start=skip + 1) if line.strip()][bad[0]]
-        raise SignalFormatError(f"line {line_no}: samples must be finite, "
-                                f"got {lines[line_no - 1].strip()!r}")
-    if error is not None:
-        raise error
-    return data
+            raise SignalFormatError(f"line {line_no}: {exc}") from exc
+        if not np.isfinite(row).all():
+            raise SignalFormatError(f"line {line_no}: samples must be finite, got {line!r}")
+        rows.append(row)
+    return np.array(rows).reshape(-1, 2).T
 
 
 def _is_number(text: str) -> bool:
@@ -772,6 +763,7 @@ def run_verify(args) -> int:
     omegas = _parse_grid(args.grid if args.grid is not None else grid)
     K = args.K if args.K is not None else 200
     tol = args.tol if args.tol is not None else tol
+    _require(np.isfinite(tol) and tol >= 0, f"--tol must be finite and >= 0, got {tol!r}")
     if fam == "classical":
         report = classical_atom_check(order, omegas)
     elif fam == "exponential":

@@ -106,6 +106,9 @@ class SampledSignal:
     def __init__(self, start: float, step: float, values, valid=None):
         start = float(start)
         step = float(step)
+        if not (math.isfinite(start) and math.isfinite(step)):
+            raise SignalFormatError(
+                f"signal start and step must be finite, got {start:g} and {step:g}")
         if start < 0:
             raise SignalFormatError(f"signal must start at x >= 0, got {start:g}")
         if step <= 0:

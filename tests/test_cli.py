@@ -383,6 +383,87 @@ SPELLINGS = (" 2.5 ", "+.5", "1_000", "inf", "-inf", "nan", "1e", "0x1p3", "#1",
              "\u0663", "\u0661\u0662.\u0665", "", "1,2")
 
 
+def reference_skip_count(lines) -> int:
+    """The number of lines before the first row: leading blank lines and a
+    header, a first non-blank line whose first field float does not read.
+    lines needs to run through the first non-blank line only."""
+    from fracspline.cli import _is_number
+
+    first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    return first + (first < len(lines) and not _is_number(lines[first].split(",")[0]))
+
+
+def reference_signal_lines(lines, skip: int):
+    """(x, value) rows of the lines after the first skip, parsed one line
+    at a time by float; the first bad line in the file, malformed or with
+    a sample that is not finite, raises SignalFormatError with its line
+    number.  Finiteness is checked once over the rows parsed, and the file
+    line of a row is looked up only when that check fails."""
+    from fracspline.errors import SignalFormatError
+
+    xs, vs, error = [], [], None
+    for line_no, line in enumerate(lines[skip:], start=skip + 1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) < 2:
+            error = SignalFormatError(f"line {line_no}: need columns x,value")
+            break
+        try:
+            x, v = float(cells[0]), float(cells[1])
+        except ValueError as exc:
+            error = SignalFormatError(f"line {line_no}: {exc}")
+            break
+        xs.append(x)
+        vs.append(v)
+    data = np.column_stack([xs, vs])
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        # the non-blank lines after skip are the rows, in order
+        line_no = [n for n, line in enumerate(lines[skip:], start=skip + 1) if line.strip()][bad[0]]
+        raise SignalFormatError(f"line {line_no}: samples must be finite, "
+                                f"got {lines[line_no - 1].strip()!r}")
+    if error is not None:
+        raise error
+    return data
+
+
+def reference_signal(data: bytes):
+    """(start, step, value bytes) of the CSV bytes data as the line-by-line
+    reader gave them, from the lines a text-mode open reads, or the message
+    of the SignalFormatError it raised."""
+    from fracspline.errors import SignalFormatError
+    from fracspline.fracops import SampledSignal
+
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+        lines = text.readlines()
+    try:
+        rows = reference_signal_lines(lines, reference_skip_count(lines))
+        if len(rows) < 2:
+            raise SignalFormatError("input signal needs at least two samples")
+        steps = np.diff(rows[:, 0])
+        h = float(steps[0])
+        if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
+            raise SignalFormatError("input grid must be uniform and increasing")
+        sig = SampledSignal(float(rows[0, 0]), h, rows[:, 1])
+    except SignalFormatError as exc:
+        return str(exc)
+    return sig.start, sig.step, sig.values.tobytes()
+
+
+def read_signal(path):
+    """What _read_signal_csv gives, in the form of reference_signal."""
+    from fracspline.cli import _read_signal_csv
+    from fracspline.errors import SignalFormatError
+
+    try:
+        sig = _read_signal_csv(str(path))
+    except SignalFormatError as exc:
+        return str(exc)
+    return sig.start, sig.step, sig.values.tobytes()
+
+
 def test_signal_reader_matches_the_line_by_line_parse(tmp_path):
     from fracspline.cli import _read_signal_csv
     from fracspline.errors import SignalFormatError
@@ -416,11 +497,9 @@ def test_signal_reader_matches_the_line_by_line_parse(tmp_path):
     assert dropped == 3
 
 
-def test_signal_reader_round_trips_17_digit_values(tmp_path, monkeypatch):
-    import fracspline.cli
+def test_signal_reader_round_trips_17_digit_values(tmp_path):
     from fracspline.cli import _read_signal_csv
 
-    monkeypatch.setattr(fracspline.cli, "_signal_lines", None)  # the vectorized reader alone
     values = np.random.default_rng(3).integers(0, 2 ** 64, 40_000, dtype=np.uint64)
     values = values.view(np.float64)
     values = values[np.isfinite(values)]
@@ -521,46 +600,130 @@ def test_signal_reader_layouts(tmp_path, monkeypatch):
     import fracspline.cli
     from fracspline.cli import _read_signal_csv
 
-    lines_parsed = []
-    signal_lines = fracspline.cli._signal_lines
+    calls = []
 
-    def counted_signal_lines(lines, skip):
-        lines_parsed.append(skip)
-        return signal_lines(lines, skip)
+    def counted_float(value):
+        if isinstance(value, (str, bytes)):  # text, not a number converted
+            calls.append(value)
+        return float(value)
 
-    monkeypatch.setattr(fracspline.cli, "_signal_lines", counted_signal_lines)
+    monkeypatch.setattr(fracspline.cli, "float", counted_float, raising=False)
     rng = np.random.default_rng(5)
     values = (rng.standard_normal(300) * 10.0 ** rng.integers(-120, 120, 300)).tolist()
-    rows = [f"{0.5 * i:.16e},{v:.16e}" for i, v in enumerate(values)]
+    xs = [0.5 * i for i in range(300)]
+    rows = [f"{x:.16e},{v:.16e}" for x, v in zip(xs, values)]
+    # the writer's fields _float_fields leaves to float: zero and the powers of two
+    uncertified = {f"{x:.16e}".encode() for x in xs if x == 0 or math.frexp(x)[0] == 0.5}
     spelled = rows[:]
     spelled[1:6] = ["0.5, 2.5 ", "1.0,1_000", "1.5,+.5", "2,7", "2.5e0,-0.0"]
     ragged, blank = rows[:], rows[:]
     ragged[7] += ",note"
     blank[7] += "\n"
-    # layout: text, whether the vectorized reader reads it alone
     layouts = {
-        "header": ("x,value\n" + "\n".join(rows) + "\n", True),
-        "no header": ("\n".join(rows) + "\n", True),
-        "leading blank lines": ("\n \n\t\nx,value\n" + "\n".join(rows) + "\n", True),
-        "CRLF": ("x,value\r\n" + "\r\n".join(rows) + "\r\n", True),
-        "no final newline": ("x,value\n" + "\n".join(rows), True),
-        "trailing blank line": ("x,value\n" + "\n".join(rows) + "\n\n", True),
-        "trailing blank CRLF lines": ("x,value\r\n" + "\r\n".join(rows) + "\r\n \r\n\t\r\n", True),
-        "constant third column": ("x,value,note\n" + "\n".join(r + ",n" for r in rows) + "\n", True),
-        "other spellings": ("x,value\n" + "\n".join(spelled) + "\n", True),
-        "ragged row": ("x,value\n" + "\n".join(ragged) + "\n", False),
-        "blank line mid-file": ("x,value\n" + "\n".join(blank) + "\n", False),
-        "CR alone": ("x,value\r" + "\r".join(rows) + "\r", False),
+        "header": "x,value\n" + "\n".join(rows) + "\n",
+        "no header": "\n".join(rows) + "\n",
+        "leading blank lines": "\n \n\t\nx,value\n" + "\n".join(rows) + "\n",
+        "CRLF": "x,value\r\n" + "\r\n".join(rows) + "\r\n",
+        "no final newline": "x,value\n" + "\n".join(rows),
+        "trailing blank line": "x,value\n" + "\n".join(rows) + "\n\n",
+        "trailing blank CRLF lines": "x,value\r\n" + "\r\n".join(rows) + "\r\n \r\n\t\r\n",
+        "constant third column": "x,value,note\n" + "\n".join(r + ",n" for r in rows) + "\n",
+        "ragged row": "x,value\n" + "\n".join(ragged) + "\n",
+        "blank line mid-file": "x,value\n" + "\n".join(blank) + "\n",
+        "CR alone": "x,value\r" + "\r".join(rows) + "\r",
+        "CR alone and CRLF": "x,value\r\n" + "\r".join(rows[:150]) + "\r\r\n"
+                             + "\r\n".join(rows[150:]) + "\r\n",
+        "other spellings": "x,value\n" + "\n".join(spelled) + "\n",
     }
     src = tmp_path / "in.csv"
-    for name, (text, alone) in layouts.items():
+    for name, text in layouts.items():
         src.write_bytes(text.encode("ascii"))
-        lines_parsed.clear()
-        sig = _read_signal_csv(str(src))
         want = line_by_line_signal(text)
+        calls.clear()
+        sig = _read_signal_csv(str(src))
         assert (sig.start, sig.step) == want[:2], name
         assert np.asarray(sig.values).tobytes() == want[2].tobytes(), name
-        assert bool(lines_parsed) != alone, name
+        # float reads text once, the first line's first field, to test for a
+        # header; no line is read one at a time, and _float_fields hands it
+        # the bytes of the fields it does not certify
+        assert isinstance(calls[0], str), name
+        assert all(isinstance(c, bytes) for c in calls[1:]), name
+        if name == "other spellings":
+            assert {b" 2.5 ", b"1_000", b"+.5", b"7"} <= set(calls), name
+        else:
+            assert set(calls[1:]) <= uncertified, (name, calls[1:])
+
+
+SIGNAL_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.16e" % v),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: "%.6f" % v))
+ODD_VALUES = st.sampled_from(SPELLINGS + ("\uff11", " -0 ", "1\x1c"))
+# spellings of x = x0 + i/4, exact in each, and two that are bad
+SIGNAL_X = st.sampled_from(["%.16e"] * 8 + ["%r", "%.2f", " %r ", "+%r", "%.18e", "oops", "nan"])
+# blank lines: text that strips to nothing
+BLANK_TEXT = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\x1c", "\u3000", "\x85"])
+
+
+@st.composite
+def signal_files(draw):
+    """CSV bytes in the layouts a reader meets: LF, CRLF, lone CR or mixed
+    line ends; blank lines anywhere; a header or none; ragged rows; other
+    spellings, bad fields and samples that are not finite."""
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", None]))  # None: each line its own
+    lines = draw(st.lists(BLANK_TEXT, max_size=2))
+    header = draw(st.sampled_from([None, "x,value", "x", "\ufeffx,value", "t;v", "0.5"]))
+    lines += [] if header is None else [header]
+    x0, i = draw(st.sampled_from([0.0, 1.5])), 0
+    kinds = st.sampled_from(["row"] * 24 + ["blank"] * 4 + ["no comma"])
+    for kind in draw(st.lists(kinds, max_size=12)):
+        if kind == "blank":
+            lines.append(draw(BLANK_TEXT))
+        elif kind == "no comma":
+            lines.append(draw(st.sampled_from(["0.5", "oops", " 1 "])))
+        else:
+            fmt = draw(SIGNAL_X)
+            x = fmt % (x0 + 0.25 * i) if "%" in fmt else fmt
+            extra = draw(st.sampled_from(["", "", ",note", ",", ",1,2"]))
+            value = draw(ODD_VALUES if draw(st.integers(0, 7)) == 0 else SIGNAL_VALUES)
+            lines.append(f"{x},{value}{extra}")
+            i += 1
+    ends = [end or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no final line end
+    return "".join(map(str.__add__, lines, ends)).encode("utf-8")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=signal_files(), piece=st.sampled_from([1, 7, 64, 3 << 18]))
+def test_signal_reader_property_matches_the_line_by_line_reference(tmp_path_factory, data, piece):
+    # the same values bit for bit, or the same error message, line number
+    # included, at any piece size
+    import fracspline.cli
+
+    src = tmp_path_factory.getbasetemp() / "signal-property.csv"
+    src.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracspline.cli, "_READ_PIECE", piece)
+        got = read_signal(src)
+    assert got == reference_signal(data), data
+
+
+def test_fracop_input_that_is_not_utf8_names_the_line(tmp_path, capsys):
+    from fracspline.cli import _read_signal_csv
+
+    src = tmp_path / "in.csv"
+    for data, line in ((b"x,value\n0,1\n0.5,\xe9\n1,3\n", 3),
+                       (b"x,value\r0,1\r\n\r0.5,2\r1,\xff3\r", 5),
+                       (b"x,\xc3\xa9\n0,1\n0.5,\xe2\x82\n", 3)):
+        src.write_bytes(data)
+        assert run_cli(["fracop", "--op", "integral", "--z", "0.5", "--input", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: not UTF-8 text"), (data, err)
+    # UTF-8 text that is not ASCII: a header, a BOM and digits float reads from text
+    src.write_bytes("\ufeffx,\u00e9\n0,1\n0.5,\u0663\n1,\uff15\n".encode("utf-8"))
+    sig = _read_signal_csv(str(src))
+    assert (sig.start, sig.step, sig.values.tolist()) == (0.0, 0.5, [1.0, 3.0, 5.0])
 
 
 def test_fracop_reads_its_input_from_a_pipe(tmp_path):
@@ -641,6 +804,22 @@ def test_verify_failure_exit_code(tmp_path):
     assert code == 2
     doc = json.loads(out.read_text())  # report written regardless
     assert doc["passed"] is False
+
+
+def test_verify_tolerance_must_be_finite_and_not_negative(tmp_path, capsys):
+    # a NaN tolerance once wrote "tolerance": nan, which is not JSON, and an
+    # infinite one passed any residual
+    out, cfg = tmp_path / "rep.json", tmp_path / "tol.json"
+    argv = ["verify", "--family", "complex", "--z", "2.5", "--grid", "0.1:1:0.1", "--K", "20",
+            "-o", str(out)]
+    for tol in ("nan", "inf", "-inf", "-1e-3"):
+        assert run_cli(argv + [f"--tol={tol}"]) == 1, tol
+        assert capsys.readouterr().err.startswith("error: --tol must be finite and >= 0"), tol
+        cfg.write_text('{"tol": %s}' % {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(tol, tol))
+        assert run_cli(argv + ["--config", str(cfg)]) == 1, tol
+        assert capsys.readouterr().err.startswith("error: --tol must be finite and >= 0"), tol
+    assert not out.exists()
+    assert run_cli(argv + ["--tol", "0"]) == 2  # zero is a tolerance no residual meets
 
 
 def test_verify_empty_admissible_set(tmp_path):

@@ -52,6 +52,10 @@ def test_signal_validation():
         SampledSignal(0.0, 0.1, np.ones(1))
     with pytest.raises(SignalFormatError):
         SampledSignal(0.0, 0.1, np.ones(5), valid=np.ones(4, dtype=bool))
+    # a start or step that is not finite once gave all-NaN operator output
+    for start, step in ((math.nan, 0.1), (0.0, math.nan), (0.0, math.inf), (math.inf, 0.1)):
+        with pytest.raises(SignalFormatError, match="must be finite"):
+            SampledSignal(start, step, np.ones(5))
 
 
 def test_signal_abscissae():
