@@ -195,6 +195,8 @@ _DIGITS3E = _words(b"".join(b"%03de" % i for i in range(1000)))
 _EXP_MAX = 300
 _EXP_TEXT = _words(b"".join((b"%+03d" % e).rjust(4, b"\0")
                             for e in range(-_EXP_MAX, _EXP_MAX + 1)))
+# "%d" of False and of True
+_BOOL_TEXT = _words(b"0\0\0\0" b"1")
 # 10^1 .. 10^19: an integer has one digit more than the number it reaches
 _INT_POW10 = np.array([10 ** k for k in range(1, 20)], dtype=np.uint64)
 
@@ -364,8 +366,10 @@ def _float_fields(buf, starts, stops):
 def _int_cells(values):
     """The words of "%d" % v for each integer or boolean v, NUL-padded: a
     (count, 1 + g) word array, a sign word and g words of four digits, g
-    set by the longest cell."""
+    set by the longest cell; a boolean is one gathered word, "0" or "1"."""
     v = np.asarray(values).ravel()
+    if v.dtype == bool:
+        return _BOOL_TEXT.take(v.view(np.uint8))[:, None]
     if v.dtype.kind == "u":
         neg, mag = np.zeros(v.size, bool), v.astype(np.uint64)
     else:
@@ -750,7 +754,7 @@ def run_fracop(args) -> int:
         out = frac_derivative(z, signal)
     else:
         out = shifted_frac_derivative(_single_a(args.a, "shifted-derivative"), z, signal)
-    vals = out.values.astype(complex)
+    vals = out.values  # a real result's .imag is a column of zeros
     _require_finite(f"fracop --op {args.op}", [vals.real, vals.imag])
     _write_text(args.output, _table_text("csv", ["x", "value_re", "value_im", "valid"],
                                          [out.x, vals.real, vals.imag, out.valid]))

@@ -1137,6 +1137,22 @@ def test_table_text_matches_the_template_oracle(monkeypatch):
             assert first_difference(got, template_table_text(*args)) is None, rows
 
 
+def test_boolean_cells_are_percent_d(monkeypatch):
+    # a boolean column is gathered from the words "0" and "1"
+    import fracspline.cli
+    from fracspline.cli import _table_text
+
+    monkeypatch.setattr(fracspline.cli, "_ROWS_PER_PIECE", 3)
+    for flags in ([False] * 5, [True] * 5, [True, False, False, True, True, False, True],
+                  [True], [False], []):
+        flags = np.array(flags, dtype=bool)
+        columns = [np.arange(flags.size) / 7, flags, np.arange(flags.size)]
+        for fmt in ("csv", "json"):
+            args = (fmt, ["x", "valid", "count"], columns)
+            got = b"".join(_table_text(*args)).decode("ascii")
+            assert got == template_table_text(*args), (fmt, flags)
+
+
 def reduced_basis(u, v):
     """Lagrange-Gauss reduction of the 2-d integer lattice basis u, v."""
     def norm(a):
