@@ -272,6 +272,10 @@ def _float_cells(values):
     return text
 
 
+# the words of "%.16e" % 0.0
+_ZERO_CELL = _float_cells([0.0])[0]
+
+
 # _float_fields reads the 24 bytes from each field's leading digit at once,
 # so its buffer holds this many bytes past the last field
 _FIELD_PAD = 32
@@ -396,9 +400,14 @@ def _rows_text(literals, specs, columns) -> bytes:
     matrix whose padding bytes are NUL, and one translate drops them."""
     rows = columns[0].size
     floats = [j for j, spec in enumerate(specs) if spec == "%.16e"]
-    # every float column of the piece in one pass, column after column
+    # a column of +0.0 alone (every bit clear) repeats one cell
+    zeros = [j for j in floats
+             if columns[j].dtype == np.float64 and not columns[j].view(np.uint64).any()]
+    floats = [j for j in floats if j not in zeros]
+    # every other float column of the piece in one pass, column after column
     cells = _float_cells([columns[j] for j in floats])
     cells = dict(zip(floats, cells.reshape(len(floats), rows, _FLOAT_WORDS)))
+    cells.update((j, np.broadcast_to(_ZERO_CELL, (rows, _FLOAT_WORDS))) for j in zeros)
     blocks = []  # words of each literal and cell in row order
     for j, literal in enumerate(literals):
         words = _words(literal.encode("ascii"))

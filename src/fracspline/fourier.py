@@ -9,6 +9,13 @@ multiples of 2 pi.  omega_fn evaluates it in the half-angle form
 e^{-iw/2} sin(w/2) / (w/2) (Unser and Blu, Fractional splines and
 wavelets, SIAM Rev. 42, 2000), which keeps its relative precision, to a
 few ulps, at every w, the floats next to 2 pi m included.
+
+Operand order: a SIMD complex product can round differently with its
+operands swapped, and numpy swaps the operands of a * b itself when b is
+a temporary of 256 KiB or more.  So each complex product here is an
+np.multiply with its operands in one fixed order, whatever the grid size:
+a value must not depend on its grid.  e^{iwx} is cos wx + i sin wx and
+e^{-iw} is cos w - i sin w, the bits numpy's complex exp gives.
 """
 
 from __future__ import annotations
@@ -75,15 +82,26 @@ def omega_a_fn(a: float, omega):
         raise ParameterError(f"damping must be finite, got {a:g}")
     if a == 0.0:
         return omega_fn(omega)
+    w, shape = _abscissae(omega)
+    return _shaped(_damped_ratio(a, w, np.sin(0.5 * w) ** 2, np.sin(w)), shape)
+
+
+def _damped_ratio(a: float, w, sin2_half, sin_w):
+    """omega_a_fn(a, w) for a finite a != 0, from sin^2(w/2) and sin w,
+    which hat_en takes once for all of its weights.  The parts are written
+    in place and iw is formed per call, so a call holds no more memory than
+    omega_a_fn did on its own: each further live temporary costs more in
+    page faults than the shared sines save."""
     try:
         damping = math.exp(-a)
     except OverflowError as exc:
         raise NumericError(f"e^{-a:g} overflows a float") from exc
-    w, shape = _abscissae(omega)
     num = np.empty(w.shape, dtype=complex)
-    num.real = 2.0 * damping * np.sin(0.5 * w) ** 2 - math.expm1(-a)
-    num.imag = damping * np.sin(w)
-    return _shaped(num / (1j * w + a), shape)
+    np.multiply(2.0 * damping, sin2_half, out=num.real)
+    num.real -= math.expm1(-a)
+    np.multiply(damping, sin_w, out=num.imag)
+    num /= 1j * w + a
+    return num
 
 
 def _principal_log(base):
@@ -94,7 +112,25 @@ def _principal_log(base):
     b = np.atleast_1d(np.asarray(base, dtype=complex))
     zero = b == 0
     re = np.where(zero, 1.0, b.real)
-    return np.log(np.hypot(re, b.imag)) + 1j * np.arctan2(b.imag, re), zero
+    log = np.empty(b.shape, dtype=complex)
+    log.real = np.log(np.hypot(re, b.imag))
+    np.arctan2(b.imag, re, out=log.imag)
+    log += 0.0  # an argument of -0.0 reads +0.0, as log + 1j * atan2 gave it
+    return log, zero
+
+
+def _log_iomega(omega):
+    """_principal_log(1j * w) bit for bit, in closed form: log|w|
+    + i copysign(pi/2, w), and 0 at w = 0 or -0.0, which the mask marks."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    zero = w == 0
+    mod = np.abs(w)
+    mod[zero] = 1.0
+    log = np.empty(w.shape, dtype=complex)
+    log.real = np.log(mod, out=mod)
+    log.imag = np.copysign(0.5 * math.pi, w)
+    log.imag[zero] = 0.0
+    return log, zero
 
 
 def _principal_power(base, exponent):
@@ -124,12 +160,12 @@ def hat_en(weights, omega):
     factors, and each such factor transforms to omega_a_fn(-a_k, w).
     """
     w, shape = _abscissae(omega)
+    sin2_half, sin_w = np.sin(0.5 * w) ** 2, np.sin(w)
     out = np.ones(w.shape, dtype=complex)
     for a in exponential_weights(weights):
-        # np.multiply, so that numpy cannot swap the operands of a product
-        # with a large temporary, and not in place, which rounds a single
-        # element differently: a value must not depend on its grid
-        out = np.multiply(out, omega_a_fn(-a, w))
+        # not in place, which rounds a single element differently
+        out = np.multiply(out, omega_fn(w) if a == 0.0
+                          else _damped_ratio(-a, w, sin2_half, sin_w))
     return _shaped(out, shape)
 
 
@@ -173,13 +209,14 @@ class FrequencyGrid:
     count: int
 
     def __post_init__(self):
-        if self.omega_max <= 0:
-            raise ParameterError(f"omega_max must be positive, got {self.omega_max!r}")
+        omega_max = float(self.omega_max)
+        if not 0 < omega_max < math.inf:
+            raise ParameterError(f"omega_max must be positive and finite, got {self.omega_max!r}")
         c = max(5, int(self.count))
         if (c - 1) % 4:
             c += 4 - (c - 1) % 4
         object.__setattr__(self, "count", c)
-        object.__setattr__(self, "omega_max", float(self.omega_max))
+        object.__setattr__(self, "omega_max", omega_max)
 
     @property
     def step(self) -> float:
@@ -217,13 +254,20 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid, decay: float,
     25 percent safety margin absorbs.  The in-range quadrature error is
     estimated by Richardson comparison against the half-resolution rule.
     """
-    if decay <= 1:
-        raise ParameterError(f"tail certification needs decay > 1, got {decay:g}")
+    if not math.isfinite(x):
+        raise ParameterError(f"x must be finite, got {x!r}")
+    if not 1 < decay < math.inf:
+        raise ParameterError(f"tail certification needs a finite decay > 1, got {decay!r}")
     om = grid.omegas
     vals = np.asarray(transform(om), dtype=complex)
     if vals.shape != om.shape:
         raise ParameterError("transform callable must evaluate elementwise")
-    integrand = vals * np.exp(1j * om * x)
+    # e^{iwx} * vals, with e^{iwx} the first operand at every grid size
+    wx = om * x
+    integrand = np.empty(om.shape, dtype=complex)
+    np.cos(wx, out=integrand.real)
+    np.sin(wx, out=integrand.imag)
+    np.multiply(integrand, vals, out=integrand)
     s_full = _simpson(integrand, grid.step)
     s_half = _simpson(integrand[::2], 2.0 * grid.step)
     quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)

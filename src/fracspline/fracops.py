@@ -46,6 +46,11 @@ is checked in the same split, one complex integral per column x0 +- i|v|,
 by the trapezoidal rule on the rotated ray t = r e^{-i pi/4}.  Its relative
 error is about 1e-11 for |v| <= 3 and grows like e^{3 pi |v|/4}, so |v|
 is limited to 20.
+
+Operand order: as in the fourier module, each complex product whose bits
+reach an output is an np.multiply or an in-place product with its
+operands in one fixed order, because a SIMD complex product can round
+differently with its operands swapped; q = e^{-iw} is cos w - i sin w.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from .errors import (
     RangeOverflowError,
     SignalFormatError,
 )
-from .fourier import FrequencyGrid, _principal_log, hat_en, omega_a_fn, omega_fn
+from .fourier import FrequencyGrid, _log_iomega, _principal_log, hat_en, omega_a_fn, omega_fn
 from .specialfn import binom_complex_sequence, gamma
 from .splines import (
     complex_order,
@@ -350,27 +355,29 @@ class AtomSum:
         w = np.zeros(_CHUNK)
         powers = np.empty((B + 1, _CHUNK), dtype=complex)
         powers[0] = 1.0
-        inner = np.empty((cols * J, _CHUNK), dtype=complex)
-        inner3 = inner.reshape(cols, J, _CHUNK)
-        acc = np.empty((cols, _CHUNK), dtype=complex)
+        inner = np.empty((cols, J, _CHUNK), dtype=complex)
         for start in range(0, om.size, _CHUNK):
             n = min(_CHUNK, om.size - start)
             w[:n] = om[start:start + n]
             w[n:] = 0.0
-            np.exp(-1j * w, out=powers[1])
+            np.cos(w, out=powers[1].real)
+            np.negative(np.sin(w), out=powers[1].imag)
             m = 1
             while m < B:  # q^{m+1}..q^{2m} from q^1..q^m and q^m
                 top = min(2 * m, B)
                 np.multiply(powers[1:top - m + 1], powers[m], out=powers[m + 1:top + 1])
                 m = top
-            np.matmul(blocks, powers[:B], out=inner)
-            acc[...] = inner3[:, J - 1]
-            for j in range(J - 2, -1, -1):
-                acc *= powers[B]
-                acc += inner3[:, j]
-            if low:
-                acc *= np.exp(-1j * low * w)
-            out[:, start:start + n] = acc[:, :n]
+            np.matmul(blocks, powers[:B], out=inner.reshape(cols * J, _CHUNK))
+            for c in range(cols):
+                # Horner in q^B over the blocks, in place on the column's
+                # contiguous rows; every row keeps the block's full length
+                acc = inner[c, J - 1]
+                for j in range(J - 2, -1, -1):
+                    acc *= powers[B]
+                    acc += inner[c, j]
+                if low:
+                    acc *= np.exp(-1j * low * w)
+                out[c, start:start + n] = acc[:n]
         return out
 
 
@@ -471,7 +478,7 @@ def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
         admissible = np.ones(om.shape, dtype=bool)
     rms = math.sqrt(len(lhs))
     residuals = np.where(admissible, np.hypot.reduce(np.abs(lhs - rhs), axis=0) / rms, np.nan)
-    lhs_scale = float(np.max(np.hypot.reduce(np.abs(lhs[:, admissible]), axis=0))) / rms
+    lhs_scale = float(np.max(np.hypot.reduce(np.abs(lhs), axis=0)[admissible])) / rms
     tail_bound = float(tail(lhs_scale, atoms.sup_norm() / rms))
     if not math.isfinite(tail_bound):
         raise overflow
@@ -520,26 +527,29 @@ def _binomial_tail(z: complex, K: int, first: float, damping: float) -> float:
 
 
 def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
-                           base1: np.ndarray, base2: np.ndarray, exponents,
-                           damping: float = 0.0):
+                           base1_log, base2_log, exponents, damping: float = 0.0):
     """Check (base1 base2)^e = sum_{k<=K} (-1)^k binom(e,k) e^{-damping k}
     e^{-ikw} for each exponent e at once, one atom-sum column per exponent.
 
-    The left side is exp(e (log base1 + log base2)) with both principal
-    logs taken once: exp(a) exp(b) = exp(a + b), so it is base1^e base2^e
-    everywhere, off the admissible set too, and 0 where a base is 0.
+    base1_log and base2_log are the principal logs of the bases with the
+    masks of their zeros, as _principal_log gives them; the first log is
+    overwritten by the sum of the two.  The left side is
+    exp(e (log base1 + log base2)): exp(a) exp(b) = exp(a + b), so it is
+    base1^e base2^e everywhere, off the admissible set too, and 0 where a
+    base is 0.
     The exponents are z or the pair (z, conj z), whose binomials have the
     same moduli, and _binomial_tail bounds the truncation tail of z.
     Returns the report and the left- and right-hand rows.
     """
     if K < 1:
         raise ParameterError("truncation K must be positive")
-    log1, zero1 = _principal_log(base1)
-    log2, zero2 = _principal_log(base2)
+    (log1, zero1), (log2, zero2) = base1_log, base2_log
     zero = zero1 | zero2
     admissible = _admissible_split(log1, log2, zero)
 
-    lhs = np.exp(np.multiply.outer(exponents, log1 + log2))
+    log1 += log2
+    lhs = np.multiply.outer(exponents, log1)
+    np.exp(lhs, out=lhs)
     lhs[..., zero] = 0.0
     binoms = np.stack([binom_complex_sequence(e, K + 1) for e in exponents], axis=1)
     k = np.arange(K + 1)
@@ -564,7 +574,7 @@ def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
     z = complex_order(z)
     om = _as_omegas(grid)
     report, lhs, rhs = _verify_binomial_atoms(
-        "complex", _z_label(z), K, om, 1j * om, omega_fn(om), (z,))
+        "complex", _z_label(z), K, om, _log_iomega(om), _principal_log(omega_fn(om)), (z,))
     report.extras.update(lhs=lhs[0], rhs=rhs[0])
     return report
 
@@ -577,7 +587,7 @@ def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     om = _as_omegas(grid)
     return _verify_binomial_atoms(
         "complex-exponential", f"a={a:g}, {_z_label(z)}", K, om,
-        a + 1j * om, omega_a_fn(a, om), (z,), damping=a)[0]
+        _principal_log(a + 1j * om), _principal_log(omega_a_fn(a, om)), (z,), damping=a)[0]
 
 
 def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport:
@@ -591,7 +601,7 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport
     comps_label = ",".join(f"{c:g}" for c in [upsilon.s, *upsilon.v.tolist()])
     report, lhs, rhs = _verify_binomial_atoms(
         "hypercomplex", f"upsilon=({comps_label})", K, om,
-        1j * om, omega_fn(om), (dec.z, dec.z.conjugate()))
+        _log_iomega(om), _principal_log(omega_fn(om)), (dec.z, dec.z.conjugate()))
     report.extras.update(
         lhs_pair=subalgebra_from_idempotent(*lhs),
         rhs_pair=subalgebra_from_idempotent(*rhs),

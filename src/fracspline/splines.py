@@ -174,15 +174,20 @@ def _shifted_sum(xs: np.ndarray, coeffs, kernel, closed: bool) -> np.ndarray:
     xsorted = xs[order]
     total = np.zeros(xs.size, dtype=np.result_type(coeffs[0], float))
     comp = np.zeros_like(total)
+    term, total_next = np.empty_like(total), np.empty_like(total)
     side = "left" if closed else "right"
     for k, c in enumerate(coeffs):
         start = int(np.searchsorted(xsorted, k, side))
         if start == xs.size:
             break
-        tot, cmp = total[start:], comp[start:]
-        y = c * kernel(xsorted[start:] - k) - cmp
-        s = tot + y
-        cmp[...] = (s - tot) - y
+        tot, cmp, y, s = total[start:], comp[start:], term[start:], total_next[start:]
+        # c stays the left operand: a complex product can round differently
+        # with its operands swapped
+        np.multiply(c, kernel(xsorted[start:] - k), out=y)
+        y -= cmp
+        np.add(tot, y, out=s)
+        np.subtract(s, tot, out=cmp)
+        cmp -= y
         tot[...] = s
     out = np.empty_like(total)
     out[order] = total

@@ -1153,6 +1153,24 @@ def test_boolean_cells_are_percent_d(monkeypatch):
             assert got == template_table_text(*args), (fmt, flags)
 
 
+def test_zero_float_columns_are_percent_e(monkeypatch):
+    # a column of +0.0 alone repeats one cell; -0.0 and a column that is
+    # +0.0 in one piece only are formatted cell by cell
+    import fracspline.cli
+    from fracspline.cli import _table_text
+
+    monkeypatch.setattr(fracspline.cli, "_ROWS_PER_PIECE", 3)
+    zeros = np.zeros(7)
+    partly = np.array([0.0, 0.0, 0.0, 1.5, 0.0, -0.0, 0.0])
+    for columns in ([np.arange(7) / 7, zeros, -zeros], [zeros, partly, np.arange(7)],
+                    [zeros[:1], -zeros[:1]], [zeros.astype(np.float32), zeros]):
+        for fmt in ("csv", "json"):
+            header = [f"c{j}" for j in range(len(columns))]
+            got = b"".join(_table_text(fmt, header, columns)).decode("ascii")
+            assert got == template_table_text(fmt, header, columns), (fmt, columns)
+    assert "-0.0000000000000000e+00" in template_table_text("csv", ["x"], [-zeros])
+
+
 def reduced_basis(u, v):
     """Lagrange-Gauss reduction of the 2-d integer lattice basis u, v."""
     def norm(a):

@@ -358,3 +358,144 @@ def test_simpson_equals_scipy_bit_for_bit(count):
     y = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     for samples, dx in ((y, 0.0123), (y[::2], 0.0246)):
         assert _simpson(samples, dx) == simpson(samples, dx=dx)
+
+
+# -- rewritten steps against their old formulas, bit for bit ----------------------
+
+def old_principal_log(base):
+    """_principal_log as it was: log(hypot) + 1j atan2 as two arrays."""
+    b = np.atleast_1d(np.asarray(base, dtype=complex))
+    zero = b == 0
+    re = np.where(zero, 1.0, b.real)
+    return np.log(np.hypot(re, b.imag)) + 1j * np.arctan2(b.imag, re), zero
+
+
+def old_omega_a_fn(a, w):
+    """omega_a_fn as it was, for a finite a != 0: its sines taken per call."""
+    damping = math.exp(-a)
+    num = np.empty(w.shape, dtype=complex)
+    num.real = 2.0 * damping * np.sin(0.5 * w) ** 2 - math.expm1(-a)
+    num.imag = damping * np.sin(w)
+    return num / (1j * w + a)
+
+
+def same_bits(a, b):
+    """Equal as bytes, so that -0.0 and +0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def edge_frequencies():
+    near = 2 * math.pi * np.arange(-6, 7)
+    return np.concatenate([
+        np.linspace(-40.0, 40.0, 8001),
+        near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+         1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]])
+
+
+def test_log_iomega_is_the_principal_log_of_iw_bit_for_bit():
+    from fracspline.fourier import _log_iomega, _principal_log
+
+    om = edge_frequencies()
+    log, zero = _log_iomega(om)
+    for ref_log, ref_zero in (old_principal_log(1j * om), _principal_log(1j * om)):
+        assert same_bits(log, ref_log)
+        assert np.array_equal(zero, ref_zero)
+    assert np.array_equal(np.flatnonzero(zero), np.flatnonzero(om == 0))
+
+
+def test_principal_log_keeps_the_bits_of_its_old_formula():
+    # one complex array, with +0.0 added so that an argument of -0.0 reads
+    # +0.0 as 0 + 1j atan2 gave it: omega_fn(0) = 1 - 0i is such a base
+    from fracspline.fourier import _principal_log
+
+    om = edge_frequencies()
+    finite = om[np.abs(om) < 1e300]
+    bases = [omega_fn(finite), omega_a_fn(0.7, finite), 0.7 + 1j * finite, 1j * om,
+             np.array([0, -0.0, complex(-0.0, -0.0), complex(1, -0.0), complex(-1, 0.0),
+                       complex(-1, -0.0), complex(5e-324, -0.0), complex(-2, 5e-324)])]
+    for base in bases:
+        log, zero = _principal_log(base)
+        ref_log, ref_zero = old_principal_log(base)
+        assert same_bits(log, ref_log)
+        assert np.array_equal(zero, ref_zero)
+    assert same_bits(_principal_log(omega_fn(0.0))[0], np.array([0j]))
+
+
+def test_hat_en_keeps_the_bits_of_its_product_of_damped_ratios():
+    # sin^2(w/2) and sin w taken once for all weights change no bit; a
+    # zero weight is still omega_fn, and so is w = 0
+    om = np.concatenate([edge_frequencies()[:-6], np.linspace(-3.0, 3.0, 20001)])
+    for weights in ((1.119155, -0.369429), (1.0, 0.0, -0.5), (0.0, 2.5), (-1.0,),
+                    (0.3, 0.3, -0.3, 1e-9)):
+        ref = np.ones(om.shape, dtype=complex)
+        for a in weights:
+            ref = np.multiply(ref, omega_fn(om) if a == 0.0 else old_omega_a_fn(-a, om))
+        assert same_bits(hat_en(weights, om), ref), weights
+        for i in (0, 8000, 8001, 8002, 8003, om.size - 1):
+            assert same_bits(hat_en(weights, om[i]), ref[i]), (weights, om[i])
+    for a in (0.7, -1.5, 1e-8):
+        assert same_bits(omega_a_fn(a, om), old_omega_a_fn(a, om)), a
+
+
+def old_inverse_quadrature_payload(transform, x, grid, decay):
+    """inverse_quadrature's value, error, tail bound and quadrature estimate
+    as it computed them, with the integrand vals * np.exp(1j om x)."""
+    from fracspline.fourier import _simpson
+
+    om = grid.omegas
+    vals = np.asarray(transform(om), dtype=complex)
+    integrand = vals * np.exp(1j * om * x)
+    s_full = _simpson(integrand, grid.step)
+    s_half = _simpson(integrand[::2], 2.0 * grid.step)
+    quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)
+    outer = np.abs(om) >= grid.omega_max / 10.0
+    env = np.abs(vals) * np.abs(om) ** decay
+    c_pos = float(np.mean(env[outer & (om > 0)]))
+    c_neg = float(np.mean(env[outer & (om < 0)]))
+    tail = 1.25 * (c_pos + c_neg) * grid.omega_max ** (1.0 - decay) / (
+        (decay - 1.0) * 2.0 * math.pi)
+    err = tail + quad_est + 1e-16 * float(np.max(np.abs(integrand))) * om.size ** 0.5
+    value = complex(s_full) / (2.0 * math.pi)
+    return [value.real, value.imag, float(err), float(tail), float(quad_est)]
+
+
+@pytest.mark.parametrize("count", [20001, 200001])
+def test_inverse_quadrature_payload_keeps_the_bits_of_its_old_integrand(count):
+    # e^{iwx} from cos and sin, multiplied into vals as e^{iwx} * vals, the
+    # order numpy gave the old vals * np.exp(...) on these grids (its
+    # temporary elision swaps the operands of arrays of 16384 or more
+    # complex values)
+    ups = Paravector(2.5, [1.0, -0.5])
+    transforms = [(lambda w: hat_bz(2.5 + 1j, w), 2.5), (lambda w: hat_ez(0.7, 3.2, w), 3.2),
+                  (lambda w: hat_en((1.0, 0.0, -0.5), w), 3.0),
+                  (lambda w: hat_bupsilon_components(ups, w)[1], 2.5)]
+    grid = FrequencyGrid(300.0, count)
+    for transform, decay in transforms:
+        for x in (1.5, -0.75, 0.0, 7.25):
+            res = inverse_quadrature(transform, x, grid, decay)
+            got = [res.value.real, res.value.imag, res.error, res.tail_bound,
+                   res.quadrature_estimate]
+            assert repr(got) == repr(old_inverse_quadrature_payload(transform, x, grid, decay))
+
+
+@pytest.mark.parametrize("omega_max", [math.nan, math.inf])
+def test_frequency_grid_rejects_a_non_finite_omega_max(omega_max):
+    with pytest.raises(ParameterError, match="omega_max"):
+        FrequencyGrid(omega_max, 101)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_inverse_quadrature_rejects_a_non_finite_x(x):
+    # NaN > tol is False, so a NaN result used to pass even a tolerance
+    grid = FrequencyGrid(20.0, 101)
+    with pytest.raises(ParameterError, match="x must be finite"):
+        inverse_quadrature(lambda w: hat_bz(2.5, w), x, grid, decay=2.5, tol=1.0)
+
+
+@pytest.mark.parametrize("decay", [math.nan, math.inf])
+def test_inverse_quadrature_rejects_a_non_finite_decay(decay):
+    grid = FrequencyGrid(20.0, 101)
+    with pytest.raises(ParameterError, match="decay"):
+        inverse_quadrature(lambda w: hat_bz(2.5, w), 0.5, grid, decay=decay, tol=1.0)

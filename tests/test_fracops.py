@@ -587,8 +587,8 @@ def test_fused_lhs_equals_the_product_of_principal_powers():
         base1 = a + 1j * om
         base2 = omega_a_fn(a, om)
         exps = (z, z.conjugate())
-        rep, lhs, _ = _verify_binomial_atoms("complex", "z", 20, om, base1, base2, exps,
-                                             damping=a)
+        rep, lhs, _ = _verify_binomial_atoms("complex", "z", 20, om, _principal_log(base1),
+                                             _principal_log(base2), exps, damping=a)
         assert a > 0 or not rep.admissible.all()  # w = 0 is excluded
         product = _principal_power(base1, exps) * _principal_power(base2, exps)
         zero = product == 0
@@ -715,3 +715,63 @@ def test_operator_memory_per_sample_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak / n <= bound, (bound, peak / n)
+
+
+def broadcast_horner(atoms, omegas):
+    """AtomSum.evaluate as it was before its giant steps ran one column at a
+    time: q = e^{-iw} by the complex exp, and Horner's rule on all columns
+    at once, broadcasting q^B."""
+    om = np.asarray(omegas, dtype=float).ravel()
+    low = int(atoms.shifts.min())
+    span = int(atoms.shifts.max()) - low + 1
+    cols = atoms.components.shape[1]
+    B = math.isqrt(span - 1) + 1
+    J = -(-span // B)
+    table = np.zeros((J * B, cols), dtype=complex)
+    np.add.at(table, atoms.shifts - low, atoms.components)
+    blocks = np.ascontiguousarray(table.reshape(J, B, cols).transpose(2, 0, 1)
+                                  ).reshape(cols * J, B)
+    out = np.empty((cols, om.size), dtype=complex)
+    w = np.zeros(4096)
+    powers = np.empty((B + 1, 4096), dtype=complex)
+    powers[0] = 1.0
+    inner = np.empty((cols * J, 4096), dtype=complex)
+    inner3 = inner.reshape(cols, J, 4096)
+    acc = np.empty((cols, 4096), dtype=complex)
+    for start in range(0, om.size, 4096):
+        n = min(4096, om.size - start)
+        w[:n] = om[start:start + n]
+        w[n:] = 0.0
+        np.exp(-1j * w, out=powers[1])
+        m = 1
+        while m < B:
+            top = min(2 * m, B)
+            np.multiply(powers[1:top - m + 1], powers[m], out=powers[m + 1:top + 1])
+            m = top
+        np.matmul(blocks, powers[:B], out=inner)
+        acc[...] = inner3[:, J - 1]
+        for j in range(J - 2, -1, -1):
+            acc *= powers[B]
+            acc += inner3[:, j]
+        if low:
+            acc *= np.exp(-1j * low * w)
+        out[:, start:start + n] = acc[:, :n]
+    return out
+
+
+def test_atom_sum_keeps_the_bits_of_the_broadcast_horner():
+    # q = cos w - i sin w and one column at a time change no bit: 1 to 3
+    # columns, J = 1 (one and two atoms), a part-filled last block, negative
+    # shifts, and frequencies at 0, -0.0, subnormal, near 2 pi m and large
+    near = 2 * math.pi * np.arange(-4, 5)
+    om = np.concatenate([np.linspace(-40.0, 40.0, 9001), [0.0, -0.0, 5e-324, -5e-324, 1e6],
+                         np.nextafter(near, np.inf), np.nextafter(near, -np.inf)])
+    rng = np.random.default_rng(20)
+    for ncols in (1, 2, 3):
+        for shifts in (np.arange(1), np.arange(2), np.arange(17), np.arange(401),
+                       np.array([-3, 0, 5, 5, 2])):
+            comps = (rng.normal(size=(shifts.size, ncols))
+                     + 1j * rng.normal(size=(shifts.size, ncols)))
+            atoms = AtomSum(shifts, comps)
+            assert np.array_equal(atoms.evaluate(om).view(np.uint64),
+                                  broadcast_horner(atoms, om).view(np.uint64)), (ncols, shifts)

@@ -509,3 +509,46 @@ def test_left_support_is_exact_zero(x):
     assert eval_ez(1.0, 2.5, x) == 0.0
     assert eval_exp_bspline((1.0, 2.0), x) == 0.0
     assert eval_bupsilon(Paravector(2.5, [1.0]), x).norm() == 0.0
+
+
+def per_shift_sum(xs, coeffs, kernel, closed):
+    """_shifted_sum as it was: the compensated pass with new arrays per shift."""
+    order = np.argsort(xs, kind="stable")
+    xsorted = xs[order]
+    total = np.zeros(xs.size, dtype=np.result_type(coeffs[0], float))
+    comp = np.zeros_like(total)
+    side = "left" if closed else "right"
+    for k, c in enumerate(coeffs):
+        start = int(np.searchsorted(xsorted, k, side))
+        if start == xs.size:
+            break
+        tot, cmp = total[start:], comp[start:]
+        y = c * kernel(xsorted[start:] - k) - cmp
+        s = tot + y
+        cmp[...] = (s - tot) - y
+        tot[...] = s
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def test_shifted_sum_keeps_the_bits_of_per_shift_arrays():
+    # two buffers allocated once, with the coefficient the left operand of
+    # every product: complex and real coefficients and kernels, shuffled
+    # and repeated points, integers, both sides of the support convention
+    from fracspline.specialfn import binom_complex_sequence
+    from fracspline.splines import _shifted_sum
+
+    rng = np.random.default_rng(20)
+    xs = np.concatenate([rng.permutation(np.linspace(0.0, 40.0, 6001)),
+                         [3.0, 3.0, 0.0, 12.5, 39.999]])
+    z = 4.0 + 0.5j
+    complex_coeffs = binom_complex_sequence(z, 40) * (-1.0) ** np.arange(41)
+    cases = [(complex_coeffs, lambda t: np.exp((z - 1.0) * np.log(t)), False),
+             ([float((-1) ** k * math.comb(6, k)) for k in range(6)],
+              lambda t: np.float_power(t, 5), True),
+             (rng.normal(size=30), lambda t: np.exp(-t) * t, True)]
+    for coeffs, kernel, closed in cases:
+        got = _shifted_sum(xs, coeffs, kernel, closed)
+        assert np.array_equal(got.view(np.uint64), per_shift_sum(xs, coeffs, kernel, closed
+                                                                 ).view(np.uint64))
