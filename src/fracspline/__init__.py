@@ -25,7 +25,6 @@ from .errors import (
     OrderError,
     ParameterError,
     PoleError,
-    RangeOverflowError,
     SignalFormatError,
 )
 from .fourier import (

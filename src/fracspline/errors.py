@@ -34,10 +34,6 @@ class NumericError(FracSplineError, ArithmeticError):
     """Computation would be meaningless at working precision."""
 
 
-class RangeOverflowError(FracSplineError, OverflowError):
-    """Exponential reweighting overflows on the requested grid."""
-
-
 class GridResolutionError(FracSplineError):
     """Frequency grid too coarse for the requested certified tolerance."""
 

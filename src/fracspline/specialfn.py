@@ -106,7 +106,11 @@ def binom_complex_sequence(z, kmax: int) -> np.ndarray:
     The multiplicative recurrence terminates exactly at zero when z is a
     nonnegative integer and k > z."""
     z = complex(z)
-    out = np.empty(kmax + 1, dtype=complex)
+    try:
+        out = np.empty(kmax + 1, dtype=complex)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise NumericError(f"binom(z, k) for k up to kmax = {kmax} needs an array "
+                           "no memory can hold") from exc
     out[0] = 1.0
     for j in range(1, kmax + 1):
         out[j] = out[j - 1] * (z - j + 1) / j

@@ -12,6 +12,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +232,30 @@ def test_non_finite_grid_is_a_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("0:1", "grid must be start:stop:step, got '0:1'"),
+    ("a:b:c", "grid values must be numeric: 'a:b:c'"),
+    ("1:0:0.5", "grid needs stop >= start and step > 0, got '1:0:0.5'"),
+    ("0:1:0", "grid needs stop >= start and step > 0, got '0:1:0'"),
+    ("0:1:-1", "grid needs stop >= start and step > 0, got '0:1:-1'"),
+    ("0:1:0.5:2", "grid must be start:stop:step, got '0:1:0.5:2'"),
+])
+def test_grid_spec_errors(spec, message, capsys):
+    assert run_cli(["eval", "--family", "classical", "--n", "3", "--grid", spec]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_binomial_sizes_no_array_holds_are_an_error(capsys):
+    # the binomial sequence used to end in a MemoryError or a ValueError
+    # traceback from its np.empty
+    for argv in (["eval", "--family", "complex", "--z", "2.5", "--grid", "1e17:1e17:1"],
+                 ["verify", "--family", "complex", "--z", "2.5",
+                  "--K", "1000000000000000000", "--grid", "0.1:1:0.1"]):
+        assert run_cli(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: binom(z, k) for k up to kmax = "), argv
+
+
 def test_eval_classical_order_past_factorial_range(tmp_path, capsys):
     # (n-1)! overflows a float from n = 172 on: an error, not a traceback
     assert run_cli(["eval", "--family", "classical", "--n", "200",
@@ -318,6 +343,25 @@ def test_fracop_derivative_matches_gradient(tmp_path):
     _, rows = read_csv(out)
     data = np.array([[float(r[0]), float(r[1])] for r in rows if r[3] == "1"])
     assert np.max(np.abs(data[:, 1] - np.cos(data[:, 0]))) < 1e-5
+
+
+def test_fracop_orders_with_a_whole_real_part(tmp_path):
+    # D^{1+0.2i} and (D + a)^{2-0.5i} used to take an integral of order
+    # -0.2i or 0.5i and exit 1; both now follow the power rule on x^2
+    src = tmp_path / "in.csv"
+    out = tmp_path / "out.csv"
+    for op, z, a in (("derivative", 1 + 0.2j, 0.0), ("shifted-derivative", 2 - 0.5j, 0.5)):
+        write_signal(src, lambda x: math.exp(-a * x) * x * x)
+        argv = ["fracop", "--op", op, f"--z={z.real:g},{z.imag:g}",
+                "--input", str(src), "-o", str(out)]
+        assert run_cli(argv + ([f"--a={a:g}"] if a else [])) == 0, op
+        _, rows = read_csv(out)
+        data = np.array([[float(c) for c in r] for r in rows])
+        x, value = data[:, 0], data[:, 1] + 1j * data[:, 2]
+        m = (data[:, 3] == 1) & (x >= 0.1) & (x <= 1.9)
+        ref = (np.exp(-a * x[m]) * math.gamma(3.0)
+               / complex(mpmath.gamma(3.0 - z)) * np.exp((2.0 - z) * np.log(x[m])))
+        assert np.max(np.abs(value[m] - ref)) / np.max(np.abs(ref)) < 1e-4, op
 
 
 def test_fracop_nonuniform_grid_rejected(tmp_path, capsys):
@@ -921,6 +965,29 @@ def test_successive_calls_share_no_parser_state(tmp_path, capsys):
     assert run_cli(args + ["--grid", "0:1:0.5"]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("[1, 2]", 1, "error: config file must hold a JSON object\n"),
+    ("{", 1, "error: config {path!r} is not valid JSON: "),
+    (None, 3, "i/o error: cannot read config {path!r}: "),
+])
+def test_config_file_errors(text, code, message, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    if text is not None:
+        conf.write_text(text)
+    argv = ["eval", "--family", "classical", "--n", "2", "--grid", "0:1:0.5"]
+    assert run_cli(argv + ["--config", str(conf)]) == code
+    assert capsys.readouterr().err.startswith(message.format(path=str(conf)))
+
+
+def test_config_list_value_reads_as_comma_separated(tmp_path):
+    conf, a, b = tmp_path / "conf.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    conf.write_text(json.dumps({"z": [2.5, 1]}))
+    argv = ["eval", "--family", "complex", "--grid", "0:3:0.5"]
+    assert run_cli(argv + ["--config", str(conf), "-o", str(a)]) == 0
+    assert run_cli(argv + ["--z", "2.5,1", "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
