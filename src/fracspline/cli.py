@@ -59,7 +59,6 @@ from .clifford import Paravector
 from .errors import (
     EmptyAdmissibleSetError,
     FracSplineError,
-    GridResolutionError,
     NumericError,
     SignalFormatError,
 )
@@ -919,7 +918,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EmptyAdmissibleSetError, GridResolutionError) as exc:
+    except EmptyAdmissibleSetError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 2
     except IOError as exc:

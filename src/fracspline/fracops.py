@@ -55,6 +55,7 @@ differently with its operands swapped; q = e^{-iw} is cos w - i sin w.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -197,21 +198,35 @@ def frac_integral(z, signal: SampledSignal) -> SampledSignal:
     return signal.with_values(_integral_values(z, signal, 0.0), valid=signal.valid.copy())
 
 
+def _operator_order(z, operator: str) -> complex:
+    """The order z of a fractional operator as a complex; it must be
+    finite with re z > 0."""
+    z = complex(z)
+    if not (z.real > 0 and cmath.isfinite(z)):
+        raise DomainError(f"{operator} needs a finite z with re z > 0, got {z!r}")
+    return z
+
+
 def _integral_values(z, signal: SampledSignal, damping: float) -> np.ndarray:
     """The values of frac_integral, or with damping a > 0 those of
     e^{-ax} I^z[e^{ax} f] on the damped samples f: the weight at lag m is
     multiplied by e^{-amh} = e^{-a x_j} e^{a x_{j-m}}, so e^{ax} is never
-    formed.  A damping of 0 leaves every weight as it is."""
-    z = complex(z)
-    if not z.real > 0:
-        raise DomainError(f"fractional integral needs re z > 0, got {z!r}")
+    formed.  A damping of 0 leaves every weight as it is.
+
+    Raises NumericError when Gamma(z + 2) overflows or underflows (large
+    |im z|): dividing by it is then meaningless."""
+    z = _operator_order(z, "fractional integral")
     f = signal.values
     n = f.size
     try:
-        pref = np.exp(z * math.log(signal.step)) / gamma(z + 2.0)
+        g = gamma(z + 2.0)
     except NumericError as exc:
         raise NumericError(f"fractional integral of order z = {z!r} overflows: "
                            "Gamma(z + 2) is out of range") from exc
+    if g.real * g.real + g.imag * g.imag < 1e-300:
+        raise NumericError(f"fractional integral of order z = {z!r} underflows: "
+                           "Gamma(z + 2) is too small to divide by")
+    pref = np.exp(z * math.log(signal.step)) / g
     pz = np.zeros(n + 1, dtype=complex)  # m^z, with 0^z = 0
     pz[1:] = np.exp(z * np.log(np.arange(1.0, n + 1)))
     pz1 = np.arange(n + 1.0) * pz  # m^{z+1}
@@ -245,11 +260,16 @@ def frac_derivative(z, signal: SampledSignal) -> SampledSignal:
     the (n - z)-order fractional integral, n = floor(re z) + 1, or n = z
     with no integral for a whole real z.
 
-    Differencing is second-order accurate (one-sided at the edges); the n
-    outermost cells at each end are flagged invalid.  On signals with a
-    jump at the origin this realizes the convolve-then-differentiate
-    ordering, which differs from differencing first by the atoms the jump
-    generates.
+    Each pass is np.gradient: central differences, second order, inside,
+    and its default first-order one-sided difference (edge_order=1) at
+    each end, an error that compounds over the passes; the n outermost
+    cells at each end are flagged invalid.  On signals with a jump at the
+    origin this realizes the convolve-then-differentiate ordering, which
+    differs from differencing first by the atoms the jump generates.
+
+    z must be finite with re z > 0 (DomainError).  Raises NumericError
+    when the rounding noise bound eps (2/h)^n of n passes at step h leaves
+    the float range, and ConditioningWarning when it swamps the result.
     """
     return _derivative(z, signal, 0.0)
 
@@ -265,13 +285,22 @@ def shifted_frac_derivative(a: float, z, signal: SampledSignal) -> SampledSignal
 def _derivative(z, signal: SampledSignal, damping: float) -> SampledSignal:
     """frac_derivative, damped by a = damping > 0 as in
     shifted_frac_derivative; its ConditioningWarning names their caller."""
-    z = complex(z)
-    if not z.real > 0:
-        raise DomainError(f"fractional derivative needs re z > 0, got {z!r}")
+    z = _operator_order(z, "fractional derivative")
     n = math.floor(z.real)
     if z != n:
         n += 1
-    g = signal.values if z == n else _integral_values(n - z, signal, damping)
+    # n passes amplify a rounding error of eps by up to (2/h + a)^n; the log
+    # of that bound is taken first, so an order no float can difference
+    # fails before the first pass
+    log_bound = math.log(np.finfo(float).eps) + n * math.log(2.0 / signal.step + damping)
+    if log_bound > math.log(np.finfo(float).max):
+        raise NumericError(
+            f"order-{n} differencing at step h = {signal.step:g} amplifies rounding "
+            "noise beyond the float range")
+    try:
+        g = signal.values if z == n else _integral_values(n - z, signal, damping)
+    except NumericError as exc:
+        raise NumericError(f"fractional derivative of order z = {z!r}: {exc}") from exc
     d = g
     for _ in range(n):
         dd = np.gradient(d, signal.step)
@@ -279,7 +308,7 @@ def _derivative(z, signal: SampledSignal, damping: float) -> SampledSignal:
             dd += damping * d
         d = dd
 
-    noise = np.finfo(float).eps * float(np.max(np.abs(g))) * (2.0 / signal.step + damping) ** n
+    noise = float(np.max(np.abs(g))) * math.exp(log_bound)
     scale = float(np.max(np.abs(d))) if d.size else 0.0
     if noise > 0.1 * (scale + 1e-300):
         warnings.warn(

@@ -3,9 +3,9 @@
 Every evaluator takes one abscissa or an array of them.  An array is
 evaluated in one numpy pass per shift k: Gamma and the atom coefficients
 are computed once per call, and the term of shift k is added to all the
-points it reaches at once, in compensated (Kahan) arithmetic kept as
-arrays.  A single abscissa is the same code on a one-point array, so a
-value does not depend on the grid it is evaluated on, bit for bit.
+points it reaches at once, into one running total.  A single abscissa is
+the same code on a one-point array, so a value does not depend on the
+grid it is evaluated on, bit for bit.
 
 All families here are supported on the right half line and evaluate to an
 exact 0 for x < 0.  The alternating truncated-power series are finite for
@@ -37,12 +37,15 @@ squaring in numpy (_bidiagonal_corner).
 
 Accuracy: every term carries a relative rounding error of about eps, so
 the absolute error of a value is about eps * sum_k |t_k| however the
-terms are summed; Kahan summation removes only the error of the
-additions.  The terms alternate and cancel, so the relative error grows
-with x and with re z.  Against a 60-digit oracle it is below 1e-9 at
-x = 5.5 for z = 1.5, 2.5 + i and 4 + 0.5i, but at re z >= 3 every digit
-is lost near x = 50 (z = 4 + 0.5i: relative error 1.07 at x = 50.5).
-The loss is not reported.
+terms are summed (Higham, Accuracy and Stability of Numerical Algorithms,
+sec. 4).  Each addition into the one running total errs by at most eps
+times a partial sum, and no partial sum exceeds sum_k |t_k|; compensated
+summation would remove only these errors, and against the oracle it
+changes no measured error.  The terms alternate and cancel, so the
+relative error grows with x and with re z.  Against a 60-digit oracle it
+is below 1e-9 at x = 5.5 for z = 1.5, 2.5 + i and 4 + 0.5i, but at
+re z >= 3 every digit is lost near x = 50 (z = 4 + 0.5i: relative error
+1.13 at x = 50.5).  The loss is not reported.
 """
 
 from __future__ import annotations
@@ -164,31 +167,27 @@ def series_terms(x):
 
 def _shifted_sum(xs: np.ndarray, coeffs, kernel, closed: bool) -> np.ndarray:
     """sum_k coeffs[k] kernel(x - k) over the shifts k with x - k > 0
-    (x - k >= 0 when closed) at every x of xs, by compensated summation.
+    (x - k >= 0 when closed) at every x of xs, in one running total.
 
     The points a shift reaches are a suffix of the sorted abscissae, so each
     shift is one array pass over a slice; every point sees its terms in the
-    order k = 0, 1, ... whatever grid it sits in.
+    order k = 0, 1, ... whatever grid it sits in.  Compensated summation
+    would buy no accuracy: the terms' own rounding already bounds the error
+    (module docstring).
     """
     order = np.argsort(xs, kind="stable")
     xsorted = xs[order]
     total = np.zeros(xs.size, dtype=np.result_type(coeffs[0], float))
-    comp = np.zeros_like(total)
-    term, total_next = np.empty_like(total), np.empty_like(total)
+    term = np.empty_like(total)
     side = "left" if closed else "right"
     for k, c in enumerate(coeffs):
         start = int(np.searchsorted(xsorted, k, side))
         if start == xs.size:
             break
-        tot, cmp, y, s = total[start:], comp[start:], term[start:], total_next[start:]
         # c stays the left operand: a complex product can round differently
         # with its operands swapped
-        np.multiply(c, kernel(xsorted[start:] - k), out=y)
-        y -= cmp
-        np.add(tot, y, out=s)
-        np.subtract(s, tot, out=cmp)
-        cmp -= y
-        tot[...] = s
+        np.multiply(c, kernel(xsorted[start:] - k), out=term[start:])
+        total[start:] += term[start:]
     out = np.empty_like(total)
     out[order] = total
     return out
@@ -202,6 +201,11 @@ def eval_bn(n: int, x):
     is exactly 0 outside [0, n) and at x = n.  The powers are libm pow
     (np.float_power), the rounding of Python's float power.
 
+    B_n is symmetric, B_n(x) = B_n(n - x) on (0, n), and n - x is exact
+    for x > n/2 (Sterbenz's lemma), so the right half is summed from the
+    right end as that mirror image, where its terms do not cancel to a
+    value far below them.
+
     Raises NumericError for n > 171, where (n-1)! overflows a float.
     """
     n = integer_order(n)
@@ -211,9 +215,11 @@ def eval_bn(n: int, x):
     xs, shape = _abscissae(x)
     out = np.zeros(xs.size)
     live = (xs >= 0.0) & (xs < n)
+    folded = xs[live]
+    folded = np.where(folded > n / 2, n - folded, folded)
     coeffs = [float((-1) ** k * math.comb(n, k)) for k in range(n)]
     # t_+^0 = 1 at t = 0 too: the left-closed unit box
-    total = _shifted_sum(xs[live], coeffs, lambda t: np.float_power(t, n - 1),
+    total = _shifted_sum(folded, coeffs, lambda t: np.float_power(t, n - 1),
                          closed=True)
     out[live] = total / float(math.factorial(n - 1))
     return _shaped(out, shape)

@@ -364,6 +364,22 @@ def test_fracop_orders_with_a_whole_real_part(tmp_path):
         assert np.max(np.abs(value[m] - ref)) / np.max(np.abs(ref)) < 1e-4, op
 
 
+def test_fracop_orders_it_cannot_difference_are_errors(tmp_path, capsys):
+    # an error line, not an OverflowError or ZeroDivisionError traceback
+    src = tmp_path / "in.csv"
+    write_signal(src, lambda x: x * x, h=0.01)
+    for op, z, message in (
+            (["--op", "derivative"], "inf", "fractional derivative needs a finite z"),
+            (["--op", "derivative"], "0.5,inf", "fractional derivative needs a finite z"),
+            (["--op", "integral"], "inf", "fractional integral needs a finite z"),
+            (["--op", "derivative"], "150", "order-150 differencing at step h = 0.01"),
+            (["--op", "shifted-derivative", "--a", "0.7"], "150",
+             "order-150 differencing at step h = 0.01")):
+        assert run_cli(["fracop", *op, "--z", z, "--input", str(src), "-o", "-"]) == 1, z
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), (z, err)
+
+
 def test_fracop_nonuniform_grid_rejected(tmp_path, capsys):
     src = tmp_path / "bad.csv"
     src.write_text("x,value\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
@@ -987,6 +1003,15 @@ def test_config_list_value_reads_as_comma_separated(tmp_path):
     argv = ["eval", "--family", "complex", "--grid", "0:3:0.5"]
     assert run_cli(argv + ["--config", str(conf), "-o", str(a)]) == 0
     assert run_cli(argv + ["--z", "2.5,1", "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_config_number_for_a_string_option(tmp_path):
+    conf, a, b = tmp_path / "conf.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    conf.write_text(json.dumps({"z": 2.5}))
+    argv = ["eval", "--family", "complex", "--grid", "0:3:0.5"]
+    assert run_cli(argv + ["--config", str(conf), "-o", str(a)]) == 0
+    assert run_cli(argv + ["--z", "2.5", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -13,6 +13,7 @@ from fracspline import (
     ConditioningWarning,
     DomainError,
     EmptyAdmissibleSetError,
+    NumericError,
     OrderError,
     ParameterError,
     Paravector,
@@ -161,6 +162,39 @@ def test_derivative_conditioning_warning():
     sig = SampledSignal(0.0, 1e-6, np.ones(64))
     with pytest.warns(ConditioningWarning):
         frac_derivative(2.0, sig)
+
+
+def test_operators_reject_orders_they_cannot_take():
+    # one check for both operators: a finite z with re z > 0
+    sig = make_signal(lambda x: x * x, stop=2.0, h=0.01)
+    inf = math.inf
+    for z in (0.0, -0.5, 0.5j, inf, complex(0.5, inf), complex(inf, 1.0), math.nan):
+        for call in (frac_integral, frac_derivative,
+                     lambda z, s: shifted_frac_derivative(0.7, z, s)):
+            with pytest.raises(DomainError, match="finite z with re z > 0"):
+                call(z, sig)
+
+
+def test_derivative_orders_no_float_can_difference():
+    # eps (2/h)^n leaves the float range at n = 150 and h = 0.01: the error
+    # names n and h before the first pass, so n = 1e9 runs no pass at all
+    sig = make_signal(lambda x: x * x, stop=2.0, h=0.01)
+    for z in (150, 150.5 + 2j, 1e9):
+        n = math.floor(z.real) + (z != math.floor(z.real))
+        for call in (frac_derivative, lambda z, s: shifted_frac_derivative(0.7, z, s)):
+            with pytest.raises(NumericError, match=f"order-{n} differencing at step h = 0.01"):
+                call(z, sig)
+    with pytest.warns(ConditioningWarning):
+        frac_derivative(100, sig)
+
+
+def test_integral_gamma_underflow_is_a_numeric_error():
+    # Gamma(z + 2) underflows at large |im z|: dividing by it would give NaN
+    sig = make_signal(lambda x: x * x, stop=2.0, h=0.01)
+    with pytest.raises(NumericError, match="Gamma"):
+        frac_integral(0.5 + 1000j, sig)
+    with pytest.raises(NumericError, match=r"derivative of order z = \(0.5\+600j\):.*Gamma"):
+        frac_derivative(0.5 + 600j, sig)
 
 
 def test_conditioning_warning_names_the_caller():
