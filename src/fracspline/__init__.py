@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     EmptyAdmissibleSetError,
     FracSplineError,
-    GridResolutionError,
     NumericError,
     OrderError,
     ParameterError,

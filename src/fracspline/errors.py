@@ -34,10 +34,6 @@ class NumericError(FracSplineError, ArithmeticError):
     """Computation would be meaningless at working precision."""
 
 
-class GridResolutionError(FracSplineError):
-    """Frequency grid too coarse for the requested certified tolerance."""
-
-
 class EmptyAdmissibleSetError(FracSplineError):
     """Every grid frequency was excluded by the branch-admissibility filter."""
 

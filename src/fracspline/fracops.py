@@ -71,7 +71,8 @@ from .errors import (
     ParameterError,
     SignalFormatError,
 )
-from .fourier import FrequencyGrid, _log_iomega, _principal_log, hat_en, omega_a_fn, omega_fn
+from .fourier import (FrequencyGrid, _log_iomega, _principal_log, _principal_power, hat_en,
+                      omega_a_fn, omega_fn)
 from .specialfn import binom_complex_sequence, gamma
 from .splines import (
     complex_order,
@@ -269,7 +270,9 @@ def frac_derivative(z, signal: SampledSignal) -> SampledSignal:
 
     z must be finite with re z > 0 (DomainError).  Raises NumericError
     when the rounding noise bound eps (2/h)^n of n passes at step h leaves
-    the float range, and ConditioningWarning when it swamps the result.
+    the float range, SignalFormatError when the signal has at most 2n
+    samples, which leaves no valid cell, and ConditioningWarning when the
+    noise swamps the result.
     """
     return _derivative(z, signal, 0.0)
 
@@ -297,6 +300,10 @@ def _derivative(z, signal: SampledSignal, damping: float) -> SampledSignal:
         raise NumericError(
             f"order-{n} differencing at step h = {signal.step:g} amplifies rounding "
             "noise beyond the float range")
+    if 2 * n >= signal.count:
+        raise SignalFormatError(
+            f"order-{n} differencing flags the {n} outermost cells at each end "
+            f"invalid, which leaves no valid cell of the {signal.count} samples")
     try:
         g = signal.values if z == n else _integral_values(n - z, signal, damping)
     except NumericError as exc:
@@ -579,8 +586,8 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
 
     base1_log and base2_log are the principal logs of the bases with the
     masks of their zeros, as _principal_log gives them; the first log is
-    overwritten by the sum of the two.  The left side is
-    exp(e (log base1 + log base2)): exp(a) exp(b) = exp(a + b), so it is
+    overwritten by the sum of the two.  The left side is the principal
+    power of that sum: exp(a) exp(b) = exp(a + b), so it is
     base1^e base2^e everywhere, off the admissible set too, and 0 where a
     base is 0.
     The exponents are z or the pair (z, conj z), whose binomials have the
@@ -594,9 +601,7 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
     admissible = _admissible_split(log1, log2, zero)
 
     log1 += log2
-    lhs = np.multiply.outer(exponents, log1)
-    np.exp(lhs, out=lhs)
-    lhs[..., zero] = 0.0
+    lhs = _principal_power(log1, zero, exponents)
     binoms = np.stack([binom_complex_sequence(e, K + 1) for e in exponents], axis=1)
     k = np.arange(K + 1)
     weights = (-1.0) ** k * np.exp(-damping * k)
@@ -748,7 +753,7 @@ def mellin_check(upsilon: Paravector, omega: float) -> MellinCheckResult:
     left = terms[:, 0] / -np.expm1(-_MELLIN_STEP * z)
     integrals = _MELLIN_STEP * (left + terms[:, 1:].sum(axis=1))
     g = gamma(dec.z)
-    columns = np.array([g, g.conjugate()]) * np.exp(-z * (log_omega + 0.5j * math.pi))
+    columns = np.array([g, g.conjugate()]) * _principal_power(*_log_iomega(omega), -z)[:, 0]
     lhs = dec.paravector(*subalgebra_from_idempotent(*integrals))
     rhs = dec.paravector(*subalgebra_from_idempotent(*columns))
     return MellinCheckResult(lhs, rhs, float((lhs - rhs).norm()))

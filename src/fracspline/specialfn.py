@@ -38,21 +38,27 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 def gamma(z) -> complex:
     """Euler Gamma for complex argument (Lanczos, reflection for re z < 0.5).
 
-    Raises PoleError at the poles (nonpositive integers) and NumericError
-    where the Lanczos factor t**(w + 0.5) overflows, which it does before
-    Gamma itself, near re z = 143 for real z (gamma(142) is finite).
+    Raises DomainError for a z that is not finite, PoleError at the poles
+    (nonpositive integers) and NumericError where the Lanczos factor
+    t**(w + 0.5) overflows, which it does before Gamma itself, near
+    re z = 143 for real z (gamma(142) is finite).
     Left of re z = 0.5 at |im z| > 226, where sin(pi z) overflows, the
     reflection takes its decaying form; there Gamma is below 1e-150 and
     is 0 past |im z| of about 450.  Where the reflection's Gamma(1 - z)
     overflows, the NumericError names the z given.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"gamma needs a finite argument, got {z}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError(f"gamma has a pole at {z.real:g}")
     if z.real < 0.5:
-        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
+        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z), with
+        # sin(pi z) = (-1)^n sin(pi (z - n)) for the nearest integer n: z - n
+        # is exact, so near a pole the small sine keeps its relative precision
+        n = round(z.real)
         try:
-            sin_pz = cmath.sin(math.pi * z)
+            sin_pz = cmath.sin(math.pi * (z - n))
         except OverflowError:
             # |im z| > 226: 1/sin(pi z) = 2is e^{is pi z} / (e^{2is pi z} - 1),
             # s = sign(im z), with e^{is pi z} = h^2 decaying.  |gamma(1 - z)|
@@ -65,6 +71,8 @@ def gamma(z) -> complex:
             if abs(h) < sys.float_info.min:
                 return 0j
             return 2j * s * math.pi * h / _reflected_gamma(z) * h / (h ** 4 - 1.0)
+        if n % 2:
+            sin_pz = -sin_pz
         return math.pi / (sin_pz * _reflected_gamma(z))
     w = z - 1.0
     acc = _LANCZOS_C[0]

@@ -251,10 +251,14 @@ def eval_bz(z, x):
 def exp_difference_coefficients(weights) -> np.ndarray:
     """Coefficients p_0..p_n of prod_k (1 - e^{a_k} q) for the weights
     a_k: the atoms of the exponential difference operator, lowest power of
-    the shift q first."""
+    the shift q first.  Raises NumericError where e^{a_k} overflows."""
     poly = np.array([1.0])
     for a in weights:
-        poly = np.convolve(poly, np.array([1.0, -math.exp(a)]))
+        try:
+            root = math.exp(a)
+        except OverflowError as exc:
+            raise NumericError(f"e^{a:g} overflows a float") from exc
+        poly = np.convolve(poly, np.array([1.0, -root]))
     return poly
 
 

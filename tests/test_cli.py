@@ -123,6 +123,14 @@ def test_eval_exponential_family(tmp_path):
     assert abs(v - ref) < 1e-8
 
 
+def test_exponential_weights_past_the_float_range_are_an_error(capsys):
+    # e^800 overflows a float: an error line from eval too, not a traceback
+    for cmd in ("eval", "transform"):
+        assert run_cli([cmd, "--family", "exponential", "--a", "800,-800",
+                        "--grid", "0:2:0.5", "-o", "-"]) == 1, cmd
+        assert capsys.readouterr().err == "error: e^800 overflows a float\n", cmd
+
+
 def test_eval_json_format(tmp_path):
     out = tmp_path / "bn.json"
     assert run_cli(["eval", "--family", "classical", "--n", "3",
@@ -378,6 +386,20 @@ def test_fracop_orders_it_cannot_difference_are_errors(tmp_path, capsys):
         assert run_cli(["fracop", *op, "--z", z, "--input", str(src), "-o", "-"]) == 1, z
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}"), (z, err)
+
+
+def test_fracop_derivative_that_leaves_no_valid_cell_is_an_error(tmp_path, capsys):
+    # n passes flag n cells at each end: 2n samples or fewer is an error
+    # line, not a table whose every row reads valid 0
+    src = tmp_path / "in.csv"
+    for stop, z, n, count in ((0.01, "0.5", 1, 2), (0.03, "2", 2, 4), (2.0, "101", 101, 201)):
+        write_signal(src, lambda x: x * x, stop=stop, h=0.01)
+        for op in (["--op", "derivative"], ["--op", "shifted-derivative", "--a", "0.7"]):
+            assert run_cli(["fracop", *op, "--z", z, "--input", str(src), "-o", "-"]) == 1, z
+            out, err = capsys.readouterr()
+            assert out == "", z
+            assert err.startswith(f"error: order-{n} differencing flags the {n} outermost"), err
+            assert f"of the {count} samples" in err, err
 
 
 def test_fracop_nonuniform_grid_rejected(tmp_path, capsys):

@@ -422,3 +422,35 @@ def test_paravector_product_orthogonal_directions_rejected():
     q = Paravector(1.0, [0.0, 1.0])
     with pytest.raises(DomainError):
         p * q
+
+
+def test_public_branches_behave_as_documented():
+    # branches of the public API that no other test runs, each with the
+    # exact value it returns or the error it raises
+    p = Paravector(1.0, [2.0, -1.0])
+    cases = [
+        ("p + 2", lambda: p + 2, (3.0, [2.0, -1.0])),
+        ("p - 2", lambda: p - 2, (-1.0, [2.0, -1.0])),
+        ("2 - p", lambda: 2 - p, (1.0, [-2.0, 1.0])),
+        ("repr(p)", lambda: repr(p), "Paravector(s=1.0, v=[2.0, -1.0])"),
+        ('p * "x"', lambda: p * "x", TypeError),
+        ('"x" * p', lambda: "x" * p, TypeError),
+        ('p + "x"', lambda: p + "x", TypeError),
+        ("vector part of length 0", lambda: Paravector(1.0, []), DomainError),
+        ("vector part of length 6", lambda: Paravector(1.0, np.ones(6)), DomainError),
+        ("vector_norm of a complexified paravector",
+         lambda: Paravector(1.0j, [1.0]).vector_norm(), DomainError),
+        ("direction of a zero vector", lambda: Paravector(1.0, [0.0, 0.0]).direction(),
+         DomainError),
+        ("from_paravector(1.0)", lambda: HypercomplexExponent.from_paravector(1.0), TypeError),
+    ]
+    for label, call, expected in cases:
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                call()
+        elif isinstance(expected, tuple):
+            got = call()
+            assert isinstance(got, Paravector) and got.is_real, label
+            assert (got.s, got.v.tolist()) == expected, label
+        else:
+            assert call() == expected, label

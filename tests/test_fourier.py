@@ -8,7 +8,6 @@ from scipy.integrate import quad, simpson
 
 from fracspline import (
     FrequencyGrid,
-    GridResolutionError,
     OrderError,
     ParameterError,
     Paravector,
@@ -322,13 +321,6 @@ def test_inverse_quadrature_damped_family():
     assert abs(res.value - ref) <= 1e-4
 
 
-def test_inverse_quadrature_resolution_error():
-    grid = FrequencyGrid(20.0, 101)
-    with pytest.raises(GridResolutionError):
-        inverse_quadrature(lambda w: hat_bz(2.5, w), 0.5, grid, decay=2.5,
-                           tol=1e-10)
-
-
 def test_inverse_quadrature_needs_decay():
     grid = FrequencyGrid(20.0, 101)
     with pytest.raises(ParameterError):
@@ -488,14 +480,34 @@ def test_frequency_grid_rejects_a_non_finite_omega_max(omega_max):
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_inverse_quadrature_rejects_a_non_finite_x(x):
-    # NaN > tol is False, so a NaN result used to pass even a tolerance
+    # a non-finite x would return a NaN value with a NaN certified error,
+    # which compares False against any bound a caller sets
     grid = FrequencyGrid(20.0, 101)
     with pytest.raises(ParameterError, match="x must be finite"):
-        inverse_quadrature(lambda w: hat_bz(2.5, w), x, grid, decay=2.5, tol=1.0)
+        inverse_quadrature(lambda w: hat_bz(2.5, w), x, grid, decay=2.5)
 
 
 @pytest.mark.parametrize("decay", [math.nan, math.inf])
 def test_inverse_quadrature_rejects_a_non_finite_decay(decay):
     grid = FrequencyGrid(20.0, 101)
     with pytest.raises(ParameterError, match="decay"):
-        inverse_quadrature(lambda w: hat_bz(2.5, w), 0.5, grid, decay=decay, tol=1.0)
+        inverse_quadrature(lambda w: hat_bz(2.5, w), 0.5, grid, decay=decay)
+
+
+def test_public_branches_behave_as_documented():
+    # branches of the public API that no other test runs
+    grid = FrequencyGrid(20.0, 101)
+    cases = [
+        ("a transform that drops a frequency",
+         lambda: inverse_quadrature(lambda w: hat_bz(2.5, w)[:-1], 0.5, grid, decay=2.5),
+         "must evaluate elementwise"),
+        ("a transform that returns one value",
+         lambda: inverse_quadrature(lambda w: 1.0, 0.5, grid, decay=2.5),
+         "must evaluate elementwise"),
+        ("omega_lo = omega_hi", lambda: fit_decay_slope(np.abs, 1e2, 1e2), "omega_lo < omega_hi"),
+        ("omega_lo > omega_hi", lambda: fit_decay_slope(np.abs, 1e4, 1e2), "omega_lo < omega_hi"),
+        ("omega_lo = 0", lambda: fit_decay_slope(np.abs, 0.0, 1e2), "0 < omega_lo"),
+    ]
+    for label, call, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            call()

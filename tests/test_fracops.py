@@ -13,6 +13,7 @@ from fracspline import (
     ConditioningWarning,
     DomainError,
     EmptyAdmissibleSetError,
+    FrequencyGrid,
     NumericError,
     OrderError,
     ParameterError,
@@ -186,6 +187,20 @@ def test_derivative_orders_no_float_can_difference():
                 call(z, sig)
     with pytest.warns(ConditioningWarning):
         frac_derivative(100, sig)
+
+
+def test_derivative_that_leaves_no_valid_cell_is_an_error():
+    # n passes flag the n outermost cells at each end invalid: a signal of
+    # at most 2n samples would keep no valid cell, so it is an error
+    for z, n, count in ((0.5, 1, 2), (2, 2, 4), (101, 101, 201)):
+        sig = SampledSignal(0.0, 0.01, np.linspace(0.0, 1.0, count) ** 2)
+        for call in (frac_derivative, lambda z, s: shifted_frac_derivative(0.7, z, s)):
+            with pytest.raises(SignalFormatError,
+                               match=f"order-{n} differencing .* of the {count} samples"):
+                call(z, sig)
+    sig = make_signal(lambda x: x * x, stop=2.0, h=0.01)
+    with pytest.warns(ConditioningWarning):
+        assert frac_derivative(100, sig).valid.sum() == 1
 
 
 def test_integral_gamma_underflow_is_a_numeric_error():
@@ -650,7 +665,8 @@ def test_fused_lhs_equals_the_product_of_principal_powers():
         rep, lhs, _ = _verify_binomial_atoms("complex", "z", 20, om, _principal_log(base1),
                                              _principal_log(base2), exps, damping=a)
         assert a > 0 or not rep.admissible.all()  # w = 0 is excluded
-        product = _principal_power(base1, exps) * _principal_power(base2, exps)
+        product = (_principal_power(*_principal_log(base1), exps)
+                   * _principal_power(*_principal_log(base2), exps))
         zero = product == 0
         assert np.array_equal(lhs == 0, zero)
         rel = np.abs(lhs[~zero] - product[~zero]) / np.abs(product[~zero])
@@ -708,11 +724,12 @@ def test_report_json_schema():
 def test_multiplier_inverts_integral_symbol():
     # the frequency symbols of the derivative and integral of equal order
     # multiply to one wherever both are defined
-    from fracspline.fourier import _principal_power
+    from fracspline.fourier import _principal_log, _principal_power
     om = np.linspace(-10, 10, 201)
     om = om[om != 0]
     z = 0.7 + 0.3j
-    product = _principal_power(1j * om, z) * _principal_power(1j * om, -z)
+    product = (_principal_power(*_principal_log(1j * om), z)
+               * _principal_power(*_principal_log(1j * om), -z))
     assert np.max(np.abs(product - 1.0)) < 1e-13
 
 
@@ -835,3 +852,28 @@ def test_atom_sum_keeps_the_bits_of_the_broadcast_horner():
             atoms = AtomSum(shifts, comps)
             assert np.array_equal(atoms.evaluate(om).view(np.uint64),
                                   broadcast_horner(atoms, om).view(np.uint64)), (ncols, shifts)
+
+
+def test_public_branches_behave_as_documented():
+    # branches of the public API that no other test runs
+    sig = SampledSignal(0.0, 0.1, np.ones(5))
+    grid = FrequencyGrid(6.0, 41)
+    verifiers = {
+        "complex": lambda g: verify_atom_identity_complex(2.5 + 1j, 20, g),
+        "complex-exponential": lambda g: verify_atom_identity_expz(0.7, 2.5 + 1j, 20, g),
+        "hypercomplex": lambda g: verify_atom_identity_hc(Paravector(2.5, [1.0, 1.0]), 20, g),
+        "classical": lambda g: classical_atom_check(3, g),
+        "exponential": lambda g: exp_difference_check((1.0, -0.5), g),
+    }
+    errors = [("set a SampledSignal attribute", lambda: setattr(sig, "step", 0.2),
+               AttributeError, "immutable")]
+    errors += [(f"{name} on an empty grid", lambda v=verify: v([]), ParameterError,
+                "empty frequency grid") for name, verify in verifiers.items()]
+    for label, call, error, message in errors:
+        with pytest.raises(error, match=message):
+            call()
+    # a FrequencyGrid reads as its omegas
+    for name, verify in verifiers.items():
+        by_grid, by_omegas = verify(grid), verify(grid.omegas)
+        assert by_grid.to_json_dict() == by_omegas.to_json_dict(), name
+        assert np.array_equal(by_grid.residuals, by_omegas.residuals, equal_nan=True), name

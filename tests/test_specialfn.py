@@ -83,6 +83,26 @@ def test_gamma_reflection_underflow_returns_zero_before_gamma_1_minus_z():
     assert gamma(complex(-1000, -500)) == 0j
 
 
+def test_gamma_near_its_poles_against_mpmath():
+    # 1e-14 ... 1e-1 from each pole -1 ... -30, on both sides and off the
+    # real axis: the small sin(pi z) there must keep its relative precision
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m in range(1, 31):
+            for d in (10.0 ** -e for e in range(1, 15)):
+                for z in (-m + d, -m - d, complex(-m, d), complex(-m, -d)):
+                    ref = complex(mpmath.gamma(mpmath.mpmathify(z)))
+                    worst = max(worst, abs(gamma(z) - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(-3.5, math.inf),
+                               complex(math.nan, 1.0), complex(2.0, -math.inf)])
+def test_gamma_rejects_an_argument_that_is_not_finite(z):
+    with pytest.raises(DomainError, match="finite"):
+        gamma(z)
+
+
 @pytest.mark.parametrize("pole", [0.0, -1.0, -5.0])
 def test_gamma_poles(pole):
     with pytest.raises(PoleError):

@@ -260,6 +260,16 @@ def test_exp_bspline_exact_zeros_off_support():
         assert np.all(got == 0.0) and not np.any(np.signbit(got)), weights
 
 
+def test_exp_bspline_weights_past_the_float_range():
+    # e^800 overflows a float: the same NumericError as hat_en's, not a
+    # bare OverflowError from the difference coefficients
+    for call in (lambda: eval_exp_bspline((800.0, -800.0), 0.5),
+                 lambda: eval_exp_bspline((800.0, -800.0), [-1.0, 0.5, 3.0]),
+                 lambda: hat_en((800.0, -800.0), 0.5)):
+        with pytest.raises(NumericError, match=r"^e\^800 overflows a float$"):
+            call()
+
+
 # -- one code path for grids and points ------------------------------------------------
 
 UPS = Paravector(2.5, [1.0, -1.0, 0.0])
