@@ -4,14 +4,16 @@ harness.
 
 Exit codes: 0 pass, 1 usage or parameter error, 2 verification failure,
 3 I/O error.  All numeric output is printed with 17 significant digits so
-files round-trip exactly and identical configurations produce identical
-bytes.  Each subcommand takes only the flags it reads, and a config key
-only where its flag is taken.  _family_order parses each family's order
-flags once and checks their ranges with the order functions of splines;
-eval, transform and verify only choose the library call.  A value of
-eval, transform or fracop that is not finite is an error, not a cell,
-and main runs every command with numpy's floating-point warnings off, so
-that error is the first line on stderr.
+files round-trip exactly, and the same input, numpy build and CPU SIMD
+level produce identical bytes; across SIMD levels numpy's real log, exp,
+expm1, log1p, arctan2 and power run other loops, and values agree to each
+function's stated accuracy.  Each subcommand takes only the flags it
+reads, and a config key only where its flag is taken.  _family_order
+parses each family's order flags once and checks their ranges with the
+order functions of splines; eval, transform and verify only choose the
+library call.  A value of eval, transform or fracop that is not finite is
+an error, not a cell, and main runs every command with numpy's
+floating-point warnings off, so that error is the first line on stderr.
 
 Tables (eval, transform, fracop) are written by _table_text, byte for byte
 as "%.16e" writes each float and "%d" each integer or boolean, but a piece

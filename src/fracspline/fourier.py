@@ -21,6 +21,7 @@ e^{-iw} is cos w - i sin w, the bits numpy's complex exp gives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,15 @@ def _damped_ratio(a: float, w, sin2_half, sin_w):
     np.multiply(2.0 * damping, sin2_half, out=num.real)
     num.real -= math.expm1(-a)
     np.multiply(damping, sin_w, out=num.imag)
-    num /= 1j * w + a
+    den = 1j * w + a
+    if abs(a) < sys.float_info.min:
+        # numpy's complex division forms 1/den, which overflows where |den|
+        # is below 1/DBL_MAX = 5.6e-309: a subnormal den and its num are
+        # scaled by 2^600 first, which is exact
+        tiny = np.abs(den) < sys.float_info.min
+        num[tiny] *= 2.0 ** 600
+        den[tiny] *= 2.0 ** 600
+    num /= den
     return num
 
 

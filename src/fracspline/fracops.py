@@ -194,9 +194,20 @@ def frac_integral(z, signal: SampledSignal) -> SampledSignal:
     m^z takes one log and one exponential per sample m >= 1, m^{z+1} is
     m m^z, each weight array is freed once used, and a real signal enters
     the convolution as it is, at half length: the peak is about 80 bytes
-    per sample.
+    per sample.  A sample that is not finite is a SignalFormatError.
     """
+    _require_finite_samples(signal)
     return signal.with_values(_integral_values(z, signal, 0.0), valid=signal.valid.copy())
+
+
+def _require_finite_samples(signal: SampledSignal) -> None:
+    """Raise SignalFormatError at the first sample that is not finite: the
+    convolution would spread it into every cell, earlier ones included."""
+    finite = np.isfinite(signal.values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise SignalFormatError(
+            f"samples must be finite, got {signal.values[i]} at sample {i}")
 
 
 def _operator_order(z, operator: str) -> complex:
@@ -271,8 +282,8 @@ def frac_derivative(z, signal: SampledSignal) -> SampledSignal:
     z must be finite with re z > 0 (DomainError).  Raises NumericError
     when the rounding noise bound eps (2/h)^n of n passes at step h leaves
     the float range, SignalFormatError when the signal has at most 2n
-    samples, which leaves no valid cell, and ConditioningWarning when the
-    noise swamps the result.
+    samples, which leaves no valid cell, or a sample that is not finite, and
+    ConditioningWarning when the noise swamps the result.
     """
     return _derivative(z, signal, 0.0)
 
@@ -304,6 +315,7 @@ def _derivative(z, signal: SampledSignal, damping: float) -> SampledSignal:
         raise SignalFormatError(
             f"order-{n} differencing flags the {n} outermost cells at each end "
             f"invalid, which leaves no valid cell of the {signal.count} samples")
+    _require_finite_samples(signal)
     try:
         g = signal.values if z == n else _integral_values(n - z, signal, damping)
     except NumericError as exc:

@@ -39,9 +39,10 @@ def gamma(z) -> complex:
     """Euler Gamma for complex argument (Lanczos, reflection for re z < 0.5).
 
     Raises DomainError for a z that is not finite, PoleError at the poles
-    (nonpositive integers) and NumericError where the Lanczos factor
-    t**(w + 0.5) overflows, which it does before Gamma itself, near
-    re z = 143 for real z (gamma(142) is finite).
+    (nonpositive integers) and NumericError where Gamma leaves the float
+    range, from re z of about 171.6 for real z.  Where the Lanczos factor
+    t**(w + 0.5) overflows first (from re z of about 142.6 for real z), it
+    is taken as its square root twice, around e^{-t}.
     Left of re z = 0.5 at |im z| > 226, where sin(pi z) overflows, the
     reflection takes its decaying form; there Gamma is below 1e-150 and
     is 0 past |im z| of about 450.  Where the reflection's Gamma(1 - z)
@@ -80,9 +81,20 @@ def gamma(z) -> complex:
         acc += _LANCZOS_C[k] / (w + k)
     t = w + _LANCZOS_G + 0.5
     try:
-        return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
-    except OverflowError as exc:
-        raise NumericError(f"Gamma(z) overflows at z = {z}") from exc
+        g = _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        g = complex(math.inf)
+    if not cmath.isfinite(g):
+        # t^(w + 1/2) overflowed before Gamma did, or met e^{-t} as inf 0:
+        # its square root on each side of e^{-t} keeps every factor in range
+        try:
+            h = t ** (0.5 * (w + 0.5))
+        except OverflowError as exc:
+            raise NumericError(f"Gamma(z) overflows at z = {z}") from exc
+        g = _SQRT_TWO_PI * h * cmath.exp(-t) * h * acc
+        if not cmath.isfinite(g):
+            raise NumericError(f"Gamma(z) overflows at z = {z}")
+    return g
 
 
 def _reflected_gamma(z: complex) -> complex:

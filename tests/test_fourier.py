@@ -102,6 +102,21 @@ def test_omega_a_near_the_zeros_of_omega_at_small_damping():
                 assert abs(mpmath.mpc(value) - ref) <= 1e-15 * abs(ref), (a, w)
 
 
+@pytest.mark.parametrize("a", [5e-324, -5e-324, 1e-310, -1e-310, 5e-309])
+def test_omega_a_at_a_subnormal_damping(a):
+    # 1/(a + iw) overflowed in numpy's complex division below 1/DBL_MAX, which
+    # made omega_a_fn(a, 0) inf+nanj where it is 1
+    ws = np.array([0.0, 1e-310, -1e-310, 1e-300, -1e-300, 0.5, 2 * math.pi])
+    with mpmath.workdps(50):
+        for w, value in zip(ws.tolist(), omega_a_fn(a, ws).tolist()):
+            s = mpmath.mpc(a, w)
+            ref = -mpmath.expm1(-s) / s
+            assert abs(mpmath.mpc(value) - ref) <= 1e-15 * abs(ref), (a, w)
+    assert abs(hat_en((a, 1.0), 0.0) - math.expm1(1.0)) <= 1e-15
+    if a > 0:
+        assert abs(hat_ez(a, 2.5, 0.0) - 1.0) <= 1e-15
+
+
 def test_omega_a_rejects_a_non_finite_damping():
     for a in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):

@@ -203,6 +203,19 @@ def test_derivative_that_leaves_no_valid_cell_is_an_error():
         assert frac_derivative(100, sig).valid.sum() == 1
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_operators_reject_a_sample_that_is_not_finite(bad):
+    # the convolution spread a bad sample 3 into cells 1 and 2 as nan, cells
+    # that depend on samples 0..2 alone
+    sig = SampledSignal(0.0, 0.1, [0.0, 1.0, 2.0, bad, 4.0, 5.0])
+    for call in (lambda z: frac_integral(z, sig), lambda z: frac_derivative(z, sig),
+                 lambda z: shifted_frac_derivative(0.7, z, sig)):
+        for z in (0.5, 1, 0.5 + 0.2j):
+            with pytest.raises(SignalFormatError,
+                               match=f"samples must be finite, got {bad} at sample 3"):
+                call(z)
+
+
 def test_integral_gamma_underflow_is_a_numeric_error():
     # Gamma(z + 2) underflows at large |im z|: dividing by it would give NaN
     sig = make_signal(lambda x: x * x, stop=2.0, h=0.01)

@@ -66,14 +66,14 @@ def test_gamma_reflection_where_sin_overflows(imag):
 
 
 def test_gamma_reflection_overflow_names_the_argument_given():
-    # Gamma(1 - z) = Gamma(141.7 - 440i) overflows inside the reflection;
-    # the message is about the z the caller passed
+    # Gamma(1 - z) = Gamma(300.7 - 440i), about e^1153, overflows inside the
+    # reflection; the message is about the z the caller passed
     with pytest.raises(NumericError) as info:
-        gamma(complex(-140.7, 440))
+        gamma(complex(-299.7, 440))
     message = str(info.value)
-    assert message.startswith("Gamma(z) at z = (-140.7+440j) "), message
+    assert message.startswith("Gamma(z) at z = (-299.7+440j) "), message
     assert "Gamma(1 - z)" in message and "overflows" in message
-    assert "141.7" not in message
+    assert "300.7" not in message
 
 
 def test_gamma_reflection_underflow_returns_zero_before_gamma_1_minus_z():
@@ -94,6 +94,23 @@ def test_gamma_near_its_poles_against_mpmath():
                     ref = complex(mpmath.gamma(mpmath.mpmathify(z)))
                     worst = max(worst, abs(gamma(z) - ref) / abs(ref))
     assert worst <= 1e-13
+
+
+def test_gamma_where_its_lanczos_power_overflows_against_mpmath():
+    # t^(w + 1/2) overflows before Gamma does: from re z of about 142.6 on the
+    # real axis (142.59 read nan), and lower off it (139 + 100i, 127 + 250i
+    # and 119 + 400i raised NumericError)
+    points = [complex(142.59), 139 + 100j, 127 + 250j, 119 + 400j]
+    points += [complex(re, im) for re in np.linspace(140.0, 171.5, 64)
+               for im in (0.0, 0.5, -0.5, -3.0, 30.0, -100.0, 250.0)]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for z in points:
+            ref = complex(mpmath.gamma(mpmath.mpmathify(z)))
+            worst = max(worst, abs(gamma(z) - ref) / abs(ref))
+    assert worst <= 1e-12
+    with pytest.raises(NumericError, match="overflows"):  # Gamma(171.7) = 2.2e308
+        gamma(171.7)
 
 
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(-3.5, math.inf),

@@ -331,8 +331,8 @@ def test_gamma_underflow_and_overflow_are_numeric_errors():
         eval_bupsilon(Paravector(2.5, [600.0, 800.0]), 1.5)
     with pytest.raises(NumericError):  # Gamma(200) overflows
         eval_bz(200.0, 1.5)
-    # gamma owns that rule: its Lanczos factor overflows from near re z = 143,
-    # which used to end in a bare OverflowError outside eval_bz
+    # gamma owns that rule: Gamma overflows from re z of about 171.6, which
+    # used to end in a bare OverflowError outside eval_bz
     for call in (lambda: gamma(200),
                  lambda: gamma_hc(Paravector(200.0, [1.0])),
                  lambda: frac_integral(200, SampledSignal(0.0, 0.1, np.ones(8)))):
