@@ -52,7 +52,7 @@ print()
 print("The exponential difference operator turns the spline into a finite")
 print("atom sum, the expansion of prod_k (1 - e^(a_k) e^(-iw)):")
 rep = exp_difference_check((a, b), np.linspace(-8, 8, 401))
-atoms = rep.extras["atom_sum"]
+atoms = rep.atoms
 for k, c in zip(atoms.shifts, atoms.components[:, 0]):
     print(f"  atom at x = {k}: {c.real: .6f}")
 print(f"  identity residual over the grid: {rep.max_residual:.2e}")

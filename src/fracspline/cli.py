@@ -639,7 +639,9 @@ def _read_signal_csv(path: str) -> SampledSignal:
         raise SignalFormatError("input signal needs at least two samples")
     steps = np.diff(xs)
     h = float(steps[0])
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
+    # a step may differ from h by 1e-8 h, plus 4 eps max|x| for the rounding of x
+    fuzz = 1e-8 * h + 4.0 * sys.float_info.epsilon * max(abs(xs[0]), abs(xs[-1]))
+    if h <= 0 or np.max(np.abs(steps - h)) > fuzz:
         raise SignalFormatError("input grid must be uniform and increasing")
     return SampledSignal(float(xs[0]), h, values)
 

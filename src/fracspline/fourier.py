@@ -223,7 +223,10 @@ class FrequencyGrid:
         omega_max = float(self.omega_max)
         if not 0 < omega_max < math.inf:
             raise ParameterError(f"omega_max must be positive and finite, got {self.omega_max!r}")
-        c = max(5, int(self.count))
+        try:
+            c = max(5, int(self.count))
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(f"count must be a finite number, got {self.count!r}") from exc
         if (c - 1) % 4:
             c += 4 - (c - 1) % 4
         object.__setattr__(self, "count", c)
@@ -299,17 +302,24 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
 def fit_decay_slope(modulus_fn, omega_lo: float, omega_hi: float):
     """Least-squares slope of log |value| against log w.
 
-    Samples at w = 2 pi (k + 1/2) for up to 200 geometrically spaced k,
-    the peaks of |1 - e^{-iw}|, so the periodic envelope does not alias
-    the fit near its zeros.
+    Samples at w = 2 pi (k + 1/2) for up to 200 geometrically spaced k
+    from floor(omega_lo / 2 pi) + 1, the peaks of |1 - e^{-iw}| in
+    [omega_lo, omega_hi], so the periodic envelope does not alias the fit
+    near its zeros.  Fewer than two such peaks is a ParameterError, and a
+    sampled modulus that is not positive and finite a NumericError.
     """
-    if not 0 < omega_lo < omega_hi:
-        raise ParameterError("need 0 < omega_lo < omega_hi")
+    if not 0 < omega_lo < omega_hi < math.inf:
+        raise ParameterError("need 0 < omega_lo < omega_hi < inf")
     k_lo = max(0, int(math.floor(omega_lo / (2 * math.pi))))
     k_hi = int(math.ceil(omega_hi / (2 * math.pi)))
     ks = np.unique(np.geomspace(k_lo + 1, k_hi, 200).astype(int))
     om = 2.0 * math.pi * (ks + 0.5)
     om = om[(om >= omega_lo) & (om <= omega_hi)]
+    if om.size < 2:
+        raise ParameterError(f"fitting a slope needs two peaks 2 pi (k + 1/2), k > {k_lo}, "
+                             f"in [{omega_lo:g}, {omega_hi:g}]; found {om.size}")
     mods = np.asarray(modulus_fn(om), dtype=float)
+    if not np.all((mods > 0.0) & (mods < math.inf)):
+        raise NumericError("fitting a slope needs a positive, finite modulus at every peak")
     slope, _ = np.polyfit(np.log(om), np.log(mods), 1)
     return float(slope)

@@ -29,17 +29,18 @@ atom k by e^{-ak}, and the hypercomplex one is the complex one at the
 conjugate pair x0 +- i|v|, the idempotent split of span{1, u} (x) C.
 
 Every identity is L^(w) B^(w) = sum_k c_k e^{-ikw}, and one report builder,
-_residual_report, checks it for all five verifiers: each verifier gives
-only its left-hand side, its atom coefficients and its tail rule.  Every
-right-hand side is one AtomSum.evaluate: Horner's rule in q = e^{-iw},
-split into baby and giant steps so that the inner sums of a block of
-frequencies are one matrix product.  A check over N frequencies and K
-atoms works in O(columns N) memory, and the sum is rounded by at most
-gamma_{2K} sum_k |c_k| (Higham, Accuracy and Stability of Numerical
-Algorithms, sec. 5.1).  The truncation tail of the binomial atoms is
-bounded by their explicit sum up to where they decay, then by a power
-majorant (_binomial_tail), so tail_bound is an upper bound on the
-dropped atoms for every order.
+_residual_report, checks it for all five verifiers: each gives only its
+left-hand side, atom coefficients and tail rule, and returns the report,
+which holds the AtomSum and one row of lhs and rhs per atom column, the
+pair (z, conj z) for the hypercomplex one.  Every right-hand side is one
+AtomSum.evaluate: Horner's rule in q = e^{-iw}, split into baby and giant
+steps so that the inner sums of a block of frequencies are one matrix
+product.  A check over N frequencies and K atoms works in O(columns N)
+memory, and the sum is rounded by at most gamma_{2K} sum_k |c_k| (Higham,
+Accuracy and Stability of Numerical Algorithms, sec. 5.1).  The
+truncation tail of the binomial atoms is bounded by their explicit sum up
+to where they decay, then by a power majorant (_binomial_tail), so
+tail_bound is an upper bound on the dropped atoms for every order.
 
 The Mellin-type identity int_0^inf t^{Y-1} e^{-iwt} dt = Gamma(Y)/(iw)^Y
 is checked in the same split, one complex integral per column x0 +- i|v|,
@@ -58,7 +59,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +76,7 @@ from .fourier import (FrequencyGrid, _log_iomega, _principal_log, _principal_pow
                       omega_a_fn, omega_fn)
 from .specialfn import binom_complex_sequence, gamma
 from .splines import (
+    _abscissae,
     complex_order,
     exp_difference_coefficients,
     exponential_weights,
@@ -446,13 +448,15 @@ class AtomSum:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidualReport:
     """Residuals of a frequency-domain atom identity over a grid.
 
-    residuals holds NaN at excluded frequencies; max_residual is taken over
-    the admissible set and certifies the identity at this resolution when
-    it does not exceed tail_bound.
+    atoms is the right-hand AtomSum; lhs and rhs hold one row per atom
+    column, the pair (z, conj z) for the hypercomplex check.  residuals
+    holds NaN at excluded frequencies; max_residual is taken over the
+    admissible set and certifies the identity at this resolution when it
+    does not exceed tail_bound.
     """
 
     family: str
@@ -463,8 +467,13 @@ class ResidualReport:
     admissible: np.ndarray
     max_residual: float
     tail_bound: float
-    excluded_omegas: list
-    extras: dict = field(default_factory=dict)
+    atoms: AtomSum
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def excluded_omegas(self) -> list:
+        return [float(w) for w in self.omegas[~self.admissible]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -478,7 +487,7 @@ class ResidualReport:
             },
             "max_residual": float(self.max_residual),
             "tail_bound": float(self.tail_bound),
-            "excluded_omegas": [float(w) for w in self.excluded_omegas],
+            "excluded_omegas": self.excluded_omegas,
         }
 
     def verified(self) -> bool:
@@ -486,9 +495,8 @@ class ResidualReport:
 
 
 def _as_omegas(grid) -> np.ndarray:
-    if isinstance(grid, FrequencyGrid):
-        return grid.omegas
-    om = np.asarray(grid, dtype=float).ravel()
+    """The frequencies of an array or a FrequencyGrid: flat, finite, not empty."""
+    om, _ = _abscissae(grid.omegas if isinstance(grid, FrequencyGrid) else grid)
     if om.size == 0:
         raise ParameterError("empty frequency grid")
     return om
@@ -521,7 +529,7 @@ def _float_fuzz(*scales: float) -> float:
 
 
 def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
-                     coeffs: np.ndarray, tail, admissible=None):
+                     coeffs: np.ndarray, tail, admissible=None) -> ResidualReport:
     """The report on lhs = sum_{k<=K} c_k e^{-ikw}: one row of lhs per
     column of coeffs, whose row k holds the atom c_k.
 
@@ -531,7 +539,7 @@ def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
     admissible is None).  tail(lhs_scale, atom_scale) gives tail_bound from
     the largest admissible RMS modulus of lhs and the largest RMS modulus
     of an atom.  An lhs, an atom or a tail bound that overflowed is a
-    NumericError.  Returns the report and the right-hand rows.
+    NumericError.
     """
     overflow = NumericError(f"the {family} identity at {order} overflows a float "
                             "on this grid")
@@ -547,12 +555,10 @@ def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
     tail_bound = float(tail(lhs_scale, atoms.sup_norm() / rms))
     if not math.isfinite(tail_bound):
         raise overflow
-    report = ResidualReport(
+    return ResidualReport(
         family, order, len(coeffs) - 1, om, residuals, admissible,
         max_residual=float(np.nanmax(residuals)), tail_bound=tail_bound,
-        excluded_omegas=[float(w) for w in om[~admissible]],
-        extras={"atom_sum": atoms})
-    return report, rhs
+        atoms=atoms, lhs=lhs, rhs=rhs)
 
 
 def _binomial_tail(z: complex, K: int, first: float, damping: float) -> float:
@@ -604,7 +610,6 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
     base is 0.
     The exponents are z or the pair (z, conj z), whose binomials have the
     same moduli, and _binomial_tail bounds the truncation tail of z.
-    Returns the report and the left- and right-hand rows.
     """
     if K < 1:
         raise ParameterError("truncation K must be positive")
@@ -619,12 +624,11 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
     weights = (-1.0) ** k * np.exp(-damping * k)
 
     first = abs(binoms[K + 1, 0]) * math.exp(-damping * (K + 1))
-    report, rhs = _residual_report(
+    return _residual_report(
         family, order, om, lhs, binoms[: K + 1] * weights[:, None],
         lambda lhs_scale, atom_scale: (_binomial_tail(exponents[0], K, first, damping)
                                        + _float_fuzz(lhs_scale, atom_scale)),
         admissible)
-    return report, lhs, rhs
 
 
 def _z_label(z: complex) -> str:
@@ -636,10 +640,8 @@ def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
     alternating binomial atom coefficients."""
     z = complex_order(z)
     om = _as_omegas(grid)
-    report, lhs, rhs = _verify_binomial_atoms(
+    return _verify_binomial_atoms(
         "complex", _z_label(z), K, om, _log_iomega(om), _principal_log(omega_fn(om)), (z,))
-    report.extras.update(lhs=lhs[0], rhs=rhs[0])
-    return report
 
 
 def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
@@ -650,7 +652,7 @@ def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     om = _as_omegas(grid)
     return _verify_binomial_atoms(
         "complex-exponential", f"a={a:g}, {_z_label(z)}", K, om,
-        _principal_log(a + 1j * om), _principal_log(omega_a_fn(a, om)), (z,), damping=a)[0]
+        _principal_log(a + 1j * om), _principal_log(omega_a_fn(a, om)), (z,), damping=a)
 
 
 def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport:
@@ -658,18 +660,15 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport
 
     iw is the Fourier symbol of the derivative under the transform
     convention of the fourier module; the identity does not hold under -iw.
+    The report's lhs and rhs rows are the pair (z, conj z), which
+    subalgebra_from_idempotent maps to the (1, u) components.
     """
     dec = hypercomplex_exponent(upsilon)
     om = _as_omegas(grid)
     comps_label = ",".join(f"{c:g}" for c in [upsilon.s, *upsilon.v.tolist()])
-    report, lhs, rhs = _verify_binomial_atoms(
+    return _verify_binomial_atoms(
         "hypercomplex", f"upsilon=({comps_label})", K, om,
         _log_iomega(om), _principal_log(omega_fn(om)), (dec.z, dec.z.conjugate()))
-    report.extras.update(
-        lhs_pair=subalgebra_from_idempotent(*lhs),
-        rhs_pair=subalgebra_from_idempotent(*rhs),
-    )
-    return report
 
 
 def classical_atom_check(n: int, grid) -> ResidualReport:
@@ -684,7 +683,7 @@ def classical_atom_check(n: int, grid) -> ResidualReport:
                       dtype=complex)
     return _residual_report(
         "classical", f"n={n}", om, lhs[None], coeffs[:, None],
-        lambda lhs_scale, _: _float_fuzz(lhs_scale, 2.0 ** n) * 2.0 ** n)[0]
+        lambda lhs_scale, _: _float_fuzz(lhs_scale, 2.0 ** n) * 2.0 ** n)
 
 
 def exp_difference_check(weights, grid) -> ResidualReport:
@@ -701,7 +700,7 @@ def exp_difference_check(weights, grid) -> ResidualReport:
     return _residual_report(
         "exponential", "a=(" + ",".join(f"{a:g}" for a in wts) + ")", om, lhs[None],
         poly.astype(complex)[:, None],
-        lambda lhs_scale, atom_scale: _float_fuzz(lhs_scale, atom_scale) * poly.size)[0]
+        lambda lhs_scale, atom_scale: _float_fuzz(lhs_scale, atom_scale) * poly.size)
 
 
 # -- Mellin-type identity ----------------------------------------------------
@@ -758,13 +757,13 @@ def mellin_check(upsilon: Paravector, omega: float) -> MellinCheckResult:
     omega = float(omega)
     if not 0 < omega < math.inf:
         raise DomainError(f"the Mellin check needs finite omega > 0, got {omega:g}")
+    g = gamma(dec.z)
     z = np.array([dec.z, dec.z.conjugate()])
     log_omega = math.log(omega)
     terms = np.exp(np.outer(z, _MELLIN_U - log_omega - 1j * _MELLIN_THETA)
                    - 1j * np.exp(_MELLIN_U - 1j * _MELLIN_THETA))
     left = terms[:, 0] / -np.expm1(-_MELLIN_STEP * z)
     integrals = _MELLIN_STEP * (left + terms[:, 1:].sum(axis=1))
-    g = gamma(dec.z)
     columns = np.array([g, g.conjugate()]) * _principal_power(*_log_iomega(omega), -z)[:, 0]
     lhs = dec.paravector(*subalgebra_from_idempotent(*integrals))
     rhs = dec.paravector(*subalgebra_from_idempotent(*columns))

@@ -46,7 +46,9 @@ def gamma(z) -> complex:
     Left of re z = 0.5 at |im z| > 226, where sin(pi z) overflows, the
     reflection takes its decaying form; there Gamma is below 1e-150 and
     is 0 past |im z| of about 450.  Where the reflection's Gamma(1 - z)
-    overflows, the NumericError names the z given.
+    overflows, the NumericError names the z given, as it does where the
+    reflected quotient overflows next to a pole (|z - n| below about
+    1/DBL_MAX = 5.6e-309 for the nearest integer n, 0 included).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -74,7 +76,11 @@ def gamma(z) -> complex:
             return 2j * s * math.pi * h / _reflected_gamma(z) * h / (h ** 4 - 1.0)
         if n % 2:
             sin_pz = -sin_pz
-        return math.pi / (sin_pz * _reflected_gamma(z))
+        # the quotient overflows silently where |z - n| < 1/DBL_MAX
+        g = math.pi / (sin_pz * _reflected_gamma(z))
+        if not cmath.isfinite(g):
+            raise NumericError(f"Gamma(z) overflows at z = {z}")
+        return g
     w = z - 1.0
     acc = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):

@@ -34,6 +34,7 @@ from fracspline import (
     verify_atom_identity_expz,
     verify_atom_identity_hc,
 )
+from fracspline.clifford import subalgebra_from_idempotent
 
 
 def report(num, ok, desc, detail=""):
@@ -114,10 +115,10 @@ def test_criterion_05_hypercomplex_atom_identity():
     om_iso = np.linspace(-8.0, 8.0, 601)
     rep_h = verify_atom_identity_hc(Paravector(2.5, [1.0]), 200, om_iso)
     rep_c = verify_atom_identity_complex(2.5 + 1.0j, 200, om_iso)
-    la, lb = rep_h.extras["lhs_pair"]
-    ra, rb = rep_h.extras["rhs_pair"]
+    la, lb = subalgebra_from_idempotent(*rep_h.lhs)
+    ra, rb = subalgebra_from_idempotent(*rep_h.rhs)
     mapped = np.abs((la - ra) + 1j * (lb - rb))
-    cres = np.abs(rep_c.extras["lhs"] - rep_c.extras["rhs"])
+    cres = np.abs(rep_c.lhs[0] - rep_c.rhs[0])
     m = rep_h.admissible & rep_c.admissible
     iso_gap = float(np.max(np.abs(mapped[m] - cres[m])))
     elapsed = time.perf_counter() - t0

@@ -432,6 +432,28 @@ def test_fracop_nonuniform_grid_rejected(tmp_path, capsys):
         assert err.startswith(f"error: {line} samples must be finite"), (text, err)
 
 
+def test_fracop_grid_rule_is_relative_to_the_step(tmp_path, capsys):
+    # a step may miss h by 1e-8 h plus 4 eps max|x|: one step of 2h in
+    # steps of h is rejected at h = 1e-9 as at h = 1e-3
+    src = tmp_path / "grid.csv"
+    for h in (1e-9, 1e-3):
+        xs = h * np.array([0.0, 1.0, 3.0, 4.0, 5.0, 6.0])
+        src.write_text("x,value\n" + "".join(f"{x!r},1\n" for x in xs.tolist()))
+        assert run_cli(["fracop", "--op", "integral", "--z", "1",
+                        "--input", str(src), "-o", "-"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input grid must be uniform"), (h, err)
+    # grids written as "%.16e" miss h by up to about eps max|x|: linspace
+    # and step * arange, at h = 1e-3 near x = 1e6 and at h = 1e-12
+    grids = [np.linspace(0.0, 2.0, 201), 1e6 + 1e-3 * np.arange(4001),
+             np.linspace(1e6, 1e6 + 4.0, 4001), 1e-12 * np.arange(2001),
+             np.linspace(0.0, 4.0, 400000)]
+    for xs in grids:
+        np.savetxt(src, np.c_[xs, np.ones_like(xs)], fmt="%.16e", delimiter=",",
+                   header="x,value", comments="")
+        assert isinstance(read_signal(src), tuple), (xs[0], xs[1] - xs[0])
+
+
 def line_by_line_signal(text):
     """(start, step, values) as the reader before np.loadtxt parsed text,
     one line at a time with float, or None where it raised."""
@@ -456,7 +478,8 @@ def line_by_line_signal(text):
         return None
     steps = np.diff(xs)
     h = float(steps[0])
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
+    fuzz = 1e-8 * h + 4.0 * sys.float_info.epsilon * max(abs(xs[0]), abs(xs[-1]))
+    if h <= 0 or np.max(np.abs(steps - h)) > fuzz:
         return None
     return xs[0], h, np.asarray(vals)
 
@@ -526,7 +549,8 @@ def reference_signal(data: bytes):
             raise SignalFormatError("input signal needs at least two samples")
         steps = np.diff(rows[:, 0])
         h = float(steps[0])
-        if h <= 0 or np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
+        fuzz = 1e-8 * h + 4.0 * sys.float_info.epsilon * max(abs(rows[0, 0]), abs(rows[-1, 0]))
+        if h <= 0 or np.max(np.abs(steps - h)) > fuzz:
             raise SignalFormatError("input grid must be uniform and increasing")
         sig = SampledSignal(float(rows[0, 0]), h, rows[:, 1])
     except SignalFormatError as exc:

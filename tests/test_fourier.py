@@ -8,6 +8,7 @@ from scipy.integrate import quad, simpson
 
 from fracspline import (
     FrequencyGrid,
+    NumericError,
     OrderError,
     ParameterError,
     Paravector,
@@ -522,7 +523,24 @@ def test_public_branches_behave_as_documented():
         ("omega_lo = omega_hi", lambda: fit_decay_slope(np.abs, 1e2, 1e2), "omega_lo < omega_hi"),
         ("omega_lo > omega_hi", lambda: fit_decay_slope(np.abs, 1e4, 1e2), "omega_lo < omega_hi"),
         ("omega_lo = 0", lambda: fit_decay_slope(np.abs, 0.0, 1e2), "0 < omega_lo"),
+        ("omega_hi = inf", lambda: fit_decay_slope(np.abs, 1e2, math.inf), "omega_hi < inf"),
+        ("a count that is NaN", lambda: FrequencyGrid(1.0, math.nan), "count must be"),
+        ("a count that is infinite", lambda: FrequencyGrid(1.0, math.inf), "count must be"),
     ]
     for label, call, message in cases:
         with pytest.raises(ParameterError, match=message):
             call()
+
+
+def test_fit_decay_slope_needs_two_peaks_and_a_positive_modulus():
+    # the peaks 2 pi (k + 1/2) from k = floor(omega_lo / 2 pi) + 1: none lie
+    # in [1, 2] or [100, 101], and one, 3 pi, in [1, 10]
+    modulus = lambda w: np.abs(hat_bz(2.5, w))  # noqa: E731
+    for lo, hi, found in ((1.0, 2.0, 0), (100.0, 101.0, 0), (1.0, 10.0, 1)):
+        with pytest.raises(ParameterError, match=f"two peaks .* found {found}$"):
+            fit_decay_slope(modulus, lo, hi)
+    # |Omega(w)| = 2/w at a peak, so two peaks give the slope -2.5
+    assert abs(fit_decay_slope(modulus, 1.0, 20.0) + 2.5) < 1e-12
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(NumericError, match="positive, finite modulus"):
+            fit_decay_slope(lambda w: np.where(w > 50.0, bad, modulus(w)), 1e1, 1e2)

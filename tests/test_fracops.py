@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -33,6 +34,7 @@ from fracspline import (
     verify_atom_identity_expz,
     verify_atom_identity_hc,
 )
+from fracspline.clifford import subalgebra_from_idempotent
 from fracspline.specialfn import binom_complex_sequence
 
 
@@ -352,7 +354,7 @@ def test_atom_expz_zero_frequency_value():
     a, z, K = 1.0, 2.5, 400
     om = np.array([0.0])
     rep = verify_atom_identity_expz(a, z, K, om)
-    atoms = rep.extras["atom_sum"]
+    atoms = rep.atoms
     total = complex(atoms.evaluate(om)[0][0])
     ref = (1 - math.exp(-a)) ** z
     assert abs(total - ref) < 1e-10
@@ -360,7 +362,7 @@ def test_atom_expz_zero_frequency_value():
 
 def test_atom_expz_coefficient_bound():
     rep = verify_atom_identity_expz(1.0, 2.5 + 1j, 100, np.linspace(-3, 3, 100))
-    atoms = rep.extras["atom_sum"]
+    atoms = rep.atoms
     assert atoms.sup_norm() < math.inf
     # the summed coefficients stay under the e^{|z-1|}-scale cap
     assert abs(np.sum(atoms.components[:, 0])) <= 10.0 * math.exp(abs(2.5 + 1j - 1.0))
@@ -386,10 +388,10 @@ def test_atom_hc_cl1_matches_complex_under_isomorphism():
     om = np.linspace(-8, 8, 601)
     rep_h = verify_atom_identity_hc(Paravector(2.5, [1.0]), 200, om)
     rep_c = verify_atom_identity_complex(2.5 + 1.0j, 200, om)
-    la, lb = rep_h.extras["lhs_pair"]
-    ra, rb = rep_h.extras["rhs_pair"]
+    la, lb = subalgebra_from_idempotent(*rep_h.lhs)
+    ra, rb = subalgebra_from_idempotent(*rep_h.rhs)
     mapped = np.abs((la - ra) + 1j * (lb - rb))
-    cres = np.abs(rep_c.extras["lhs"] - rep_c.extras["rhs"])
+    cres = np.abs(rep_c.lhs[0] - rep_c.rhs[0])
     m = rep_h.admissible & rep_c.admissible
     assert np.max(np.abs(mapped[m] - cres[m])) <= 1e-12
 
@@ -434,7 +436,7 @@ def test_classical_atom_fourth_order():
     om = np.linspace(-20, 20, 801)
     rep = classical_atom_check(4, om)
     assert rep.max_residual < 1e-13
-    assert np.sum(rep.extras["atom_sum"].components[:, 0]) == 0.0
+    assert np.sum(rep.atoms.components[:, 0]) == 0.0
 
 
 def test_exp_difference_single_weight_atoms():
@@ -442,7 +444,7 @@ def test_exp_difference_single_weight_atoms():
     # unit mass at 0 and -e^a at 1; cross-checked against a quadrature DFT
     a = 0.7
     rep = exp_difference_check((a,), np.linspace(-8, 8, 401))
-    b = rep.extras["atom_sum"].components[:, 0]
+    b = rep.atoms.components[:, 0]
     assert abs(b[0] - 1.0) < 1e-12 and abs(b[1] + math.exp(a)) < 1e-12
     for w in (0.7, 2.3):
         re, _ = quad(lambda x: math.exp(a * x) * math.cos(w * x), 0, 1)
@@ -464,7 +466,7 @@ def test_exp_difference_recovered_equals_polynomial_expansion():
             new[i] += c
             new[i + 1] -= c * math.exp(a)
         poly = new
-    atoms = rep.extras["atom_sum"]
+    atoms = rep.atoms
     assert np.array_equal(atoms.shifts, np.arange(len(poly)))
     assert np.allclose(atoms.components[:, 0], poly, rtol=1e-12)
     # the transform samples determine the atoms: least squares on
@@ -488,7 +490,7 @@ def test_exp_difference_residuals_do_not_depend_on_grid_size():
 def test_exp_difference_classical_limit():
     eps = 1e-6
     rep = exp_difference_check((eps, eps, eps), np.linspace(-8, 8, 201))
-    b = rep.extras["atom_sum"].components[:, 0]
+    b = rep.atoms.components[:, 0]
     ref = np.array([1.0, -3.0, 3.0, -1.0])
     assert np.max(np.abs(b - ref)) < 1e-4
 
@@ -675,8 +677,9 @@ def test_fused_lhs_equals_the_product_of_principal_powers():
         base1 = a + 1j * om
         base2 = omega_a_fn(a, om)
         exps = (z, z.conjugate())
-        rep, lhs, _ = _verify_binomial_atoms("complex", "z", 20, om, _principal_log(base1),
-                                             _principal_log(base2), exps, damping=a)
+        rep = _verify_binomial_atoms("complex", "z", 20, om, _principal_log(base1),
+                                     _principal_log(base2), exps, damping=a)
+        lhs = rep.lhs
         assert a > 0 or not rep.admissible.all()  # w = 0 is excluded
         product = (_principal_power(*_principal_log(base1), exps)
                    * _principal_power(*_principal_log(base2), exps))
@@ -732,6 +735,32 @@ def test_report_json_schema():
     assert set(doc["grid"]) == {"omega_min", "omega_max", "count"}
     assert doc["family"] == "classical"
     assert rep.verified()
+
+
+def test_every_verifier_returns_one_frozen_report():
+    # atoms, lhs and rhs are fields of every report, one row per atom
+    # column, and rhs is the atom sum's evaluate, bit for bit; an infinite
+    # frequency is a ParameterError before any arithmetic can warn
+    om = np.linspace(-6.0, 6.0, 241)
+    verifiers = {
+        "complex": lambda g: verify_atom_identity_complex(2.5 + 1j, 20, g),
+        "complex-exponential": lambda g: verify_atom_identity_expz(0.5, 2.5, 50, g),
+        "hypercomplex": lambda g: verify_atom_identity_hc(Paravector(2.5, [1.0, 1.0]), 20, g),
+        "classical": lambda g: classical_atom_check(3, g),
+        "exponential": lambda g: exp_difference_check((1.0, -0.5), g),
+    }
+    for name, verify in verifiers.items():
+        rep = verify(om)
+        rows = 2 if name == "hypercomplex" else 1
+        assert rep.atoms.components.shape[1] == rows, name
+        assert rep.lhs.shape == rep.rhs.shape == (rows, om.size), name
+        assert np.array_equal(rep.rhs.view(np.uint64),
+                              rep.atoms.evaluate(rep.omegas).view(np.uint64)), name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.tail_bound = 0.0
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterError, match="must be finite"):
+                verify([0.5, bad])
 
 
 def test_multiplier_inverts_integral_symbol():

@@ -12,6 +12,7 @@ from fracspline import (
     PoleError,
     gamma,
     gamma_hc,
+    mellin_check,
 )
 from fracspline.specialfn import binom_complex_sequence
 
@@ -81,6 +82,22 @@ def test_gamma_reflection_underflow_returns_zero_before_gamma_1_minus_z():
     # although Gamma(1 - z) = Gamma(1001 - 500i) would overflow
     assert gamma(complex(-1000, 500)) == 0j
     assert gamma(complex(-1000, -500)) == 0j
+
+
+@pytest.mark.parametrize("z", [1e-310, -1e-310, 1e-310j, 1e-320 + 1e-320j, -1 + 1e-320j])
+def test_gamma_past_the_float_range_next_to_a_pole_is_an_error(z):
+    # |z - n| < 1/DBL_MAX: pi / (sin(pi z) Gamma(1 - z)) overflows silently
+    with pytest.raises(NumericError, match="overflows at z = "):
+        gamma(z)
+
+
+def test_gamma_next_to_zero_keeps_its_value_in_range():
+    assert gamma(1e-308) == 1.0000000000000002e+308
+    assert gamma(6e-309) == 1.6666666666666662e+308
+    with pytest.raises(NumericError):
+        gamma_hc(Paravector(1e-310, [0.0]))
+    with pytest.raises(NumericError):
+        mellin_check(Paravector(1e-310, [0.0]), 1.0)
 
 
 def test_gamma_near_its_poles_against_mpmath():
