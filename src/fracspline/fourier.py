@@ -302,22 +302,24 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
 def fit_decay_slope(modulus_fn, omega_lo: float, omega_hi: float):
     """Least-squares slope of log |value| against log w.
 
-    Samples at w = 2 pi (k + 1/2) for up to 200 geometrically spaced k
-    from floor(omega_lo / 2 pi) + 1, the peaks of |1 - e^{-iw}| in
-    [omega_lo, omega_hi], so the periodic envelope does not alias the fit
-    near its zeros.  Fewer than two such peaks is a ParameterError, and a
-    sampled modulus that is not positive and finite a NumericError.
+    Samples at w = 2 pi (k + 1/2), the peaks of |1 - e^{-iw}| in
+    [omega_lo, omega_hi], for up to 200 geometrically spaced k from the
+    first peak's, ceil(omega_lo / 2 pi - 1/2), so the periodic envelope
+    does not alias the fit near its zeros.  Fewer than two such peaks is a
+    ParameterError, and a sampled modulus that is not positive and finite
+    a NumericError.
     """
     if not 0 < omega_lo < omega_hi < math.inf:
         raise ParameterError("need 0 < omega_lo < omega_hi < inf")
-    k_lo = max(0, int(math.floor(omega_lo / (2 * math.pi))))
+    k_lo = max(0, math.ceil(omega_lo / (2 * math.pi) - 0.5))
     k_hi = int(math.ceil(omega_hi / (2 * math.pi)))
-    ks = np.unique(np.geomspace(k_lo + 1, k_hi, 200).astype(int))
+    # geomspace cannot start at k = 0, the first peak when omega_lo <= pi
+    ks = np.unique(np.append(np.geomspace(max(k_lo, 1), k_hi, 200).astype(int), k_lo))
     om = 2.0 * math.pi * (ks + 0.5)
     om = om[(om >= omega_lo) & (om <= omega_hi)]
     if om.size < 2:
-        raise ParameterError(f"fitting a slope needs two peaks 2 pi (k + 1/2), k > {k_lo}, "
-                             f"in [{omega_lo:g}, {omega_hi:g}]; found {om.size}")
+        raise ParameterError(f"fitting a slope needs two peaks 2 pi (k + 1/2) in "
+                             f"[{omega_lo:g}, {omega_hi:g}]; found {om.size}")
     mods = np.asarray(modulus_fn(om), dtype=float)
     if not np.all((mods > 0.0) & (mods < math.inf)):
         raise NumericError("fitting a slope needs a positive, finite modulus at every peak")

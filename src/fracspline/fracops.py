@@ -748,6 +748,9 @@ def mellin_check(upsilon: Paravector, omega: float) -> MellinCheckResult:
     its size.  So |v| must not exceed 20: there the deviation was at most
     about 1e-7 of |rhs| over x0 in {0.05, 0.5, 0.9} and w in {0.5, 1, 5},
     against 6e-2 at |v| = 35 and NaN from overflowing terms at |v| = 1000.
+    Below x0 of about 5.6e-308 the left tail's 1/(1 - e^{-z h}) or the
+    columns' sum overflows, though Gamma(x0) is finite down to 5.6e-309:
+    there the check raises NumericError.
     """
     dec = HypercomplexExponent.from_paravector(upsilon)
     if not 0.0 < dec.x0 < 1.0:
@@ -760,11 +763,14 @@ def mellin_check(upsilon: Paravector, omega: float) -> MellinCheckResult:
     g = gamma(dec.z)
     z = np.array([dec.z, dec.z.conjugate()])
     log_omega = math.log(omega)
-    terms = np.exp(np.outer(z, _MELLIN_U - log_omega - 1j * _MELLIN_THETA)
-                   - 1j * np.exp(_MELLIN_U - 1j * _MELLIN_THETA))
-    left = terms[:, 0] / -np.expm1(-_MELLIN_STEP * z)
-    integrals = _MELLIN_STEP * (left + terms[:, 1:].sum(axis=1))
-    columns = np.array([g, g.conjugate()]) * _principal_power(*_log_iomega(omega), -z)[:, 0]
-    lhs = dec.paravector(*subalgebra_from_idempotent(*integrals))
-    rhs = dec.paravector(*subalgebra_from_idempotent(*columns))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(np.outer(z, _MELLIN_U - log_omega - 1j * _MELLIN_THETA)
+                       - 1j * np.exp(_MELLIN_U - 1j * _MELLIN_THETA))
+        left = terms[:, 0] / -np.expm1(-_MELLIN_STEP * z)
+        integrals = _MELLIN_STEP * (left + terms[:, 1:].sum(axis=1))
+        columns = np.array([g, g.conjugate()]) * _principal_power(*_log_iomega(omega), -z)[:, 0]
+        pairs = [subalgebra_from_idempotent(*integrals), subalgebra_from_idempotent(*columns)]
+    if not np.isfinite(pairs).all():
+        raise NumericError(f"the Mellin check overflows a float at scalar part {dec.x0:g}")
+    lhs, rhs = (dec.paravector(*pair) for pair in pairs)
     return MellinCheckResult(lhs, rhs, float((lhs - rhs).norm()))

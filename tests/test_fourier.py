@@ -533,14 +533,20 @@ def test_public_branches_behave_as_documented():
 
 
 def test_fit_decay_slope_needs_two_peaks_and_a_positive_modulus():
-    # the peaks 2 pi (k + 1/2) from k = floor(omega_lo / 2 pi) + 1: none lie
-    # in [1, 2] or [100, 101], and one, 3 pi, in [1, 10]
+    # the peaks 2 pi (k + 1/2): none lie in [1, 2] or [100, 101], and one,
+    # pi, in [1, 4]
     modulus = lambda w: np.abs(hat_bz(2.5, w))  # noqa: E731
-    for lo, hi, found in ((1.0, 2.0, 0), (100.0, 101.0, 0), (1.0, 10.0, 1)):
+    for lo, hi, found in ((1.0, 2.0, 0), (100.0, 101.0, 0), (1.0, 4.0, 1)):
         with pytest.raises(ParameterError, match=f"two peaks .* found {found}$"):
             fit_decay_slope(modulus, lo, hi)
-    # |Omega(w)| = 2/w at a peak, so two peaks give the slope -2.5
-    assert abs(fit_decay_slope(modulus, 1.0, 20.0) + 2.5) < 1e-12
+    # |Omega(w)| = 2/w at a peak, so two peaks give the slope -2.5: pi and
+    # 3 pi in [1, 10], where the first peak, k = 0, counts too
+    for hi in (10.0, 20.0):
+        assert abs(fit_decay_slope(modulus, 1.0, hi) + 2.5) < 1e-12, hi
+    # [90, 1000] starts at its first peak, 2 pi 14.5 = 91.1
+    seen = []
+    fit_decay_slope(lambda w: seen.append(w) or modulus(w), 90.0, 1000.0)
+    assert seen[0][0] == 2 * math.pi * 14.5
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(NumericError, match="positive, finite modulus"):
             fit_decay_slope(lambda w: np.where(w > 50.0, bad, modulus(w)), 1e1, 1e2)

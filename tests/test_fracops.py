@@ -539,6 +539,20 @@ def test_mellin_domain_checks():
             mellin_check(Paravector(0.5, [0.6 * v, 0.8 * v]), 1.0)
 
 
+def test_mellin_check_that_overflows_next_to_zero_is_an_error():
+    # Gamma(x0) is finite from 5.6e-309, but below about 5.6e-308 the left
+    # tail's 1/(1 - e^{-0.1 z}) or the columns' sum p + q overflows
+    for x0 in (6e-309, 1e-308, 2e-308, 5e-308):
+        with pytest.raises(NumericError, match=f"at scalar part {x0:g}$"):
+            mellin_check(Paravector(x0, [0.0]), 1.0)
+    # where neither overflows, the check keeps its values
+    res = mellin_check(Paravector(1e-307, [0.0]), 1.0)
+    assert res.rhs.norm() == pytest.approx(1e307, rel=1e-15)
+    assert res.deviation <= 1e-15 * res.rhs.norm()
+    assert mellin_check(Paravector(1e-308, [1.0]), 1.0).deviation == pytest.approx(4.0e-14,
+                                                                                    rel=0.05)
+
+
 # -- report plumbing ------------------------------------------------------------------------------
 
 def test_atom_sum_container():
