@@ -4,7 +4,8 @@ exponential B-splines, and the fractional operators attached to them.
 The subpackages split along the natural seams: clifford for paravectors,
 specialfn for Gamma and binomials, splines for time-domain values,
 fourier for transforms and certified inversion, fracops for the operators
-and the frequency-domain verification harness, cli for the command-line
+and the frequency-domain verification harness, textio for the text
+tables the command line writes and reads, cli for the command-line
 frontend.
 """
 

@@ -8,7 +8,12 @@ files round-trip exactly, and the same input, numpy build and CPU SIMD
 level produce identical bytes; across SIMD levels numpy's real log, exp,
 expm1, log1p, arctan2 and power run other loops, and values agree to each
 function's stated accuracy.  Each subcommand takes only the flags it
-reads, and a config key only where its flag is taken.  _family_order
+reads, and a config key only where its flag is taken: verify takes --K
+only for the fractional, complex, complex-exponential and hypercomplex
+families, whose atom sums are truncated, and fracop takes --a only with
+--op shifted-derivative.  verify passes when max_residual is at most the
+report's own certificate, its tail_bound, or at most --tol when that is
+given, and writes the bound it used as "tolerance".  _family_order
 parses each family's order flags once and checks their ranges with the
 order functions of splines; eval, transform and verify only choose the
 library call.  A value of eval, transform or fracop that is not finite is
@@ -57,14 +62,14 @@ from .splines import (
 )
 from .textio import read_signal, write_json, write_table
 
-# each family, with verify's frequency grid and tolerance for unset --grid/--tol
+# each family, with verify's frequency grid for an unset --grid
 _VERIFY_DEFAULTS = {
-    "classical": ("-20:20:0.05", 1e-12),
-    "fractional": ("-3:3:0.01", 1e-3),
-    "complex": ("-3:3:0.01", 1e-3),
-    "exponential": ("-8:8:0.02", 1e-10),
-    "complex-exponential": ("-3:3:0.01", 1e-6),
-    "hypercomplex": ("-8:8:0.02", 5e-3),
+    "classical": "-20:20:0.05",
+    "fractional": "-3:3:0.01",
+    "complex": "-3:3:0.01",
+    "exponential": "-8:8:0.02",
+    "complex-exponential": "-3:3:0.01",
+    "hypercomplex": "-8:8:0.02",
 }
 FAMILIES = tuple(_VERIFY_DEFAULTS)
 # the values of the options with a fixed set, from a flag or a config file
@@ -226,6 +231,8 @@ def run_fracop(args) -> int:
              "fracop needs --op integral|derivative|shifted-derivative")
     _require(args.input is not None, "fracop needs --input CSV with columns x,value")
     _require(args.z is not None, "fracop needs --z (operator order)")
+    _require(args.a is None or args.op == "shifted-derivative",
+             f"--a is taken by --op shifted-derivative only, not by {args.op}")
     signal = read_signal(args.input)
     z = _parse_complex(args.z)
     if args.op == "integral":
@@ -243,11 +250,13 @@ def run_fracop(args) -> int:
 
 def run_verify(args) -> int:
     fam, order = args.family, _family_order(args)
-    grid, tol = _VERIFY_DEFAULTS[fam]
-    omegas = _parse_grid(args.grid if args.grid is not None else grid)
+    omegas = _parse_grid(args.grid if args.grid is not None else _VERIFY_DEFAULTS[fam])
+    tol = args.tol
+    _require(tol is None or (np.isfinite(tol) and tol >= 0),
+             f"--tol must be finite and >= 0, got {tol!r}")
+    _require(args.K is None or fam not in ("classical", "exponential"),
+             f"the {fam} family's atom sum is exact: --K is taken by the truncated families only")
     K = args.K if args.K is not None else 200
-    tol = args.tol if args.tol is not None else tol
-    _require(np.isfinite(tol) and tol >= 0, f"--tol must be finite and >= 0, got {tol!r}")
     if fam == "classical":
         report = classical_atom_check(order, omegas)
     elif fam == "exponential":
@@ -260,8 +269,8 @@ def run_verify(args) -> int:
         report = verify_atom_identity_complex(complex(order), K, omegas)
 
     doc = report.to_json_dict()
-    doc["tolerance"] = float(tol)
-    doc["passed"] = bool(report.max_residual <= tol)
+    doc["tolerance"] = report.tail_bound if tol is None else tol
+    doc["passed"] = report.verified(tol)
     write_json(args.output, doc)
     return 0 if doc["passed"] else 2
 
@@ -309,8 +318,10 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p_fr.add_argument("--op", choices=_CHOICES["op"])
     p_fr.add_argument("--input", help="input CSV with columns x,value")
     p_ver = add_command("verify", "verify a family's atom identity", family=True, table=False)
-    p_ver.add_argument("--K", type=int, help="atom-sum truncation")
-    p_ver.add_argument("--tol", type=float, help="verification tolerance")
+    p_ver.add_argument("--K", type=int, help="atom-sum truncation of the fractional, complex, "
+                                             "complex-exponential and hypercomplex families")
+    p_ver.add_argument("--tol", type=float,
+                       help="pass when max_residual <= tol (default: the report's tail_bound)")
     return parser
 
 
@@ -342,6 +353,17 @@ def _config_float(key, value) -> float:
     raise UsageError(f"config key {key!r} needs a number, got {value!r}")
 
 
+def _config_text(key, value) -> str:
+    """A config value for a text flag: a string, a number, or a list of
+    them joined by commas.  null, booleans, objects and nested lists have
+    no spelling a flag would take."""
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+        raise UsageError(f"config key {key!r} needs a number, a string or a list of them, "
+                         f"got {value!r}")
+    return ",".join(str(v) for v in items)
+
+
 def _config_defaults(args) -> dict:
     """The checked values of the JSON config file args.config, by option
     name: the defaults of its flags, so an explicit flag wins in any spelling."""
@@ -363,10 +385,8 @@ def _config_defaults(args) -> dict:
             value = _config_int(key, value)
         elif dest in ("alpha", "tol"):
             value = _config_float(key, value)
-        elif isinstance(value, (list, tuple)):
-            value = ",".join(str(v) for v in value)
-        elif not isinstance(value, str):
-            value = str(value)
+        else:
+            value = _config_text(key, value)
         if dest in _CHOICES and value not in _CHOICES[dest]:
             raise UsageError(f"unknown {dest} {value!r}")
         defaults[dest] = value

@@ -311,7 +311,7 @@ def fit_decay_slope(modulus_fn, omega_lo: float, omega_hi: float):
     """
     if not 0 < omega_lo < omega_hi < math.inf:
         raise ParameterError("need 0 < omega_lo < omega_hi < inf")
-    k_lo = max(0, math.ceil(omega_lo / (2 * math.pi) - 0.5))
+    k_lo = math.ceil(omega_lo / (2 * math.pi) - 0.5)
     k_hi = int(math.ceil(omega_hi / (2 * math.pi)))
     # geomspace cannot start at k = 0, the first peak when omega_lo <= pi
     ks = np.unique(np.append(np.geomspace(max(k_lo, 1), k_hi, 200).astype(int), k_lo))

@@ -330,7 +330,7 @@ def _derivative(z, signal: SampledSignal, damping: float) -> SampledSignal:
         d = dd
 
     noise = float(np.max(np.abs(g))) * math.exp(log_bound)
-    scale = float(np.max(np.abs(d))) if d.size else 0.0
+    scale = float(np.max(np.abs(d)))
     if noise > 0.1 * (scale + 1e-300):
         warnings.warn(
             f"order-{n} differencing amplifies rounding noise to "
@@ -490,8 +490,9 @@ class ResidualReport:
             "excluded_omegas": self.excluded_omegas,
         }
 
-    def verified(self) -> bool:
-        return self.max_residual <= self.tail_bound
+    def verified(self, tol: float | None = None) -> bool:
+        """Whether max_residual meets tol, by default tail_bound."""
+        return self.max_residual <= (self.tail_bound if tol is None else tol)
 
 
 def _as_omegas(grid) -> np.ndarray:
@@ -517,10 +518,10 @@ def _admissible_split(log1: np.ndarray, log2: np.ndarray, zero: np.ndarray) -> n
     argsum = log1.imag + log2.imag
     admissible = ~zero & (argsum > -math.pi) & (argsum <= math.pi)
     if not np.any(admissible):
+        zeros = int(np.count_nonzero(zero))
         raise EmptyAdmissibleSetError(
-            "no admissible frequencies on this grid; every point failed the "
-            "branch filter"
-        )
+            f"no admissible frequencies on this grid: {zeros} of {zero.size} "
+            f"are zeros of a base and {zero.size - zeros} fail the branch split")
     return admissible
 
 

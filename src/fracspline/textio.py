@@ -312,12 +312,9 @@ def _int_cells(values):
     v = np.asarray(values).ravel()
     if v.dtype == bool:
         return _BOOL_TEXT.take(v.view(np.uint8))[:, None]
-    if v.dtype.kind == "u":
-        neg, mag = np.zeros(v.size, bool), v.astype(np.uint64)
-    else:
-        v = v.astype(np.int64)
-        # -2^63 has no int64 magnitude; its wrapped abs reads right as uint64
-        neg, mag = v < 0, np.abs(v).astype(np.uint64)
+    v = v.astype(np.int64)
+    # -2^63 has no int64 magnitude; its wrapped abs reads right as uint64
+    neg, mag = v < 0, np.abs(v).astype(np.uint64)
     digits = 1 + np.searchsorted(_INT_POW10, mag, side="right")
     g = -(-int(digits.max(initial=1)) // 4)
     text = np.empty((v.size, 1 + g), _WORD)
@@ -477,8 +474,7 @@ def _signal_rows(buf, size: int):
     columns, line_no, header, start = [], 0, True, 0  # header: no non-blank line yet
     while start < size:
         # the piece ends at the first line end from start + _READ_PIECE on
-        end = _LINE_END.search(buf, min(start + _READ_PIECE, size - 1), size)
-        stop = end.end() if end else size
+        stop = _LINE_END.search(buf, min(start + _READ_PIECE, size - 1), size).end()
         piece = byte[start:stop]
         crs = np.count_nonzero(piece == ord("\r")) if buf.find(b"\r", start, stop) >= 0 else 0
         ends = np.flatnonzero((piece == ord(",")) | (piece == ord("\n"))) + start

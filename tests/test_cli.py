@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -847,6 +848,22 @@ def test_fracop_reads_its_input_from_a_pipe(tmp_path):
                            "-o", str(from_pipe)], input=src.read_bytes(), capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert from_pipe.read_bytes() == from_file.read_bytes()
+    # and in this process, from a pipe that a thread fills past its buffer
+    read_end, write_end = os.pipe()
+    data = src.read_bytes()  # past a pipe's buffer, so the read waits on the writer
+
+    def write():
+        with open(write_end, "wb") as fh:  # closing it ends the reader's file
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert run_cli(argv + [f"/dev/fd/{read_end}", "-o", str(from_pipe)]) == 0
+    finally:
+        os.close(read_end)  # a writer still blocked on a full pipe then fails, not hangs
+        writer.join()
+    assert from_pipe.read_bytes() == from_file.read_bytes()
 
 
 def test_fracop_overflow_names_the_order_given(tmp_path, capsys):
@@ -887,6 +904,20 @@ def test_verify_classical(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["max_residual"] <= 1e-12
     assert doc["passed"] is True
+    assert doc["tolerance"] == doc["tail_bound"]  # the report's certificate, without --tol
+
+
+def test_verify_passes_by_the_reports_tail_bound(tmp_path, monkeypatch):
+    # without the rounding allowance the classical certificate is 0, which
+    # the residual of 5e-15 exceeds; a fixed default of 1e-12 passed it
+    import fracspline.fracops
+
+    monkeypatch.setattr(fracspline.fracops, "_float_fuzz", lambda *scales: 0.0)
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--family", "classical", "--n", "3", "-o", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert (doc["tolerance"], doc["tail_bound"], doc["passed"]) == (0, 0, False)
+    assert doc["max_residual"] > 0
 
 
 def test_verify_complex_reference(tmp_path):
@@ -931,10 +962,13 @@ def test_verify_tolerance_must_be_finite_and_not_negative(tmp_path, capsys):
     assert run_cli(argv + ["--tol", "0"]) == 2  # zero is a tolerance no residual meets
 
 
-def test_verify_empty_admissible_set(tmp_path):
+def test_verify_empty_admissible_set(tmp_path, capsys):
     code = run_cli(["verify", "--family", "complex", "--z", "2.5,0",
                     "--grid", "0:0:1", "-o", str(tmp_path / "rep.json")])
     assert code == 2
+    assert capsys.readouterr().err == ("verification error: no admissible frequencies on this "
+                                       "grid: 1 of 1 are zeros of a base and 0 fail the "
+                                       "branch split\n")
 
 
 def test_verify_overflow_is_an_error(tmp_path, capsys):
@@ -1110,7 +1144,30 @@ def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown config key 'format'\n"
 
 
-def test_config_rejects_non_integral_counts(tmp_path, capsys):
+def test_K_and_a_are_taken_only_where_they_are_read(tmp_path, capsys):
+    # verify --K with an exact atom sum reported "K": n and exited 0, and
+    # fracop --a without the damped operator applied the undamped one
+    signal, conf = tmp_path / "in.csv", tmp_path / "conf.json"
+    write_signal(signal, lambda x: x)
+    out = str(tmp_path / "out")
+    cases = []
+    for fam, order in (("classical", ["--n", "3"]), ("exponential", ["--a", "1,-0.5"])):
+        cases.append((["verify", "--family", fam, *order], "K", "7",
+                      f"the {fam} family's atom sum is exact: --K is taken by the "
+                      "truncated families only"))
+    for op in ("integral", "derivative"):
+        cases.append((["fracop", "--op", op, "--z", "0.5", "--input", str(signal)], "a", "0.7",
+                      f"--a is taken by --op shifted-derivative only, not by {op}"))
+    for argv, key, value, message in cases:
+        assert run_cli([*argv, "-o", out]) == 0, argv
+        conf.write_text(json.dumps({key: value}))
+        for extra in ([f"--{key}", value], ["--config", str(conf)]):
+            capsys.readouterr()
+            assert run_cli([*argv, *extra, "-o", out]) == 1, (argv, extra)
+            assert capsys.readouterr().err == f"error: {message}\n", (argv, extra)
+
+
+def test_config_rejects_non_integral_counts(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "conf.json"
     out = tmp_path / "out.csv"
     for n in (3.7, "3.7", True, None, [3]):
@@ -1127,6 +1184,17 @@ def test_config_rejects_non_integral_counts(tmp_path, capsys):
         assert run_cli(["verify", "--config", str(conf), "-o", str(out)]) == 1, (key, value)
         err = capsys.readouterr().err
         assert err == f"error: config key {key!r} needs a number, got {value!r}\n", err
+    # a text flag's key needs a string, a number or a list of them: null
+    # once wrote a file named None, and true read as the order 'True'
+    monkeypatch.chdir(tmp_path)
+    for key, value in (("output", None), ("z", True), ("grid", {"a": 1}), ("z", [2.5, [1]])):
+        conf.write_text(json.dumps({"family": "complex", "z": "2.5", "grid": "0:1:0.5",
+                                    key: value}))
+        assert run_cli(["eval", "--config", str(conf)]) == 1, (key, value)
+        err = capsys.readouterr().err
+        assert err == (f"error: config key {key!r} needs a number, a string or a list of "
+                       f"them, got {value!r}\n"), err
+    assert not (tmp_path / "None").exists()
     # integral values still count, whichever JSON type holds them
     expected = None
     for n in (3, 3.0, "3"):
@@ -1450,8 +1518,8 @@ def test_command_templates_hold_no_nul(tmp_path, monkeypatch):
                 assert run_cli([cmd, "--family", fam, *order, grid, "--format", fmt,
                                 "-o", out]) == 0
     write_signal(src, lambda x: x, stop=0.01)
-    for op in ("integral", "derivative", "shifted-derivative"):
-        assert run_cli(["fracop", "--op", op, "--z", "0.5", "--a", "0.7", "--input", str(src),
+    for op in (["integral"], ["derivative"], ["shifted-derivative", "--a", "0.7"]):
+        assert run_cli(["fracop", "--op", *op, "--z", "0.5", "--input", str(src),
                         "-o", out]) == 0
     assert len(calls) == 4 * len(EVAL_ORDERS) + 3
     for header, fields in calls:

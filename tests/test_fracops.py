@@ -330,7 +330,9 @@ def test_atom_complex_order_check():
 
 
 def test_atom_complex_empty_admissible():
-    with pytest.raises(EmptyAdmissibleSetError):
+    # w = 0 is a zero of iw, not a point where the branch split fails
+    with pytest.raises(EmptyAdmissibleSetError, match="^no admissible frequencies on this "
+                       "grid: 1 of 1 are zeros of a base and 0 fail the branch split$"):
         verify_atom_identity_complex(2.5, 100, np.array([0.0]))
 
 
@@ -420,7 +422,8 @@ def test_atom_hc_parameters():
 
 
 def test_atom_hc_empty_admissible():
-    with pytest.raises(EmptyAdmissibleSetError):
+    with pytest.raises(EmptyAdmissibleSetError, match="^no admissible frequencies on this "
+                       "grid: 1 of 1 are zeros of a base and 0 fail the branch split$"):
         verify_atom_identity_hc(Paravector(2.5, [1.0]), 50, np.array([0.0]))
 
 
@@ -749,6 +752,9 @@ def test_report_json_schema():
     assert set(doc["grid"]) == {"omega_min", "omega_max", "count"}
     assert doc["family"] == "classical"
     assert rep.verified()
+    # an explicit tolerance replaces tail_bound, and a residual meets itself
+    assert 0 < rep.max_residual < rep.tail_bound
+    assert rep.verified(rep.max_residual) and not rep.verified(0.0)
 
 
 def test_every_verifier_returns_one_frozen_report():
