@@ -35,7 +35,7 @@ class NumericError(FracSplineError, ArithmeticError):
 
 
 class EmptyAdmissibleSetError(FracSplineError):
-    """Every grid frequency was excluded by the branch-admissibility filter."""
+    """Every grid frequency is a zero of a verifier's base, which has no log there."""
 
 
 class SignalFormatError(FracSplineError, ValueError):

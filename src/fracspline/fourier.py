@@ -267,6 +267,8 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
     decade bounds the average over the tail up to edge effects, which the
     25 percent safety margin absorbs.  The in-range quadrature error is
     estimated by Richardson comparison against the half-resolution rule.
+    A transform value that is not finite is a NumericError: it would make
+    the value and its certified error NaN.
     """
     if not math.isfinite(x):
         raise ParameterError(f"x must be finite, got {x!r}")
@@ -276,6 +278,9 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
     vals = np.asarray(transform(om), dtype=complex)
     if vals.shape != om.shape:
         raise ParameterError("transform callable must evaluate elementwise")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise NumericError(f"the transform is not finite at w = {om[np.argmin(finite)]:g}")
     # e^{iwx} * vals, with e^{iwx} the first operand at every grid size
     wx = om * x
     integrand = np.empty(om.shape, dtype=complex)

@@ -14,14 +14,17 @@ exponential sum and the identity becomes a machine-checkable inequality:
     damped complex order (a+iw)^z Omega_a(w)^z  = sum binom(z,l)(-1)^l e^{-la} e^{-ilw}
     hypercomplex         (iw)^Y Omega(w)^Y      = sum (-1)^k binom(Y,k) e^{-ikw}
 
-Each verifier applies a branch-admissibility filter: the split of the
-left-hand side into two principal powers is only valid where
-arg(base1) + arg(base2) stays in (-pi, pi], and points where a factor
-vanishes (so its log does not exist) are excluded and reported rather
-than silently patched.  Nothing else is excluded: the principal log of
-every base here, and the branch decision read from it, is reliable
-wherever it exists (see _admissible_split).  The principal log of each
-base is taken once and serves both the filter and the left-hand side,
+A verifier admits every frequency where neither base is 0; where one is,
+it has no log, and the frequency is excluded and reported rather than
+silently patched.  No branch test is needed to split the left-hand side
+into two principal powers.  base1 is iw or a + iw, and the product
+base1 base2 = 1 - e^{-a-iw} (a = 0 for the undamped pair) has real part
+1 - e^{-a} cos w, which is > 0 unless the product is 0.  So
+arg(base1 base2) lies in (-pi/2, pi/2) and arg base1 in [-pi/2, pi/2];
+their difference, in (-pi, pi), is the principal arg base2, and
+arg base1 + arg base2 = arg(base1 base2) (Unser and Blu, SIAM Rev. 42,
+2000; Forster, Blu and Unser, Appl. Comput. Harmon. Anal. 20, 2006).
+The principal log of each base is taken once, and the left-hand side is
 exp(z (log base1 + log base2)).
 
 The three complex-order identities are one check: the damped one weights
@@ -199,7 +202,7 @@ def frac_integral(z, signal: SampledSignal) -> SampledSignal:
     per sample.  A sample that is not finite is a SignalFormatError.
     """
     _require_finite_samples(signal)
-    return signal.with_values(_integral_values(z, signal, 0.0), valid=signal.valid.copy())
+    return signal.with_values(_integral_values(z, signal, 0.0))
 
 
 def _require_finite_samples(signal: SampledSignal) -> None:
@@ -503,28 +506,6 @@ def _as_omegas(grid) -> np.ndarray:
     return om
 
 
-def _admissible_split(log1: np.ndarray, log2: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """Branch filter for writing (base1 base2)^z as base1^z base2^z, from
-    the principal logs of the two bases and the mask of their zeros.
-
-    The split is valid exactly where arg base1 + arg base2 stays in
-    (-pi, pi]; a frequency where either base is 0 has no log and is
-    excluded as well.  Nothing else is: iw and a + iw are exact, omega_fn
-    keeps its relative precision at every nonzero value, and the damped
-    ratio's numerator has real part at least 1 - e^{-a} > 0, so the
-    principal logs, and the branch decision read from them, hold wherever
-    they exist.
-    """
-    argsum = log1.imag + log2.imag
-    admissible = ~zero & (argsum > -math.pi) & (argsum <= math.pi)
-    if not np.any(admissible):
-        zeros = int(np.count_nonzero(zero))
-        raise EmptyAdmissibleSetError(
-            f"no admissible frequencies on this grid: {zeros} of {zero.size} "
-            f"are zeros of a base and {zero.size - zeros} fail the branch split")
-    return admissible
-
-
 def _float_fuzz(*scales: float) -> float:
     return 64.0 * np.finfo(float).eps * (1.0 + max(scales, default=0.0))
 
@@ -607,8 +588,9 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
     masks of their zeros, as _principal_log gives them; the first log is
     overwritten by the sum of the two.  The left side is the principal
     power of that sum: exp(a) exp(b) = exp(a + b), so it is
-    base1^e base2^e everywhere, off the admissible set too, and 0 where a
-    base is 0.
+    base1^e base2^e, and 0 where a base is 0.  The admissible set is the
+    frequencies where neither base is 0; an empty one is an
+    EmptyAdmissibleSetError.
     The exponents are z or the pair (z, conj z), whose binomials have the
     same moduli, and _binomial_tail bounds the truncation tail of z.
     """
@@ -616,7 +598,9 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
         raise ParameterError("truncation K must be positive")
     (log1, zero1), (log2, zero2) = base1_log, base2_log
     zero = zero1 | zero2
-    admissible = _admissible_split(log1, log2, zero)
+    if zero.all():
+        raise EmptyAdmissibleSetError(
+            f"no admissible frequencies on this grid: all {zero.size} are zeros of a base")
 
     log1 += log2
     lhs = _principal_power(log1, zero, exponents)
@@ -629,7 +613,7 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
         family, order, om, lhs, binoms[: K + 1] * weights[:, None],
         lambda lhs_scale, atom_scale: (_binomial_tail(exponents[0], K, first, damping)
                                        + _float_fuzz(lhs_scale, atom_scale)),
-        admissible)
+        ~zero)
 
 
 def _z_label(z: complex) -> str:

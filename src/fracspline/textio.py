@@ -457,9 +457,10 @@ def _signal_rows(buf, size: int):
     raises, a row is malformed or a sample is not finite, _line_rows reads
     the piece's rows again, one line at a time, and names the first bad
     line.  Text that is not UTF-8 raises SignalFormatError with the line
-    of its first bad byte.  buf holds _FIELD_PAD bytes past size; a final
-    line feed is written there when the text has no line end, and a lone
-    "\r" is written over with "\n"."""
+    of its first bad byte.  A leading UTF-8 byte-order mark is skipped, as
+    the utf-8-sig codec skips it.  buf holds _FIELD_PAD bytes past size; a
+    final line feed is written there when the text has no line end, and a
+    lone "\r" is written over with "\n"."""
     if not buf.isascii():
         try:
             str(memoryview(buf)[:size], "utf-8")
@@ -471,7 +472,8 @@ def _signal_rows(buf, size: int):
         buf[size] = ord("\n")
         size += 1
     byte = np.frombuffer(buf, np.uint8)
-    columns, line_no, header, start = [], 0, True, 0  # header: no non-blank line yet
+    columns, line_no, header = [], 0, True  # header: no non-blank line yet
+    start = 3 if buf.startswith(b"\xef\xbb\xbf") else 0  # a byte-order mark is not text
     while start < size:
         # the piece ends at the first line end from start + _READ_PIECE on
         stop = _LINE_END.search(buf, min(start + _READ_PIECE, size - 1), size).end()

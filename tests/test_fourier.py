@@ -503,6 +503,15 @@ def test_inverse_quadrature_rejects_a_non_finite_x(x):
         inverse_quadrature(lambda w: hat_bz(2.5, w), x, grid, decay=2.5)
 
 
+def test_inverse_quadrature_rejects_a_transform_that_is_not_finite():
+    # a NaN sample would give the value nan+nanj with a NaN certified
+    # error, which compares False against any bound a caller sets
+    grid = FrequencyGrid(40.0, 4001)
+    with pytest.raises(NumericError, match="not finite at w = 0"):
+        inverse_quadrature(lambda om: np.where(om == 0, np.nan, 1 / (1 + om ** 2)), 0.5, grid,
+                           decay=2.0)
+
+
 @pytest.mark.parametrize("decay", [math.nan, math.inf])
 def test_inverse_quadrature_rejects_a_non_finite_decay(decay):
     grid = FrequencyGrid(20.0, 101)

@@ -29,6 +29,7 @@ from fracspline import (
     hat_en,
     mellin_check,
     omega_a_fn,
+    omega_fn,
     shifted_frac_derivative,
     verify_atom_identity_complex,
     verify_atom_identity_expz,
@@ -330,9 +331,9 @@ def test_atom_complex_order_check():
 
 
 def test_atom_complex_empty_admissible():
-    # w = 0 is a zero of iw, not a point where the branch split fails
+    # w = 0 is a zero of iw
     with pytest.raises(EmptyAdmissibleSetError, match="^no admissible frequencies on this "
-                       "grid: 1 of 1 are zeros of a base and 0 fail the branch split$"):
+                       "grid: all 1 are zeros of a base$"):
         verify_atom_identity_complex(2.5, 100, np.array([0.0]))
 
 
@@ -423,7 +424,7 @@ def test_atom_hc_parameters():
 
 def test_atom_hc_empty_admissible():
     with pytest.raises(EmptyAdmissibleSetError, match="^no admissible frequencies on this "
-                       "grid: 1 of 1 are zeros of a base and 0 fail the branch split$"):
+                       "grid: all 1 are zeros of a base$"):
         verify_atom_identity_hc(Paravector(2.5, [1.0]), 50, np.array([0.0]))
 
 
@@ -682,8 +683,8 @@ def test_verifiers_certify_on_a_fine_grid(z):
 
 
 def test_fused_lhs_equals_the_product_of_principal_powers():
-    # exp(z (log b1 + log b2)) = b1^z b2^z everywhere: off the admissible
-    # set, next to the zeros of Omega at 2 pi m and at w = 0, where b1 = 0.
+    # exp(z (log b1 + log b2)) = b1^z b2^z everywhere: next to the zeros
+    # of Omega at 2 pi m and at w = 0, where b1 = 0.
     # Both forms round z log b, so they agree to 1e-14, or to a few
     # eps |z| |log b| where Omega(2 pi m) ~ 1e-17 has |log Omega| ~ 37
     from fracspline.fourier import _principal_log, _principal_power
@@ -711,17 +712,41 @@ def test_fused_lhs_equals_the_product_of_principal_powers():
 def test_verifiers_admit_every_nonzero_frequency():
     # Omega keeps its relative precision at the floats next to its zeros
     # 2 pi m and at tiny |w|, so only w = 0, where iw = 0, is excluded, and
-    # there the residual, about the whole tail sum_{k>K} c_k, is in bound
+    # there the residual, about the whole tail sum_{k>K} c_k, is in bound;
+    # neither damped base is 0 anywhere, so the damped check admits w = 0 too
     near = 2 * math.pi * np.arange(-5, 6)[:, None] + [-3e-15, -1e-15, 0.0, 1e-15, 3e-15]
     om = np.concatenate([np.linspace(-33.0, 33.0, 6601), near.ravel(),
                          [1e-300, -1e-20, 1e-15]])
-    reports = [verify_atom_identity_complex(2.5 + 1j, 200, om),
-               verify_atom_identity_complex(1.1 + 8j, 200, om),
-               verify_atom_identity_complex(1.5, 200, om),
-               verify_atom_identity_hc(Paravector(2.5, [1.0, 1.0]), 200, om)]
-    for rep in reports:
-        assert np.array_equal(rep.admissible, om != 0), rep.order
+    reports = [(verify_atom_identity_complex(2.5 + 1j, 200, om), om != 0),
+               (verify_atom_identity_complex(1.1 + 8j, 200, om), om != 0),
+               (verify_atom_identity_complex(1.5, 200, om), om != 0),
+               (verify_atom_identity_hc(Paravector(2.5, [1.0, 1.0]), 200, om), om != 0)]
+    reports += [(verify_atom_identity_expz(a, 2.5 + 1j, 200, om), np.ones(om.shape, bool))
+                for a in (1e-310, 1e-12, 0.7, 20.0)]
+    for rep, admitted in reports:
+        assert np.array_equal(rep.admissible, admitted), rep.order
         assert rep.max_residual <= rep.tail_bound, (rep.order, rep.max_residual / rep.tail_bound)
+
+
+def test_principal_args_of_the_two_bases_sum_into_the_right_half_plane():
+    # base1 base2 = 1 - e^{-a-iw} has real part >= 0, so wherever neither
+    # base is 0 the two principal args sum to its arg, in [-pi/2, pi/2], and
+    # writing (base1 base2)^z as base1^z base2^z needs no branch test: on a
+    # uniform sweep of +-1e6, within 1e-9 of 2 pi m and at the floats next
+    # to it, and for |w| from 1e-300 to 1e300
+    from fracspline.fourier import _log_iomega, _principal_log
+    rng = np.random.default_rng(28)
+    zeros = 2 * math.pi * np.arange(-2000, 2001)
+    mags = np.logspace(-300, 300, 6001)
+    om = np.concatenate([rng.uniform(-1e6, 1e6, 100_000), zeros - 1e-9, zeros + 1e-9,
+                         np.nextafter(zeros, -np.inf), np.nextafter(zeros, np.inf),
+                         mags, -mags, [0.0]])
+    pairs = [(_log_iomega(om), _principal_log(omega_fn(om)))]
+    pairs += [(_principal_log(a + 1j * om), _principal_log(omega_a_fn(a, om)))
+              for a in (5e-324, 1e-310, 1e-12, 0.7, 20.0, 700.0)]
+    for (log1, zero1), (log2, zero2) in pairs:
+        argsum = (log1.imag + log2.imag)[~(zero1 | zero2)]
+        assert np.all(np.abs(argsum) <= math.pi / 2), np.max(np.abs(argsum))
 
 
 # the truncation tail, sum_{k>K} |c_k|, bounds the residual of an exact
