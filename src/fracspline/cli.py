@@ -3,23 +3,24 @@ apply fractional operators to sampled data, and run the verification
 harness.
 
 Exit codes: 0 pass, 1 usage or parameter error, 2 verification failure,
-3 I/O error.  All numeric output is printed with 17 significant digits so
-files round-trip exactly, and the same input, numpy build and CPU SIMD
-level produce identical bytes; across SIMD levels numpy's real log, exp,
-expm1, log1p, arctan2 and power run other loops, and values agree to each
-function's stated accuracy.  Each subcommand takes only the flags it
-reads, and a config key only where its flag is taken: verify takes --K
-only for the fractional, complex, complex-exponential and hypercomplex
-families, whose atom sums are truncated, and fracop takes --a only with
---op shifted-derivative.  verify passes when max_residual is at most the
-report's own certificate, its tail_bound, or at most --tol when that is
-given, and writes the bound it used as "tolerance".  _family_order
-parses each family's order flags once and checks their ranges with the
-order functions of splines; eval, transform and verify only choose the
-library call.  A value of eval, transform or fracop that is not finite is
-an error, not a cell, and main runs every command with numpy's
-floating-point warnings off, so that error is the first line on stderr.
-textio writes every output and reads fracop's input.
+3 I/O error.  All numeric output is printed with 17 significant digits
+so files round-trip exactly, and the same input, numpy build and CPU
+SIMD level produce identical bytes; across SIMD levels numpy's real log,
+exp, arctan2, power and tan and its complex abs run other loops, and
+values agree to each function's stated accuracy.  Each subcommand takes
+only the flags it reads, and a config key only where its flag is taken:
+verify takes --K only for the fractional, complex, complex-exponential
+and hypercomplex families, whose atom sums are truncated, and fracop
+takes --a only with --op shifted-derivative.  verify passes when
+max_residual is at most the report's own certificate, its tail_bound, or
+at most --tol when that is given, and writes the bound it used as
+"tolerance".  _family_order parses each family's order flags once and
+checks their ranges with the order functions of splines; eval, transform
+and verify only choose the library call.  A value of eval, transform or
+fracop that is not finite is an error, not a cell, and main runs every
+command with numpy's floating-point warnings off, so that error is the
+first line on stderr.  textio writes every output and reads fracop's
+input.
 """
 
 from __future__ import annotations

@@ -54,7 +54,9 @@ is limited to 20.
 Operand order: as in the fourier module, each complex product whose bits
 reach an output is an np.multiply or an in-place product with its
 operands in one fixed order, because a SIMD complex product can round
-differently with its operands swapped; q = e^{-iw} is cos w - i sin w.
+differently with its operands swapped.  q = e^{-iw} is specialfn.cis(-w),
+m^z is e^{re z log m} cis(im z log m), and every modulus is numpy's
+complex abs, not hypot.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .errors import (
 )
 from .fourier import (FrequencyGrid, _log_iomega, _principal_log, _principal_power, hat_en,
                       omega_a_fn, omega_fn)
-from .specialfn import binom_complex_sequence, gamma
+from .specialfn import binom_complex_sequence, cis, gamma
 from .splines import (
     _abscissae,
     complex_order,
@@ -243,9 +245,13 @@ def _integral_values(z, signal: SampledSignal, damping: float) -> np.ndarray:
     if g.real * g.real + g.imag * g.imag < 1e-300:
         raise NumericError(f"fractional integral of order z = {z!r} underflows: "
                            "Gamma(z + 2) is too small to divide by")
-    pref = np.exp(z * math.log(signal.step)) / g
+    pref = cmath.exp(z * math.log(signal.step)) / g
     pz = np.zeros(n + 1, dtype=complex)  # m^z, with 0^z = 0
-    pz[1:] = np.exp(z * np.log(np.arange(1.0, n + 1)))
+    log_m = np.log(np.arange(1.0, n + 1))
+    mod = np.multiply(log_m, z.real)
+    np.exp(mod, out=mod)
+    cis(np.multiply(log_m, z.imag, out=log_m), mod, out=pz[1:])
+    del log_m, mod
     pz1 = np.arange(n + 1.0) * pz  # m^{z+1}
     out = np.zeros(n, dtype=complex)
     # the weight of f[0] at m = 1..n-1, then the diagonal weight 1^{z+1} = 1
@@ -428,10 +434,9 @@ class AtomSum:
         inner = np.empty((cols, J, _CHUNK), dtype=complex)
         for start in range(0, om.size, _CHUNK):
             n = min(_CHUNK, om.size - start)
-            w[:n] = om[start:start + n]
+            np.negative(om[start:start + n], out=w[:n])  # w holds -omega
             w[n:] = 0.0
-            np.cos(w, out=powers[1].real)
-            np.negative(np.sin(w), out=powers[1].imag)
+            cis(w, out=powers[1])
             m = 1
             while m < B:  # q^{m+1}..q^{2m} from q^1..q^m and q^m
                 top = min(2 * m, B)
@@ -446,7 +451,7 @@ class AtomSum:
                     acc *= powers[B]
                     acc += inner[c, j]
                 if low:
-                    acc *= np.exp(-1j * low * w)
+                    acc *= cis(low * w)
                 out[c, start:start + n] = acc[:n]
         return out
 
@@ -532,8 +537,8 @@ def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
     if admissible is None:
         admissible = np.ones(om.shape, dtype=bool)
     rms = math.sqrt(len(lhs))
-    residuals = np.where(admissible, np.hypot.reduce(np.abs(lhs - rhs), axis=0) / rms, np.nan)
-    lhs_scale = float(np.max(np.hypot.reduce(np.abs(lhs), axis=0)[admissible])) / rms
+    residuals = np.where(admissible, _column_norms(np.abs(lhs - rhs)) / rms, np.nan)
+    lhs_scale = float(np.max(_column_norms(np.abs(lhs))[admissible])) / rms
     tail_bound = float(tail(lhs_scale, atoms.sup_norm() / rms))
     if not math.isfinite(tail_bound):
         raise overflow
@@ -541,6 +546,17 @@ def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
         family, order, len(coeffs) - 1, om, residuals, admissible,
         max_residual=float(np.nanmax(residuals)), tail_bound=tail_bound,
         atoms=atoms, lhs=lhs, rhs=rhs)
+
+
+def _column_norms(moduli: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each column of one or two rows of moduli: for
+    two rows, numpy's SIMD complex abs of the pair (row 0, row 1).  The
+    caller takes the moduli, so that its complex rows are freed first."""
+    if len(moduli) == 1:
+        return moduli[0]
+    pair = np.empty(moduli.shape[1], dtype=complex)
+    pair.real, pair.imag = moduli
+    return np.abs(pair)
 
 
 def _binomial_tail(z: complex, K: int, first: float, damping: float) -> float:
@@ -570,7 +586,7 @@ def _binomial_tail(z: complex, K: int, first: float, damping: float) -> float:
         if not math.isfinite(explicit + mod):
             return math.inf
         ks = np.arange(k, k + _CHUNK, dtype=float)
-        mods = mod * np.cumprod(np.hypot(ks - x, z.imag) / (ks + 1.0) * decay)
+        mods = mod * np.cumprod(np.abs(ks - z) / (ks + 1.0) * decay)
         explicit += mod + float(np.sum(mods[:-1]))
         k, mod = k + _CHUNK, float(mods[-1])
     majorant = 1.0 + k / (rate(k) - 1.0)

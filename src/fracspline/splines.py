@@ -57,7 +57,7 @@ import numpy as np
 
 from .clifford import HypercomplexExponent, Paravector
 from .errors import NumericError, OrderError, ParameterError
-from .specialfn import binom_complex_sequence, gamma
+from .specialfn import binom_complex_sequence, cis, gamma
 
 __all__ = [
     "integer_order",
@@ -225,6 +225,15 @@ def eval_bn(n: int, x):
     return _shaped(out, shape)
 
 
+def _complex_power(t: np.ndarray, p: complex) -> np.ndarray:
+    """t^p for t > 0 as e^{re p log t} cis(im p log t), in place on two
+    float arrays of t's length."""
+    log = np.log(t)
+    mod = np.multiply(log, p.real)
+    np.exp(mod, out=mod)
+    return cis(np.multiply(log, p.imag, out=log), mod)
+
+
 def eval_bz(z, x):
     """B-spline of complex order z (re z > 1) by its alternating series
     (1/Gamma(z)) sum_{k<=x} (-1)^k binom(z,k) (x-k)_+^{z-1}.
@@ -241,8 +250,7 @@ def eval_bz(z, x):
             raise NumericError(f"Gamma(z) too small at z = {z}; division is meaningless")
         coeffs = binom_complex_sequence(z, int(math.floor(xs[live].max())))
         coeffs[1::2] *= -1.0
-        zm1 = z - 1.0
-        total = _shifted_sum(xs[live], coeffs, lambda t: np.exp(zm1 * np.log(t)),
+        total = _shifted_sum(xs[live], coeffs, lambda t: _complex_power(t, z - 1.0),
                              closed=False)
         out[live] = total / g
     return _shaped(out, shape)

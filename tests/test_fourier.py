@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -371,19 +372,24 @@ def test_simpson_equals_scipy_bit_for_bit(count):
 # -- rewritten steps against their old formulas, bit for bit ----------------------
 
 def old_principal_log(base):
-    """_principal_log as it was: log(hypot) + 1j atan2 as two arrays."""
+    """_principal_log as it was, log|b| + 1j atan2 as two arrays, with the
+    modulus now numpy's complex abs as in _principal_log."""
     b = np.atleast_1d(np.asarray(base, dtype=complex))
     zero = b == 0
     re = np.where(zero, 1.0, b.real)
-    return np.log(np.hypot(re, b.imag)) + 1j * np.arctan2(b.imag, re), zero
+    return np.log(np.abs(re + 1j * b.imag)) + 1j * np.arctan2(b.imag, re), zero
 
 
 def old_omega_a_fn(a, w):
-    """omega_a_fn as it was, for a finite a != 0: its sines taken per call."""
+    """omega_a_fn as it was, for a finite a != 0: its sines taken per call,
+    now from one cis(w/2) as in omega_a_fn."""
+    from fracspline.fourier import _half_angle_sines
+
     damping = math.exp(-a)
+    sin2_half, sin_w = _half_angle_sines(w)
     num = np.empty(w.shape, dtype=complex)
-    num.real = 2.0 * damping * np.sin(0.5 * w) ** 2 - math.expm1(-a)
-    num.imag = damping * np.sin(w)
+    num.real = 2.0 * damping * sin2_half - math.expm1(-a)
+    num.imag = damping * sin_w
     return num / (1j * w + a)
 
 
@@ -449,12 +455,14 @@ def test_hat_en_keeps_the_bits_of_its_product_of_damped_ratios():
 
 def old_inverse_quadrature_payload(transform, x, grid, decay):
     """inverse_quadrature's value, error, tail bound and quadrature estimate
-    as it computed them, with the integrand vals * np.exp(1j om x)."""
+    as it computed them, with the integrand vals * e^{iwx}, e^{iwx} now
+    cis(om x) as in inverse_quadrature."""
     from fracspline.fourier import _simpson
+    from fracspline.specialfn import cis
 
     om = grid.omegas
     vals = np.asarray(transform(om), dtype=complex)
-    integrand = vals * np.exp(1j * om * x)
+    integrand = vals * cis(om * x)
     s_full = _simpson(integrand, grid.step)
     s_half = _simpson(integrand[::2], 2.0 * grid.step)
     quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)
@@ -471,8 +479,8 @@ def old_inverse_quadrature_payload(transform, x, grid, decay):
 
 @pytest.mark.parametrize("count", [20001, 200001])
 def test_inverse_quadrature_payload_keeps_the_bits_of_its_old_integrand(count):
-    # e^{iwx} from cos and sin, multiplied into vals as e^{iwx} * vals, the
-    # order numpy gave the old vals * np.exp(...) on these grids (its
+    # e^{iwx} = cis(wx), multiplied into vals as e^{iwx} * vals, the
+    # order numpy gives vals * cis(...) on these grids (its
     # temporary elision swaps the operands of arrays of 16384 or more
     # complex values)
     ups = Paravector(2.5, [1.0, -0.5])
@@ -559,3 +567,19 @@ def test_fit_decay_slope_needs_two_peaks_and_a_positive_modulus():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(NumericError, match="positive, finite modulus"):
             fit_decay_slope(lambda w: np.where(w > 50.0, bad, modulus(w)), 1e1, 1e2)
+
+
+def test_transforms_that_leave_the_float_range_raise_naming_the_order():
+    # |Omega^z| = e^{re z log|Omega| - im z arg Omega} overflows at |im z| = 300:
+    # 454 of these 4001 values of hat_bz, and 908 per component of the
+    # hypercomplex pair, read inf or NaN; the damped family stays finite
+    om = FrequencyGrid(40.0, 4001).omegas
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match=r"order \(2\+300j\) leaves the float range"):
+            hat_bz(2 + 300j, om)
+        with pytest.raises(NumericError, match=r"order Paravector\(s=2\.0, v=\[300\.0\]\) "
+                                               "leaves the float range"):
+            hat_bupsilon_components(Paravector(2.0, [300.0]), om)
+        assert np.isfinite(hat_ez(0.7, 2 + 300j, om)).all()
+        assert np.isfinite(hat_bz(2 + 30j, om)).all()

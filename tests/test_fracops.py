@@ -36,7 +36,7 @@ from fracspline import (
     verify_atom_identity_hc,
 )
 from fracspline.clifford import subalgebra_from_idempotent
-from fracspline.specialfn import binom_complex_sequence
+from fracspline.specialfn import binom_complex_sequence, cis
 
 
 def make_signal(fn, stop=2.0, h=1e-3, start=0.0):
@@ -883,8 +883,8 @@ def test_operator_memory_per_sample_is_bounded():
 
 def broadcast_horner(atoms, omegas):
     """AtomSum.evaluate as it was before its giant steps ran one column at a
-    time: q = e^{-iw} by the complex exp, and Horner's rule on all columns
-    at once, broadcasting q^B."""
+    time: Horner's rule on all columns at once, broadcasting q^B.  Its
+    complex exps are cis, as in AtomSum.evaluate."""
     om = np.asarray(omegas, dtype=float).ravel()
     low = int(atoms.shifts.min())
     span = int(atoms.shifts.max()) - low + 1
@@ -906,7 +906,7 @@ def broadcast_horner(atoms, omegas):
         n = min(4096, om.size - start)
         w[:n] = om[start:start + n]
         w[n:] = 0.0
-        np.exp(-1j * w, out=powers[1])
+        cis(-w, out=powers[1])
         m = 1
         while m < B:
             top = min(2 * m, B)
@@ -918,13 +918,13 @@ def broadcast_horner(atoms, omegas):
             acc *= powers[B]
             acc += inner3[:, j]
         if low:
-            acc *= np.exp(-1j * low * w)
+            acc *= cis(-low * w)
         out[:, start:start + n] = acc[:, :n]
     return out
 
 
 def test_atom_sum_keeps_the_bits_of_the_broadcast_horner():
-    # q = cos w - i sin w and one column at a time change no bit: 1 to 3
+    # q = cis(-w) and one column at a time change no bit: 1 to 3
     # columns, J = 1 (one and two atoms), a part-filled last block, negative
     # shifts, and frequencies at 0, -0.0, subnormal, near 2 pi m and large
     near = 2 * math.pi * np.arange(-4, 5)

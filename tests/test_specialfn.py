@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,7 +19,7 @@ from fracspline import (
     gamma_hc,
     mellin_check,
 )
-from fracspline.specialfn import binom_complex_sequence
+from fracspline.specialfn import _CIS_BLOCK, binom_complex_sequence, cis
 
 mpmath.mp.dps = 30
 
@@ -267,3 +272,117 @@ def test_kernel_convolution_semigroup_complex():
     im, _ = quad(integrand, 0, x, args=("im",), points=[0.0, x], limit=400)
     ref = power_kernel(z + w, x)
     assert abs(complex(re, im) - ref) < 1e-6
+
+
+# -- cis ------------------------------------------------------------------------
+
+# the bound cis's docstring states, relative to |scale|
+CIS_TOL = 4 * np.finfo(float).eps
+# numpy's AVX-512 dispatch targets; with them disabled its tan runs another loop
+AVX512_FEATURES = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"
+
+
+def cis_sweep():
+    """Angles with both signs: 0, subnormal and tiny ones, 2^-27 and its
+    neighbours, 1e-300 to 1e8, and the floats next to k pi/2 for |k| <= 40;
+    with a unit scale, pi, and scales e^-700 to e^700."""
+    k = np.arange(-40, 41) * (0.5 * math.pi)
+    edge = 2.0 ** -27
+    theta = np.concatenate([
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, edge, np.nextafter(edge, 0.0),
+         np.nextafter(edge, 1.0), 2.0 * edge],
+        np.geomspace(1e-300, 1e8, 400), k, np.nextafter(k, math.inf), np.nextafter(k, -math.inf)])
+    theta = np.concatenate([theta, -theta])
+    scales = [None, math.pi, np.exp(np.linspace(-700.0, 700.0, theta.size))]
+    return theta, scales
+
+
+def cis_sweep_error():
+    """The largest |cis(theta, scale) - scale e^{i theta}| / |scale| over
+    cis_sweep, against 50-digit values."""
+    theta, scales = cis_sweep()
+    worst = 0.0
+    with mpmath.workdps(50):
+        refs = [mpmath.expj(t) for t in theta.tolist()]
+        for scale in scales:
+            sc = np.broadcast_to(1.0 if scale is None else scale, theta.shape)
+            for value, ref, s in zip(cis(theta, scale).tolist(), refs, sc.tolist()):
+                err = abs(mpmath.mpc(value) - s * ref) / s
+                worst = max(worst, float(err))
+    return worst
+
+
+def test_cis_meets_its_stated_bound_against_mpmath():
+    assert cis_sweep_error() <= CIS_TOL
+
+
+def test_cis_of_minus_theta_is_the_conjugate_bit_for_bit():
+    theta, scales = cis_sweep()
+    for scale in scales:
+        got = cis(-theta, scale)
+        assert np.conj(cis(theta, scale)).tobytes() == got.tobytes()
+    # the small-angle branch keeps the sign of a zero angle
+    assert np.signbit(cis(np.array([-0.0, 0.0])).imag).tolist() == [True, False]
+
+
+def test_cis_value_does_not_depend_on_its_place_or_the_array_length():
+    theta, scales = cis_sweep()
+    rng = np.random.default_rng(7)
+    for scale in scales:
+        ref = cis(theta, scale)
+        for i in range(0, theta.size, 37):
+            one = scale[i:i + 1] if np.ndim(scale) else scale
+            assert cis(theta[i:i + 1], one).tobytes() == ref[i:i + 1].tobytes()
+        # the sweep across a block boundary, inside longer arrays
+        for offset, size in ((_CIS_BLOCK - 100, 3 * _CIS_BLOCK + 7), (5, theta.size + 11)):
+            padded = rng.uniform(-10.0, 10.0, size)
+            padded[offset:offset + theta.size] = theta
+            if np.ndim(scale):
+                pad_scale = rng.uniform(0.5, 2.0, size)
+                pad_scale[offset:offset + theta.size] = scale
+            else:
+                pad_scale = scale
+            got = cis(padded, pad_scale)[offset:offset + theta.size]
+            assert got.tobytes() == ref.tobytes(), (offset, size)
+
+
+def test_cis_writes_in_place_over_its_own_arguments():
+    # _principal_power passes out.imag as theta and out.real as the scale
+    rng = np.random.default_rng(3)
+    w = rng.uniform(-3.0, 3.0, 2 * _CIS_BLOCK + 5) + 1j * rng.uniform(-1e3, 1e3, 2 * _CIS_BLOCK + 5)
+    ref = cis(w.imag, np.exp(w.real))
+    out = w.copy()
+    np.exp(out.real, out=out.real)
+    assert cis(out.imag, out.real, out=out) is out
+    assert out.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="view"):
+        cis(np.zeros((3, 4)), out=np.zeros((4, 3), dtype=complex).T)
+
+
+def avx512_dispatch() -> bool:
+    """Whether numpy dispatches its AVX-512 loops: AVX512F stays listed
+    when it is disabled, the dispatch targets do not."""
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    return any(features.get(name, False) for name in ("AVX512_SKX", "X86_V4"))
+
+
+def test_cis_meets_its_bound_with_numpy_avx512_loops_disabled():
+    # numpy's tan runs an AVX-512 loop on machines that have one, and a
+    # scalar loop with these features disabled: both must meet the bound
+    child = (
+        "import json, sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "import test_specialfn\n"
+        "print(json.dumps([test_specialfn.avx512_dispatch(),"
+        " test_specialfn.cis_sweep_error()]))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_FEATURES)
+    done = subprocess.run([sys.executable, "-c", child, str(here.parent / "src"), str(here)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    child_avx512, child_error = json.loads(done.stdout.splitlines()[-1])
+    assert not child_avx512
+    if not avx512_dispatch():
+        print("numpy dispatches no AVX-512 loop on this machine: both runs took one path")
+    assert child_error <= CIS_TOL
+    assert cis_sweep_error() <= CIS_TOL
