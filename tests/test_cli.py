@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -256,13 +257,16 @@ def test_grid_spec_errors(spec, message, capsys):
 
 def test_binomial_sizes_no_array_holds_are_an_error(capsys):
     # the binomial sequence used to end in a MemoryError or a ValueError
-    # traceback from its np.empty
-    for argv in (["eval", "--family", "complex", "--z", "2.5", "--grid", "1e17:1e17:1"],
-                 ["verify", "--family", "complex", "--z", "2.5",
-                  "--K", "1000000000000000000", "--grid", "0.1:1:0.1"]):
+    # traceback from its np.empty; eval names the x whose atoms no table holds
+    for argv, prefix in (
+            (["eval", "--family", "complex", "--z", "2.5", "--grid", "1e17:1e17:1"],
+             "error: x = 1e+17 needs "),
+            (["verify", "--family", "complex", "--z", "2.5",
+              "--K", "1000000000000000000", "--grid", "0.1:1:0.1"],
+             "error: binom(z, k) for k up to kmax = ")):
         assert run_cli(argv) == 1, argv
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: binom(z, k) for k up to kmax = "), argv
+        assert out == "" and err.startswith(prefix), argv
 
 
 def test_eval_classical_order_past_factorial_range(tmp_path, capsys):
@@ -273,6 +277,35 @@ def test_eval_classical_order_past_factorial_range(tmp_path, capsys):
     out = tmp_path / "b171.csv"
     assert run_cli(["eval", "--family", "classical", "--n", "171",
                     "--grid", "0:3:1", "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("grid", ["0:1e9:1e8", "1e300:1e300:1"])
+@pytest.mark.parametrize("family", [["--family", "complex", "--z", "2.5,1"],
+                                    ["--family", "fractional", "--alpha", "2.5"],
+                                    ["--family", "hypercomplex", "--upsilon", "2.5,1,1"]])
+def test_eval_of_a_far_grid_fails_by_name_and_fast(family, grid, capsys):
+    # the atoms up to the largest x are past what one table holds: an error
+    # naming that x, before any per-cell work, and no 300-digit count
+    t0 = time.perf_counter()
+    assert run_cli(["eval", *family, "--grid", grid]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    last = grid.split(":")[1]
+    assert out == "" and err.startswith(f"error: x = {float(last):g} needs "), err
+    assert len(err) < 200
+
+
+def test_eval_past_the_float_range_names_the_order(capsys):
+    for argv, named in ((["--family", "complex", "--z", "120", "--grid", "200:300:50"],
+                         "order (120+0j)"),
+                        (["--family", "classical", "--n", "170", "--grid", "80:90:5"],
+                         "classical order n = 170")):
+        assert run_cli(["eval", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the series of {named} leaves the float range"), err
+    # Gamma(150) = 3.8e260 and its series near the origin stay in range
+    assert run_cli(["eval", "--family", "fractional", "--alpha", "150",
+                    "--grid", "0:3:0.5"]) == 0
 
 
 def test_eval_unwritable_path():

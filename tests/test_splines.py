@@ -1,4 +1,7 @@
+import cmath
 import math
+import re
+import time
 from fractions import Fraction
 
 import mpmath
@@ -576,3 +579,110 @@ def test_shifted_sum_keeps_the_bits_of_per_shift_arrays():
         got = _shifted_sum(xs, coeffs, kernel, closed)
         assert np.array_equal(got.view(np.uint64), per_shift_sum(xs, coeffs, kernel, closed
                                                                  ).view(np.uint64))
+
+
+# -- the cell form of eval_bz ------------------------------------------------------
+
+EPS = 2.0 ** -52
+
+
+def _mp_series_and_mass(z, x):
+    """B_z(x) by its series in 50 digits, and sum_k |t_k| / |Gamma(z)|, the
+    scale of the rounding error of any summation of the terms t_k."""
+    with mpmath.workdps(50):
+        zz, xx = mpmath.mpc(z.real, z.imag), mpmath.mpf(x)
+        total, mass, c = mpmath.mpc(0), mpmath.mpf(0), mpmath.mpc(1)
+        for k in range(int(math.floor(x)) + 1):
+            if xx - k > 0:
+                term = c * (xx - k) ** (zz - 1)
+                total += term
+                mass += abs(term)
+            c *= -(zz - k) / (k + 1)
+        g = mpmath.gamma(zz)
+        return complex(total / g), float(mass / abs(g))
+
+
+# time-grid orders: 1.1 <= re z <= 6, |im z| <= 2, and a real one
+ERROR_MODEL_ORDERS = (1.1 + 0.3j, 1.8 - 1.9j, 2.5 + 1.0j, 3.3 - 0.4j, 3.7 + 0j,
+                      4.6 + 2.0j, 5.9 - 1.2j)
+# the rounding error stays within this many eps * sum |t_k| / |Gamma(z)|; the
+# draws below measure at most 4.8, with the cell form and with a plain
+# per-shift sum, and 690 random draws at most 8.5
+ERROR_MODEL_C = 16.0
+
+
+@pytest.mark.parametrize("z", ERROR_MODEL_ORDERS)
+def test_bz_error_is_eps_times_the_mass_of_its_terms(z):
+    rng = np.random.default_rng([30, int(10 * z.real), int(10 * z.imag) % 100])
+    xs = np.concatenate([rng.uniform(0.0, 60.0, 14), [0.37, 7.0, 59.999]])
+    got = eval_bz(z, xs)
+    for x, value in zip(xs, got):
+        ref, mass = _mp_series_and_mass(z, x)
+        assert abs(value - ref) <= ERROR_MODEL_C * EPS * mass, (z, x)
+
+
+@pytest.mark.parametrize("z", [20.0, 20.0 + 1.5j, 80.0 + 0.5j])
+def test_bz_left_flank_of_high_orders_keeps_its_digits(z):
+    # x <= re z / 4 + 0.1: the terms barely cancel and the value keeps all but
+    # a few of its digits, at about 6e-14 relative
+    xs = np.linspace(0.35, z.real / 4 + 0.1, 7)
+    for x, value in zip(xs, eval_bz(z, xs)):
+        ref, _ = _mp_series_and_mass(complex(z), x)
+        assert abs(value - ref) <= 2e-13 * abs(ref), (z, x)
+
+
+@pytest.mark.parametrize("z", [2.5 - 1.0j, 3.7 + 0j, 4.6 + 1.3j])
+def test_cell_table_leaves_each_point_its_bits(z):
+    # a point's value depends on (z, x) alone: alone, in a dense 60-cell grid,
+    # in a shifted sub-grid, descending and shuffled
+    from fracspline.splines import _cell_form
+
+    assert _cell_form(complex(z) - 1.0)[0] >= 2
+    dense = np.linspace(0.0, 60.0, 6001)
+    want = eval_bz(z, dense)
+    probes = np.arange(0, dense.size, 97)
+    alone = np.array([eval_bz(z, float(dense[i])) for i in probes])
+    assert alone.tobytes() == want[probes].tobytes()
+    sub = np.arange(2503, dense.size, 7)
+    assert eval_bz(z, dense[sub]).tobytes() == want[sub].tobytes()
+    assert eval_bz(z, dense[::-1]).tobytes() == want[::-1].tobytes()
+    order = np.random.default_rng(31).permutation(dense.size)
+    assert eval_bz(z, dense[order]).tobytes() == want[order].tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_time_domain_overflow_is_a_numeric_error():
+    # a term (x-k)^{n-1} C(n,k) past the float range next to the centre
+    with pytest.raises(NumericError, match="order n = 170"):
+        eval_bn(170, 85.0)
+    with pytest.raises(NumericError, match="order n = 160"):
+        eval_bn(160, [10.0, 80.0])
+    with pytest.raises(NumericError, match=r"order \(120\+0j\)"):
+        eval_bz(120, [200.0, 250.0])
+    with pytest.raises(NumericError):
+        eval_ez(0.5, 120, [250.0])
+    # below the float range the same calls stay quiet
+    assert math.isfinite(eval_bn(159, 79.5))
+    assert cmath.isfinite(eval_bz(150, 2.5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_far_abscissa_fails_by_name_before_any_work():
+    for x in (1e9, 1e300):
+        t0 = time.perf_counter()
+        with pytest.raises(NumericError, match=re.escape(f"x = {x:g} needs")):
+            eval_bz(2.5 + 1j, [0.5, x])
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_order_next_to_one_takes_one_near_shift():
+    # 2^{1/|z - 1|} overflows a float here; J is 1 and the value is B_z, which
+    # tends to the unit box as z -> 1
+    from fracspline.splines import _cell_form
+
+    z = 1.0 + 1e-7
+    assert _cell_form(complex(z) - 1.0)[0] == 1
+    xs = np.array([0.25, 0.75, 1.5, 7.25, 30.5])
+    got = eval_bz(z, xs)
+    assert abs(got[0] - 1.0) < 1e-6 and abs(got[1] - 1.0) < 1e-6
+    assert np.all(np.abs(got[2:]) < 1e-6)
