@@ -191,7 +191,9 @@ def run_eval(args) -> int:
         values = [eval_bn(order, xs)]
     elif fam == "hypercomplex":
         alpha, beta, dec = eval_bupsilon_components(order, xs)
-        values = [part for comp in dec.components(alpha, beta) for part in (comp.real, comp.imag)]
+        comps = dec.components(alpha, beta)
+        zeros = np.zeros(xs.size)  # every component is real: one shared _im column
+        values = [part for comp in comps for part in (comp, zeros)]
     elif fam == "fractional":
         values = [eval_bz(order, x=xs).real]
     else:

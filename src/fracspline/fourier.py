@@ -170,10 +170,17 @@ def _principal_power(log, zero, exponent):
     of base and the mask of its zeros, as _principal_log and _log_iomega
     give them, with 0 -> 0, which holds for an exponent with positive real
     part (mellin_check's -z meets no zero).  An array of exponents gives
-    one row per exponent.  The exp is e^{re} cis(im), taken in place; where
-    the power leaves the float range it reads inf or NaN without a numpy
-    warning, and the caller checks."""
-    out = np.multiply.outer(exponent, log)
+    one row per exponent, each one np.multiply(exponent, log): numpy's
+    outer product rounds a lone exponent times a lone frequency differently
+    from the same product in a longer row, so a verifier's value at a lone
+    frequency (a grid or a last chunk of one) would depend on its grid.
+    The exp is e^{re} cis(im), taken in place; where the power leaves the
+    float range it reads inf or NaN without a numpy warning, and the caller
+    checks."""
+    exponent = np.asarray(exponent, dtype=complex)
+    out = np.empty(exponent.shape + log.shape, dtype=complex)
+    for row, e in zip(out.reshape(exponent.size, log.size), exponent.reshape(-1)):
+        np.multiply(e, log, out=row)
     with np.errstate(over="ignore", invalid="ignore"):
         np.exp(out.real, out=out.real)
         cis(out.imag, out.real, out=out)

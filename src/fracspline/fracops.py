@@ -38,8 +38,12 @@ which holds the AtomSum and one row of lhs and rhs per atom column, the
 pair (z, conj z) for the hypercomplex one.  Every right-hand side is one
 AtomSum.evaluate: Horner's rule in q = e^{-iw}, split into baby and giant
 steps so that the inner sums of a block of frequencies are one matrix
-product.  A check over N frequencies and K atoms works in O(columns N)
-memory, and the sum is rounded by at most gamma_{2K} sum_k |c_k| (Higham,
+product.  The left-hand sides, moduli and residuals are formed one block of
+_CHUNK frequencies at a time too, so a check over N frequencies and K atoms
+holds its report, 41 bytes per frequency (73 for the pair), and the fixed
+blocks of AtomSum.evaluate, 16 (B + 1 + columns J) _CHUNK bytes with B and J
+about sqrt K.
+The sum is rounded by at most gamma_{2K} sum_k |c_k| (Higham,
 Accuracy and Stability of Numerical Algorithms, sec. 5.1).  The
 truncation tail of the binomial atoms is bounded by their explicit sum up
 to where they decay, then by a power majorant (_binomial_tail), so
@@ -356,11 +360,17 @@ def _derivative(z, signal: SampledSignal, damping: float) -> SampledSignal:
 # -- atom sums and residual reports ----------------------------------------
 
 
-# Frequencies per block of AtomSum.evaluate, and terms per step of the
-# explicit sum in _binomial_tail.  The last block of frequencies is padded
-# to it, so every matrix product has one shape and a value does not depend
-# on the grid around it.
+# Frequencies per block of AtomSum.evaluate and of the verifiers' left-hand
+# sides and residuals, and terms per step of the explicit sum in
+# _binomial_tail.  The last block of frequencies of AtomSum.evaluate is
+# padded to it, so every matrix product has one shape and a value does not
+# depend on the grid around it.
 _CHUNK = 4096
+
+
+def _chunks(size: int):
+    """Slices of _CHUNK consecutive frequencies that cover range(size)."""
+    return (slice(start, start + _CHUNK) for start in range(0, size, _CHUNK))
 
 
 @dataclass(frozen=True)
@@ -526,7 +536,8 @@ def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
     admissible is None).  tail(lhs_scale, atom_scale) gives tail_bound from
     the largest admissible RMS modulus of lhs and the largest RMS modulus
     of an atom.  An lhs, an atom or a tail bound that overflowed is a
-    NumericError.
+    NumericError.  The moduli and residuals are taken one _CHUNK of
+    frequencies at a time, so the only full-grid arrays are the report's.
     """
     overflow = NumericError(f"the {family} identity at {order} overflows a float "
                             "on this grid")
@@ -537,9 +548,15 @@ def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
     if admissible is None:
         admissible = np.ones(om.shape, dtype=bool)
     rms = math.sqrt(len(lhs))
-    residuals = np.where(admissible, _column_norms(np.abs(lhs - rhs)) / rms, np.nan)
-    lhs_scale = float(np.max(_column_norms(np.abs(lhs))[admissible])) / rms
-    tail_bound = float(tail(lhs_scale, atoms.sup_norm() / rms))
+    residuals = np.empty(om.shape)
+    lhs_scale = 0.0
+    for part in _chunks(om.size):
+        ok = admissible[part]
+        residuals[part] = np.where(
+            ok, _column_norms(np.abs(lhs[:, part] - rhs[:, part])) / rms, np.nan)
+        if ok.any():
+            lhs_scale = max(lhs_scale, float(np.max(_column_norms(np.abs(lhs[:, part]))[ok])))
+    tail_bound = float(tail(lhs_scale / rms, atoms.sup_norm() / rms))
     if not math.isfinite(tail_bound):
         raise overflow
     return ResidualReport(
@@ -596,30 +613,33 @@ def _binomial_tail(z: complex, K: int, first: float, damping: float) -> float:
 
 
 def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
-                           base1_log, base2_log, exponents, damping: float = 0.0):
+                           base_logs, exponents, damping: float = 0.0):
     """Check (base1 base2)^e = sum_{k<=K} (-1)^k binom(e,k) e^{-damping k}
     e^{-ikw} for each exponent e at once, one atom-sum column per exponent.
 
-    base1_log and base2_log are the principal logs of the bases with the
-    masks of their zeros, as _principal_log gives them; the first log is
-    overwritten by the sum of the two.  The left side is the principal
-    power of that sum: exp(a) exp(b) = exp(a + b), so it is
-    base1^e base2^e, and 0 where a base is 0.  The admissible set is the
-    frequencies where neither base is 0; an empty one is an
-    EmptyAdmissibleSetError.
+    base_logs(w) gives the principal logs of the two bases at the
+    frequencies w with the masks of their zeros, as _principal_log gives
+    them.  The left side is the principal power of their sum:
+    exp(a) exp(b) = exp(a + b), so it is base1^e base2^e, and 0 where a
+    base is 0.  It is formed one _CHUNK of frequencies at a time, so no log
+    outlives its chunk.  The admissible set is the frequencies where
+    neither base is 0; an empty one is an EmptyAdmissibleSetError.
     The exponents are z or the pair (z, conj z), whose binomials have the
     same moduli, and _binomial_tail bounds the truncation tail of z.
     """
     if K < 1:
         raise ParameterError("truncation K must be positive")
-    (log1, zero1), (log2, zero2) = base1_log, base2_log
-    zero = zero1 | zero2
+    lhs = np.empty((len(exponents), om.size), dtype=complex)
+    zero = np.empty(om.shape, dtype=bool)
+    for part in _chunks(om.size):
+        (log1, zero1), (log2, zero2) = base_logs(om[part])
+        log1 += log2
+        np.logical_or(zero1, zero2, out=zero[part])
+        lhs[:, part] = _principal_power(log1, zero[part], exponents)
     if zero.all():
         raise EmptyAdmissibleSetError(
             f"no admissible frequencies on this grid: all {zero.size} are zeros of a base")
 
-    log1 += log2
-    lhs = _principal_power(log1, zero, exponents)
     binoms = np.stack([binom_complex_sequence(e, K + 1) for e in exponents], axis=1)
     k = np.arange(K + 1)
     weights = (-1.0) ** k * np.exp(-damping * k)
@@ -642,7 +662,8 @@ def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
     z = complex_order(z)
     om = _as_omegas(grid)
     return _verify_binomial_atoms(
-        "complex", _z_label(z), K, om, _log_iomega(om), _principal_log(omega_fn(om)), (z,))
+        "complex", _z_label(z), K, om,
+        lambda w: (_log_iomega(w), _principal_log(omega_fn(w))), (z,))
 
 
 def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
@@ -653,7 +674,8 @@ def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     om = _as_omegas(grid)
     return _verify_binomial_atoms(
         "complex-exponential", f"a={a:g}, {_z_label(z)}", K, om,
-        _principal_log(a + 1j * om), _principal_log(omega_a_fn(a, om)), (z,), damping=a)
+        lambda w: (_principal_log(a + 1j * w), _principal_log(omega_a_fn(a, w))), (z,),
+        damping=a)
 
 
 def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport:
@@ -669,7 +691,7 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport
     comps_label = ",".join(f"{c:g}" for c in [upsilon.s, *upsilon.v.tolist()])
     return _verify_binomial_atoms(
         "hypercomplex", f"upsilon=({comps_label})", K, om,
-        _log_iomega(om), _principal_log(omega_fn(om)), (dec.z, dec.z.conjugate()))
+        lambda w: (_log_iomega(w), _principal_log(omega_fn(w))), (dec.z, dec.z.conjugate()))
 
 
 def classical_atom_check(n: int, grid) -> ResidualReport:
@@ -679,11 +701,14 @@ def classical_atom_check(n: int, grid) -> ResidualReport:
     if n > 1023:
         raise NumericError(f"the atoms of order n = {n} sum to 2^n, which overflows a float")
     om = _as_omegas(grid)
-    lhs = (1j * om) ** n * omega_fn(om) ** n
+    lhs = np.empty((1, om.size), dtype=complex)
+    for part in _chunks(om.size):
+        w = om[part]
+        lhs[0, part] = (1j * w) ** n * omega_fn(w) ** n
     coeffs = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)],
                       dtype=complex)
     return _residual_report(
-        "classical", f"n={n}", om, lhs[None], coeffs[:, None],
+        "classical", f"n={n}", om, lhs, coeffs[:, None],
         lambda lhs_scale, _: _float_fuzz(lhs_scale, 2.0 ** n) * 2.0 ** n)
 
 
@@ -694,12 +719,16 @@ def exp_difference_check(weights, grid) -> ResidualReport:
     gives the atoms."""
     wts = exponential_weights(weights)
     om = _as_omegas(grid)
-    lhs = hat_en(wts, om)
-    for a in wts:
-        lhs = np.multiply(lhs, 1j * om - a)  # as in hat_en
+    lhs = np.empty((1, om.size), dtype=complex)
+    for part in _chunks(om.size):
+        w = om[part]
+        value = hat_en(wts, w)
+        for a in wts:
+            value = np.multiply(value, 1j * w - a)  # as in hat_en
+        lhs[0, part] = value
     poly = exp_difference_coefficients(wts)
     return _residual_report(
-        "exponential", "a=(" + ",".join(f"{a:g}" for a in wts) + ")", om, lhs[None],
+        "exponential", "a=(" + ",".join(f"{a:g}" for a in wts) + ")", om, lhs,
         poly.astype(complex)[:, None],
         lambda lhs_scale, atom_scale: _float_fuzz(lhs_scale, atom_scale) * poly.size)
 

@@ -212,9 +212,14 @@ def _shaped(values: np.ndarray, shape):
 
 def series_terms(x):
     """Number of nonvanishing truncated-power terms at abscissa x (or at
-    each abscissa of an array)."""
+    each abscissa of an array), counted _CELL_BLOCK abscissae at a time,
+    so that no float temporary grows with the grid."""
     xs, shape = _abscissae(x)
-    return _shaped(np.where(xs < 0.0, 0.0, np.floor(xs) + 1.0).astype(int), shape)
+    terms = np.empty(xs.size, dtype=int)
+    for start in range(0, xs.size, _CELL_BLOCK):
+        part = xs[start:start + _CELL_BLOCK]
+        terms[start:start + _CELL_BLOCK] = np.where(part < 0.0, 0.0, np.floor(part) + 1.0)
+    return _shaped(terms, shape)
 
 
 def _shifted_sum(xs: np.ndarray, coeffs, kernel, closed: bool) -> np.ndarray:
@@ -580,12 +585,16 @@ def eval_ez(a: float, z, x):
     (1/Gamma(z)) sum_l binom(z,l) (-1)^l e^{-la} e^{-a(x-l)} (x-l)_+^{z-1}.
 
     The two damping factors of every term multiply to e^{-ax}, so the value
-    is e^{-ax} B_z(x).  Well defined only for damping a > 0."""
+    is e^{-ax} B_z(x).  Well defined only for damping a > 0.  e^{-ax} and
+    its product with B_z are formed in place, the real factor on the left."""
     a = positive_damping(a)
     xs, shape = _abscissae(x)
     # x by keyword: benchmarks/tracing.py reads a positional x as one abscissa
     value = eval_bz(z, x=xs)
-    return _shaped(np.exp(-a * np.maximum(xs, 0.0)) * value, shape)
+    decay = np.maximum(xs, 0.0)
+    decay *= -a
+    np.exp(decay, out=decay)
+    return _shaped(np.multiply(decay, value, out=value), shape)
 
 
 def eval_bupsilon_components(upsilon: Paravector, x):

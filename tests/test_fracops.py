@@ -669,6 +669,63 @@ def test_atom_sum_horner_memory_is_linear_in_frequencies():
     assert peak < 16 * N * 8, peak
 
 
+def traced_peak(call):
+    """The result of call() and the tracemalloc peak it reached above what
+    was allocated before it; a first untraced call does numpy's lazy set-up."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+VERIFIERS = {
+    "complex": lambda K, om: verify_atom_identity_complex(2.5 + 1j, K, om),
+    "complex-exponential": lambda K, om: verify_atom_identity_expz(0.7, 2.5 + 1j, K, om),
+    "fractional": lambda K, om: verify_atom_identity_complex(2.5, K, om),
+    "hypercomplex": lambda K, om: verify_atom_identity_hc(Paravector(2.5, [1.0, 1.0]), K, om),
+    "classical": lambda K, om: classical_atom_check(3, om),
+    "exponential": lambda K, om: exp_difference_check((1.0, -0.5, -0.5), om),
+}
+
+
+@pytest.mark.parametrize("family, K", [(fam, K) for fam in VERIFIERS for K in (50, 400)
+                                       if K == 50 or fam not in ("classical", "exponential")])
+def test_verifier_memory_is_its_report_and_the_atom_sum_blocks(family, K):
+    # every full-grid array a verifier makes is one of its report's: the left
+    # side is formed and the residuals taken one chunk of 4096 frequencies at
+    # a time.  The slack is 16 chunk-length complex rows (1 MiB, 10.5 B per
+    # frequency here); the report arrays are 41 B per frequency (73 B for
+    # the hypercomplex pair) and the blocks 5-43 B.  Full-grid logs and
+    # moduli would put the binomial verifiers 17-48 B per frequency above
+    # this bound.
+    N = 100_001
+    om = np.linspace(-50.0, 50.0, N)
+    rep, peak = traced_peak(lambda: VERIFIERS[family](K, om))
+    report = sum(a.nbytes for a in (rep.residuals, rep.admissible, rep.lhs, rep.rhs))
+    rhs, evaluate_peak = traced_peak(lambda: rep.atoms.evaluate(om))
+    blocks = evaluate_peak - rhs.nbytes
+    slack = 16 * 4096 * 16
+    assert peak <= report + blocks + slack, (peak / N, report / N, blocks / N)
+
+
+@pytest.mark.parametrize("family", VERIFIERS)
+def test_verifier_value_does_not_depend_on_its_grid(family):
+    # the left side and the residual of a frequency are the same bits alone,
+    # last in a grid of two, and inside the grid of 4097, whose last chunk
+    # holds one frequency
+    om = np.linspace(-50.0, 50.0, 4097)
+    whole = VERIFIERS[family](50, om)
+    for i in (0, 4095, 4096):
+        for start in {i, max(i - 1, 0)}:
+            rep = VERIFIERS[family](50, om[start:i + 1])
+            assert np.array_equal(rep.lhs[:, -1], whole.lhs[:, i]), (family, start, i)
+            assert np.array_equal(rep.residuals[-1], whole.residuals[i], equal_nan=True)
+
+
 @pytest.mark.parametrize("z", [1.1, 2.5 + 1j, 3.7 - 2j, 5.2 + 0.5j, 5.9 + 0.3j, 5.99])
 def test_verifiers_certify_on_a_fine_grid(z):
     # near re z = 6 the tail bound is down to the rounding fuzz, so the
@@ -695,8 +752,10 @@ def test_fused_lhs_equals_the_product_of_principal_powers():
         base1 = a + 1j * om
         base2 = omega_a_fn(a, om)
         exps = (z, z.conjugate())
-        rep = _verify_binomial_atoms("complex", "z", 20, om, _principal_log(base1),
-                                     _principal_log(base2), exps, damping=a)
+        rep = _verify_binomial_atoms(
+            "complex", "z", 20, om,
+            lambda w: (_principal_log(a + 1j * w), _principal_log(omega_a_fn(a, w))),
+            exps, damping=a)
         lhs = rep.lhs
         assert a > 0 or not rep.admissible.all()  # w = 0 is excluded
         product = (_principal_power(*_principal_log(base1), exps)
