@@ -31,7 +31,7 @@ import numpy as np
 
 from .clifford import Paravector, subalgebra_from_idempotent
 from .errors import NumericError, ParameterError
-from .specialfn import cis
+from .specialfn import _CIS_BLOCK, cis
 from .splines import (
     _abscissae,
     _shaped,
@@ -316,34 +316,60 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
     estimated by Richardson comparison against the half-resolution rule.
     A transform value that is not finite is a NumericError: it would make
     the value and its certified error NaN.
+
+    The grid is walked in blocks of _CIS_BLOCK = 8192 steps: the transform,
+    which must be elementwise, is called once per block on at most 8193
+    frequencies, bit for bit those of grid.omegas, and consecutive blocks
+    share their end frequency.  Each block starts at a multiple of 4, so
+    both Simpson rules split at block ends, and every sum runs block by
+    block: a call holds about 1 MiB whatever the grid size.
     """
     if not math.isfinite(x):
         raise ParameterError(f"x must be finite, got {x!r}")
     if not 1 < decay < math.inf:
         raise ParameterError(f"tail certification needs a finite decay > 1, got {decay!r}")
-    om = grid.omegas
-    vals = np.asarray(transform(om), dtype=complex)
-    if vals.shape != om.shape:
-        raise ParameterError("transform callable must evaluate elementwise")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        raise NumericError(f"the transform is not finite at w = {om[np.argmin(finite)]:g}")
-    # e^{iwx} * vals, with e^{iwx} the first operand at every grid size
-    integrand = cis(om * x)
-    np.multiply(integrand, vals, out=integrand)
-    s_full = _simpson(integrand, grid.step)
-    s_half = _simpson(integrand[::2], 2.0 * grid.step)
-    quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)
+    step, last = grid.step, grid.count - 1
+    s_full = s_half = 0j
+    env_pos = env_neg = 0.0
+    n_pos = n_neg = 0
+    peak = 0.0
+    for start in range(0, last, _CIS_BLOCK):
+        stop = min(start + _CIS_BLOCK, last)
+        # linspace's points: start + i step, with the last one omega_max
+        om = -grid.omega_max + step * np.arange(start, stop + 1)
+        if stop == last:
+            om[-1] = grid.omega_max
+        vals = np.asarray(transform(om), dtype=complex)
+        if vals.shape != om.shape:
+            raise ParameterError("transform callable must evaluate elementwise")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise NumericError(f"the transform is not finite at w = {om[np.argmin(finite)]:g}")
+        # e^{iwx} * vals, with e^{iwx} the first operand at every grid size
+        integrand = cis(om * x)
+        np.multiply(integrand, vals, out=integrand)
+        s_full += _simpson(integrand, step)
+        s_half += _simpson(integrand[::2], 2.0 * step)
+        peak = max(peak, float(np.max(np.abs(integrand))))
 
-    outer = np.abs(om) >= grid.omega_max / 10.0
-    env = np.abs(vals) * np.abs(om) ** decay
-    c_pos = float(np.mean(env[outer & (om > 0)]))
-    c_neg = float(np.mean(env[outer & (om < 0)]))
+        # the end frequency a block shares counts once, in the next block
+        own = om.size if stop == last else om.size - 1
+        om, vals = om[:own], vals[:own]
+        env = np.abs(vals) * np.abs(om) ** decay
+        outer = np.abs(om) >= grid.omega_max / 10.0
+        pos, neg = outer & (om > 0), outer & (om < 0)
+        env_pos += float(np.sum(env[pos]))
+        env_neg += float(np.sum(env[neg]))
+        n_pos += int(np.count_nonzero(pos))
+        n_neg += int(np.count_nonzero(neg))
+
+    quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)
+    c_pos, c_neg = env_pos / n_pos, env_neg / n_neg
     tail = 1.25 * (c_pos + c_neg) * grid.omega_max ** (1.0 - decay) / (
         (decay - 1.0) * 2.0 * math.pi
     )
 
-    err = tail + quad_est + 1e-16 * float(np.max(np.abs(integrand))) * om.size ** 0.5
+    err = tail + quad_est + 1e-16 * peak * grid.count ** 0.5
     return InverseTransformResult(complex(s_full) / (2.0 * math.pi), float(err),
                                   float(tail), float(quad_est))
 

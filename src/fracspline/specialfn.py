@@ -162,6 +162,9 @@ def cis(theta, scale=None, out=None) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if out is None:
         out = np.empty(theta.shape, dtype=complex)
+    if not out.size:
+        # numpy reports no shared memory for a view of no elements
+        return out
     flat = out.reshape(-1)
     if not np.may_share_memory(flat, out):
         raise ValueError("cis writes into out only where out reshapes to one axis as a view")

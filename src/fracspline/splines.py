@@ -213,12 +213,18 @@ def _shaped(values: np.ndarray, shape):
 def series_terms(x):
     """Number of nonvanishing truncated-power terms at abscissa x (or at
     each abscissa of an array), counted _CELL_BLOCK abscissae at a time,
-    so that no float temporary grows with the grid."""
+    so that no float temporary grows with the grid.  A count past the
+    int64 range is a NumericError naming its abscissa."""
     xs, shape = _abscissae(x)
     terms = np.empty(xs.size, dtype=int)
     for start in range(0, xs.size, _CELL_BLOCK):
         part = xs[start:start + _CELL_BLOCK]
-        terms[start:start + _CELL_BLOCK] = np.where(part < 0.0, 0.0, np.floor(part) + 1.0)
+        count = np.where(part < 0.0, 0.0, np.floor(part) + 1.0)
+        too_many = count >= 2.0 ** 63
+        if too_many.any():
+            raise NumericError(f"the term count at x = {part[np.argmax(too_many)]:g} "
+                               "does not fit in a 64-bit integer")
+        terms[start:start + _CELL_BLOCK] = count
     return _shaped(terms, shape)
 
 

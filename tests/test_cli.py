@@ -295,6 +295,15 @@ def test_eval_of_a_far_grid_fails_by_name_and_fast(family, grid, capsys):
     assert len(err) < 200
 
 
+def test_eval_of_a_term_count_past_int64_is_an_error(capsys):
+    # the classical family sums its n + 1 atoms at any x, but terms_used
+    # would wrap to -2^63
+    assert run_cli(["eval", "--family", "classical", "--n", "3", "--grid", "1e300:1e300:1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the term count at x = 1e+300 does not fit in a " \
+                                "64-bit integer\n"
+
+
 def test_eval_past_the_float_range_names_the_order(capsys):
     for argv, named in ((["--family", "complex", "--z", "120", "--grid", "200:300:50"],
                          "order (120+0j)"),

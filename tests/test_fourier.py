@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -26,6 +28,7 @@ from fracspline import (
     omega_a_fn,
     omega_fn,
 )
+from fracspline.specialfn import _CIS_BLOCK
 
 # -- base ratio ----------------------------------------------------------------
 
@@ -304,6 +307,22 @@ def test_decay_slope_complex_transform():
     assert abs(slope + 2.5) < 0.15
 
 
+def test_frequency_functions_of_no_frequencies_are_empty():
+    # as eval_bz of no abscissae is
+    from fracspline import eval_bz
+
+    ups = Paravector(2.5, [1.0])
+    calls = [("omega_fn", lambda w: omega_fn(w)), ("omega_a_fn", lambda w: omega_a_fn(0.7, w)),
+             ("hat_bz", lambda w: hat_bz(2.5 + 1j, w)), ("hat_ez", lambda w: hat_ez(0.7, 2.5, w)),
+             ("hat_en", lambda w: hat_en((1.0, 0.0, -0.5), w)),
+             ("alpha", lambda w: hat_bupsilon_components(ups, w)[0]),
+             ("beta", lambda w: hat_bupsilon_components(ups, w)[1]),
+             ("eval_bz", lambda x: eval_bz(2.5 + 1j, x))]
+    for name, call in calls:
+        got = call([])
+        assert got.shape == (0,) and got.dtype == complex, name
+
+
 # -- frequency grid and inverse quadrature ------------------------------------------
 
 def test_frequency_grid_normalization():
@@ -453,23 +472,43 @@ def test_hat_en_keeps_the_bits_of_its_product_of_damped_ratios():
         assert same_bits(omega_a_fn(a, om), old_omega_a_fn(a, om)), a
 
 
-def old_inverse_quadrature_payload(transform, x, grid, decay):
+def family_transforms():
+    """(transform, decay) for one order of each frequency-domain family."""
+    ups = Paravector(2.5, [1.0, -0.5])
+    return [(lambda w: hat_bz(2.5 + 1j, w), 2.5), (lambda w: hat_ez(0.7, 3.2, w), 3.2),
+            (lambda w: hat_en((1.0, 0.0, -0.5), w), 3.0),
+            (lambda w: hat_bupsilon_components(ups, w)[1], 2.5)]
+
+
+def old_inverse_quadrature_payload(transform, x, grid, decay, block=_CIS_BLOCK):
     """inverse_quadrature's value, error, tail bound and quadrature estimate
-    as it computed them, with the integrand vals * e^{iwx}, e^{iwx} now
-    cis(om x) as in inverse_quadrature."""
+    as it computed them over the whole grid, with the integrand vals * e^{iwx},
+    e^{iwx} now cis(om x) as in inverse_quadrature, and each sum now taken
+    over spans of block steps that share their end frequency, as
+    inverse_quadrature takes them.  block = grid.count - 1 is the one-pass
+    rule."""
     from fracspline.fourier import _simpson
     from fracspline.specialfn import cis
 
     om = grid.omegas
     vals = np.asarray(transform(om), dtype=complex)
     integrand = vals * cis(om * x)
-    s_full = _simpson(integrand, grid.step)
-    s_half = _simpson(integrand[::2], 2.0 * grid.step)
-    quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)
     outer = np.abs(om) >= grid.omega_max / 10.0
     env = np.abs(vals) * np.abs(om) ** decay
-    c_pos = float(np.mean(env[outer & (om > 0)]))
-    c_neg = float(np.mean(env[outer & (om < 0)]))
+    pos, neg = outer & (om > 0), outer & (om < 0)
+    s_full = s_half = 0j
+    env_pos = env_neg = 0.0
+    last = grid.count - 1
+    for start in range(0, last, block):
+        stop = min(start + block, last)
+        s_full += _simpson(integrand[start:stop + 1], grid.step)
+        s_half += _simpson(integrand[start:stop + 1:2], 2.0 * grid.step)
+        own = slice(start, stop + 1 if stop == last else stop)
+        env_pos += float(np.sum(env[own][pos[own]]))
+        env_neg += float(np.sum(env[own][neg[own]]))
+    quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)
+    c_pos = env_pos / np.count_nonzero(pos)
+    c_neg = env_neg / np.count_nonzero(neg)
     tail = 1.25 * (c_pos + c_neg) * grid.omega_max ** (1.0 - decay) / (
         (decay - 1.0) * 2.0 * math.pi)
     err = tail + quad_est + 1e-16 * float(np.max(np.abs(integrand))) * om.size ** 0.5
@@ -483,17 +522,80 @@ def test_inverse_quadrature_payload_keeps_the_bits_of_its_old_integrand(count):
     # order numpy gives vals * cis(...) on these grids (its
     # temporary elision swaps the operands of arrays of 16384 or more
     # complex values)
-    ups = Paravector(2.5, [1.0, -0.5])
-    transforms = [(lambda w: hat_bz(2.5 + 1j, w), 2.5), (lambda w: hat_ez(0.7, 3.2, w), 3.2),
-                  (lambda w: hat_en((1.0, 0.0, -0.5), w), 3.0),
-                  (lambda w: hat_bupsilon_components(ups, w)[1], 2.5)]
     grid = FrequencyGrid(300.0, count)
-    for transform, decay in transforms:
+    for transform, decay in family_transforms():
         for x in (1.5, -0.75, 0.0, 7.25):
             res = inverse_quadrature(transform, x, grid, decay)
             got = [res.value.real, res.value.imag, res.error, res.tail_bound,
                    res.quadrature_estimate]
             assert repr(got) == repr(old_inverse_quadrature_payload(transform, x, grid, decay))
+
+
+@pytest.mark.parametrize("count", [5, 8193, 8197, 16385, 100001])
+def test_inverse_quadrature_agrees_with_its_one_pass_sums(count):
+    # the blocks change the order of each sum and nothing else: every entry
+    # stays within 2 (log2 count + 2) eps of the scale of its sum, for value
+    # and quadrature estimate the Simpson weights' bound (4/3) step sum |vals|
+    # over 2 pi (|e^{iwx}| = 1), for the tail bound the tail bound itself
+    grid = FrequencyGrid(300.0, count)
+    tol = 2.0 * (math.log2(count) + 2.0) * np.finfo(float).eps
+    for transform, decay in family_transforms():
+        scale = 4.0 / 3.0 * grid.step * float(np.sum(np.abs(transform(grid.omegas)))) / (
+            2.0 * math.pi)
+        for x in (1.5, -0.75, 0.0, 7.25):
+            res = inverse_quadrature(transform, x, grid, decay)
+            ref = old_inverse_quadrature_payload(transform, x, grid, decay, count - 1)
+            value = complex(ref[0], ref[1])
+            assert abs(res.value - value) <= tol * scale
+            assert abs(res.quadrature_estimate - ref[4]) <= tol * scale
+            assert abs(res.tail_bound - ref[3]) <= tol * ref[3]
+            assert abs(res.error - ref[2]) <= tol * (scale + ref[3] + ref[2])
+
+
+def test_inverse_quadrature_calls_its_transform_on_blocks_of_grid_points():
+    # at most _CIS_BLOCK + 1 frequencies a call; the blocks, each sharing
+    # its first frequency with the end of the one before, are grid.omegas
+    # bit for bit
+    for count, omega_max in ((5, 300.0), (8193, 300.0), (8197, 1e3 / 7), (16389, 1e3 / 7),
+                             (400001, 300.0), (400001, math.pi)):
+        grid = FrequencyGrid(omega_max, count)
+        seen = []
+
+        def spy(om):
+            seen.append(om.copy())
+            return 1.0 / (1.0 + om * om) + 0j
+
+        inverse_quadrature(spy, 0.5, grid, decay=2.0)
+        assert len(seen) == -(-(count - 1) // _CIS_BLOCK)
+        assert max(om.size for om in seen) <= _CIS_BLOCK + 1
+        for before, after in zip(seen, seen[1:]):
+            assert before[-1] == after[0]
+        joined = np.concatenate([seen[0]] + [om[1:] for om in seen[1:]])
+        assert same_bits(joined, grid.omegas), (count, omega_max)
+
+
+def test_inverse_quadrature_names_a_value_that_is_not_finite_in_a_later_block():
+    grid = FrequencyGrid(1e3, 40001)
+    bad = float(grid.omegas[2 * _CIS_BLOCK + 1234])
+    with pytest.raises(NumericError, match=re.escape(f"not finite at w = {bad:g}") + "$"):
+        inverse_quadrature(lambda om: np.where(om == bad, np.nan, 1.0 / (1.0 + om * om)), 0.5,
+                           grid, decay=2.0)
+
+
+def test_inverse_quadrature_memory_does_not_grow_with_the_grid():
+    # one call holds its blocks' temporaries, about 1 MiB at any grid size;
+    # the whole-grid rule held 66 B per frequency, 25 MiB at 400001
+    for transform, decay in family_transforms():
+        for count in (100001, 400001):
+            grid = FrequencyGrid(300.0, count)
+            inverse_quadrature(transform, 1.5, grid, decay)
+            tracemalloc.start()
+            try:
+                inverse_quadrature(transform, 1.5, grid, decay)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * 2 ** 20, (count, peak)
 
 
 @pytest.mark.parametrize("omega_max", [math.nan, math.inf])

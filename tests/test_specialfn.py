@@ -359,6 +359,16 @@ def test_cis_writes_in_place_over_its_own_arguments():
         cis(np.zeros((3, 4)), out=np.zeros((4, 3), dtype=complex).T)
 
 
+def test_cis_of_no_angles_is_empty():
+    # numpy reports no shared memory for an empty view, which the view check
+    # would take for a copy
+    for theta, out in ((np.array([]), None), (np.zeros((0, 3)), None),
+                       (np.zeros((3, 0)), np.zeros((0, 3), dtype=complex).T)):
+        got = cis(theta, 2.0, out=out)
+        assert got.shape == theta.shape and got.dtype == complex
+        assert out is None or got is out
+
+
 def avx512_dispatch() -> bool:
     """Whether numpy dispatches its AVX-512 loops: AVX512F stays listed
     when it is disabled, the dispatch targets do not."""

@@ -126,6 +126,17 @@ def test_series_terms():
     assert series_terms(2.7) == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_terms_past_int64_is_a_numeric_error():
+    # 2^63 - 1024, the last float below 2^63, still counts; a cast of 2^63
+    # or more would wrap to -2^63
+    last = 2.0 ** 63 - 1024.0
+    assert series_terms(last) == 2 ** 63 - 1024
+    for x, named in ((2.0 ** 63, 2.0 ** 63), ([0.5, 1e300, 1e301], 1e300)):
+        with pytest.raises(NumericError, match=re.escape(f"x = {named:g} does not fit")):
+            series_terms(x)
+
+
 def test_bz_decay_slope():
     z = 2.5 + 1.0j
     xs = np.geomspace(20, 200, 40)
