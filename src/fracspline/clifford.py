@@ -28,14 +28,14 @@ MAX_DIMENSION = 5
 _PURITY_RTOL = 1e-10
 
 
-def _scaled_norm(parts: np.ndarray) -> float:
-    """sqrt(sum of squares) of real parts, which are first scaled by a
-    power of two near the largest, so the squares cannot overflow or
-    underflow; the scaling is exact, so in range the value has the bits of
-    the plain sum."""
+def _scaled_norm(parts: np.ndarray, axis=None):
+    """sqrt(sum of squares) of real parts, of all or along axis, which are
+    first scaled by a power of two near the largest, so the squares cannot
+    overflow or underflow; the scaling is exact, so in range the value has
+    the bits of the plain sum."""
     scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(parts))))[1] - 1)
     w = parts / scale
-    return float(np.sqrt(np.sum(w * w))) * scale
+    return np.sqrt(np.sum(w * w, axis=axis)) * scale
 
 
 class Paravector:
@@ -83,7 +83,7 @@ class Paravector:
         _scaled_norm); real paravectors only."""
         if not self.is_real:
             raise DomainError("vector modulus of a complexified paravector is undefined")
-        return _scaled_norm(self.v)
+        return float(_scaled_norm(self.v))
 
     def direction(self) -> np.ndarray:
         """Unit vector v/|v|; requires a nonzero real vector part."""
@@ -95,7 +95,7 @@ class Paravector:
     def norm(self) -> float:
         """Euclidean modulus of all parts, complexified ones too, scaled as
         in vector_norm so that the squares cannot overflow."""
-        return _scaled_norm(np.abs(np.append(self.s, self.v)))
+        return float(_scaled_norm(np.abs(np.append(self.s, self.v))))
 
     def conjugate(self) -> "Paravector":
         if self.is_real:

@@ -109,7 +109,7 @@ def _half_angle_sines(w):
 
 def _damped_ratio(a: float, w, sin2_half, sin_w):
     """omega_a_fn(a, w) for a finite a != 0, from sin^2(w/2) and sin w
-    (_half_angle_sines), which hat_en takes once for all of its weights.
+    (_half_angle_sines), which _exp_ratios takes once for all weights.
     The parts are written in place and iw is formed per call, so a call
     holds no more memory than omega_a_fn did on its own: each further live
     temporary costs more in page faults than the shared sines save."""
@@ -214,13 +214,21 @@ def hat_en(weights, omega):
     factors, and each such factor transforms to omega_a_fn(-a_k, w).
     """
     w, shape = _abscissae(omega)
-    sin2_half, sin_w = _half_angle_sines(w)
     out = np.ones(w.shape, dtype=complex)
-    for a in exponential_weights(weights):
+    for ratio in _exp_ratios(exponential_weights(weights), w):
         # not in place, which rounds a single element differently
-        out = np.multiply(out, omega_fn(w) if a == 0.0
-                          else _damped_ratio(-a, w, sin2_half, sin_w))
+        out = np.multiply(out, ratio)
     return _shaped(out, shape)
+
+
+def _exp_ratios(weights, w):
+    """The factors omega_a_fn(-a, w) of hat_en, one per weight in turn, for
+    any float weights, all zero included: Omega(w) is taken once for all
+    zero weights and sin^2(w/2), sin w once for all nonzero ones."""
+    omega = omega_fn(w) if 0.0 in weights else None
+    sines = _half_angle_sines(w) if any(weights) else None
+    for a in weights:
+        yield omega if a == 0.0 else _damped_ratio(-a, w, *sines)
 
 
 def hat_ez(a: float, z, omega):

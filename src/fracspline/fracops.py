@@ -9,10 +9,20 @@ all derivatives vanishing at 0).  Distributional identities are verified
 only in the frequency domain, where a Dirac comb becomes a bounded
 exponential sum and the identity becomes a machine-checkable inequality:
 
+    exponential          prod (iw - a_k) Omega_{-a_k}(w) = prod (1 - e^{a_k} e^{-iw})
     classical            (iw)^n Omega(w)^n      = sum (-1)^k C(n,k) e^{-ikw}
     complex order        (iw)^z Omega(w)^z      = sum (-1)^k binom(z,k) e^{-ikw}
     damped complex order (a+iw)^z Omega_a(w)^z  = sum binom(z,l)(-1)^l e^{-la} e^{-ilw}
     hypercomplex         (iw)^Y Omega(w)^Y      = sum (-1)^k binom(Y,k) e^{-ikw}
+
+The classical identity is the exponential one at n zero weights
+(L = D^n; Unser and Blu, Cardinal exponential splines: Part I, IEEE TSP 53,
+2005), and both are one exact check.  Its left side is taken one factor
+(iw - a_k) Omega_{-a_k}(w) = 1 - e^{a_k} e^{-iw} at a time, so each partial
+product is bounded by prod_k (1 + e^{a_k}), 2^n for the classical one,
+whose atoms sum to 2^n in modulus: n <= 1023.  The atoms are the
+coefficients of prod_k (1 - e^{a_k} q), and the tail is the rounding fuzz
+of the n + 1 atoms.
 
 A verifier admits every frequency where neither base is 0; where one is,
 it has no log, and the frequency is excluded and reported rather than
@@ -31,18 +41,19 @@ The three complex-order identities are one check: the damped one weights
 atom k by e^{-ak}, and the hypercomplex one is the complex one at the
 conjugate pair x0 +- i|v|, the idempotent split of span{1, u} (x) C.
 
-Every identity is L^(w) B^(w) = sum_k c_k e^{-ikw}, and one report builder,
-_residual_report, checks it for all five verifiers: each gives only its
-left-hand side, atom coefficients and tail rule, and returns the report,
-which holds the AtomSum and one row of lhs and rhs per atom column, the
+Every identity is L^(w) B^(w) = sum_k c_k e^{-ikw}, and _residual_report,
+the one block loop of the verifiers, checks it for all five: each gives a
+function that returns its left-hand rows on one block of frequencies with
+the zeros it excludes there, its atom coefficients and its tail rule.  The
+report holds the AtomSum and one row of lhs and rhs per atom column, the
 pair (z, conj z) for the hypercomplex one.  Every right-hand side is one
 AtomSum.evaluate: Horner's rule in q = e^{-iw}, split into baby and giant
 steps so that the inner sums of a block of frequencies are one matrix
-product.  The left-hand sides, moduli and residuals are formed one block of
-_CHUNK frequencies at a time too, so a check over N frequencies and K atoms
-holds its report, 41 bytes per frequency (73 for the pair), and the fixed
-blocks of AtomSum.evaluate, 16 (B + 1 + columns J) _CHUNK bytes with B and J
-about sqrt K.
+product.  The left-hand sides, admissible set, moduli and residuals are
+formed in one pass over blocks of _CHUNK frequencies, so a check over N
+frequencies and K atoms holds its report, 41 bytes per frequency (73 for
+the pair), and the fixed blocks of AtomSum.evaluate, 16 (B + 1 + columns J)
+_CHUNK bytes with B and J about sqrt K.
 The sum is rounded by at most gamma_{2K} sum_k |c_k| (Higham,
 Accuracy and Stability of Numerical Algorithms, sec. 5.1).  The
 truncation tail of the binomial atoms is bounded by their explicit sum up
@@ -59,8 +70,8 @@ Operand order: as in the fourier module, each complex product whose bits
 reach an output is an np.multiply or an in-place product with its
 operands in one fixed order, because a SIMD complex product can round
 differently with its operands swapped.  q = e^{-iw} is specialfn.cis(-w),
-m^z is e^{re z log m} cis(im z log m), and every modulus is numpy's
-complex abs, not hypot.
+m^z is specialfn._complex_power, e^{re z log m} cis(im z log m), and
+every modulus is numpy's complex abs, not hypot.
 """
 
 from __future__ import annotations
@@ -72,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import HypercomplexExponent, Paravector, subalgebra_from_idempotent
+from .clifford import HypercomplexExponent, Paravector, _scaled_norm, subalgebra_from_idempotent
 from .errors import (
     ConditioningWarning,
     DomainError,
@@ -81,9 +92,9 @@ from .errors import (
     ParameterError,
     SignalFormatError,
 )
-from .fourier import (FrequencyGrid, _log_iomega, _principal_log, _principal_power, hat_en,
-                      omega_a_fn, omega_fn)
-from .specialfn import binom_complex_sequence, cis, gamma
+from .fourier import (FrequencyGrid, _exp_ratios, _log_iomega, _principal_log,
+                      _principal_power, omega_a_fn, omega_fn)
+from .specialfn import _complex_power, binom_complex_sequence, cis, gamma
 from .splines import (
     _abscissae,
     complex_order,
@@ -251,11 +262,7 @@ def _integral_values(z, signal: SampledSignal, damping: float) -> np.ndarray:
                            "Gamma(z + 2) is too small to divide by")
     pref = cmath.exp(z * math.log(signal.step)) / g
     pz = np.zeros(n + 1, dtype=complex)  # m^z, with 0^z = 0
-    log_m = np.log(np.arange(1.0, n + 1))
-    mod = np.multiply(log_m, z.real)
-    np.exp(mod, out=mod)
-    cis(np.multiply(log_m, z.imag, out=log_m), mod, out=pz[1:])
-    del log_m, mod
+    _complex_power(np.arange(1.0, n + 1), z, out=pz[1:])
     pz1 = np.arange(n + 1.0) * pz  # m^{z+1}
     out = np.zeros(n, dtype=complex)
     # the weight of f[0] at m = 1..n-1, then the diagonal weight 1^{z+1} = 1
@@ -368,11 +375,6 @@ def _derivative(z, signal: SampledSignal, damping: float) -> SampledSignal:
 _CHUNK = 4096
 
 
-def _chunks(size: int):
-    """Slices of _CHUNK consecutive frequencies that cover range(size)."""
-    return (slice(start, start + _CHUNK) for start in range(0, size, _CHUNK))
-
-
 @dataclass(frozen=True)
 class AtomSum:
     """Coefficients of a Dirac comb sum c_k delta(. - k), stored per shift.
@@ -381,6 +383,8 @@ class AtomSum:
     values in the commuting subalgebra span{1, u} is kept as two columns,
     either along (1, u) or as its idempotent parts (u -> i, u -> -i).
     Shifts are integers of either sign in any order; repeated shifts add up.
+    A sum of no atoms, or a shift that is not a finite integer, is a
+    ParameterError.
 
     evaluate() is Horner's rule in q = e^{-iw}, split into B baby steps and
     J giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): with
@@ -406,16 +410,24 @@ class AtomSum:
     components: np.ndarray
 
     def __post_init__(self):
+        shifts = np.asarray(self.shifts).ravel()
         comp = np.atleast_2d(np.asarray(self.components))
-        if comp.shape[0] != np.asarray(self.shifts).size:
+        if comp.shape[0] != shifts.size:
             raise ParameterError("one coefficient row per shift required")
+        if not shifts.size:
+            raise ParameterError("an atom sum needs at least one atom")
+        if shifts.dtype.kind not in "iuf" or not np.all(
+                (np.abs(shifts) < 2.0 ** 63) & (shifts == np.trunc(shifts))):
+            raise ParameterError("atom shifts must be finite integers")
         if not np.all(np.isfinite(comp)):
             raise ParameterError("atom coefficients must be a bounded sequence")
-        object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=int).ravel())
+        object.__setattr__(self, "shifts", shifts.astype(int))
         object.__setattr__(self, "components", comp)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.sqrt(np.sum(np.abs(self.components) ** 2, axis=1))))
+        """The largest Euclidean norm of a row of coefficients, scaled by
+        _scaled_norm so that the squares of its moduli cannot overflow."""
+        return float(np.max(_scaled_norm(np.abs(self.components), axis=1)))
 
     def evaluate(self, omegas: np.ndarray) -> np.ndarray:
         """Exponential sum sum_k c_k e^{-ik w}; returns one row per
@@ -513,49 +525,56 @@ class ResidualReport:
         return self.max_residual <= (self.tail_bound if tol is None else tol)
 
 
-def _as_omegas(grid) -> np.ndarray:
-    """The frequencies of an array or a FrequencyGrid: flat, finite, not empty."""
-    om, _ = _abscissae(grid.omegas if isinstance(grid, FrequencyGrid) else grid)
-    if om.size == 0:
-        raise ParameterError("empty frequency grid")
-    return om
-
-
 def _float_fuzz(*scales: float) -> float:
     return 64.0 * np.finfo(float).eps * (1.0 + max(scales, default=0.0))
 
 
-def _residual_report(family: str, order: str, om: np.ndarray, lhs: np.ndarray,
-                     coeffs: np.ndarray, tail, admissible=None) -> ResidualReport:
-    """The report on lhs = sum_{k<=K} c_k e^{-ikw}: one row of lhs per
-    column of coeffs, whose row k holds the atom c_k.
+def _residual_report(family: str, order: str, grid, block_lhs,
+                     coeffs: np.ndarray, tail) -> ResidualReport:
+    """The report on L^(w) B^(w) = sum_{k<=K} c_k e^{-ikw} over the grid,
+    an array or a FrequencyGrid of at least one frequency, all finite: one
+    row of lhs per column of coeffs, whose row k holds the atom c_k.
 
-    The residual at a frequency is the root mean square of the column
-    moduli (for the conjugate pair (z, conj z) that is the modulus of the
-    (1, u) components), NaN off the admissible set (every frequency when
-    admissible is None).  tail(lhs_scale, atom_scale) gives tail_bound from
-    the largest admissible RMS modulus of lhs and the largest RMS modulus
-    of an atom.  An lhs, an atom or a tail bound that overflowed is a
-    NumericError.  The moduli and residuals are taken one _CHUNK of
-    frequencies at a time, so the only full-grid arrays are the report's.
+    block_lhs(w) gives the left-hand rows on a block of frequencies w and
+    the mask of the zeros the verifier excludes there.  One pass over the
+    blocks of _CHUNK frequencies forms lhs, the admissible set, the
+    residuals and the lhs scale, so the only full-grid arrays are the
+    report's.  The residual at a frequency is the root mean square of the
+    column moduli (for the conjugate pair (z, conj z) that is the modulus
+    of the (1, u) components), NaN off the admissible set; an empty
+    admissible set is an EmptyAdmissibleSetError.  tail(lhs_scale,
+    atom_scale) gives tail_bound from the largest admissible RMS modulus of
+    lhs and the largest RMS modulus of an atom.  An lhs, an atom or a tail
+    bound that overflowed is a NumericError.
     """
+    om, _ = _abscissae(grid.omegas if isinstance(grid, FrequencyGrid) else grid)
+    if not om.size:
+        raise ParameterError("empty frequency grid")
     overflow = NumericError(f"the {family} identity at {order} overflows a float "
                             "on this grid")
-    if not (np.isfinite(lhs).all() and np.isfinite(coeffs).all()):
+    if not np.isfinite(coeffs).all():
         raise overflow
     atoms = AtomSum(np.arange(len(coeffs)), coeffs)
     rhs = atoms.evaluate(om)
-    if admissible is None:
-        admissible = np.ones(om.shape, dtype=bool)
-    rms = math.sqrt(len(lhs))
+    lhs = np.empty(rhs.shape, dtype=complex)
+    admissible = np.empty(om.shape, dtype=bool)
     residuals = np.empty(om.shape)
+    rms = math.sqrt(len(lhs))
     lhs_scale = 0.0
-    for part in _chunks(om.size):
-        ok = admissible[part]
+    for start in range(0, om.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        block, zero = block_lhs(om[part])
+        if not np.isfinite(block).all():
+            raise overflow
+        lhs[:, part] = block
+        ok = np.logical_not(zero, out=admissible[part])
         residuals[part] = np.where(
-            ok, _column_norms(np.abs(lhs[:, part] - rhs[:, part])) / rms, np.nan)
+            ok, _column_norms(np.abs(block - rhs[:, part])) / rms, np.nan)
         if ok.any():
-            lhs_scale = max(lhs_scale, float(np.max(_column_norms(np.abs(lhs[:, part]))[ok])))
+            lhs_scale = max(lhs_scale, float(np.max(_column_norms(np.abs(block))[ok])))
+    if not admissible.any():
+        raise EmptyAdmissibleSetError(
+            f"no admissible frequencies on this grid: all {om.size} are zeros of a base")
     tail_bound = float(tail(lhs_scale / rms, atoms.sup_norm() / rms))
     if not math.isfinite(tail_bound):
         raise overflow
@@ -612,7 +631,7 @@ def _binomial_tail(z: complex, K: int, first: float, damping: float) -> float:
     return explicit + mod * majorant
 
 
-def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
+def _verify_binomial_atoms(family: str, order: str, K: int, grid,
                            base_logs, exponents, damping: float = 0.0):
     """Check (base1 base2)^e = sum_{k<=K} (-1)^k binom(e,k) e^{-damping k}
     e^{-ikw} for each exponent e at once, one atom-sum column per exponent.
@@ -621,24 +640,19 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
     frequencies w with the masks of their zeros, as _principal_log gives
     them.  The left side is the principal power of their sum:
     exp(a) exp(b) = exp(a + b), so it is base1^e base2^e, and 0 where a
-    base is 0.  It is formed one _CHUNK of frequencies at a time, so no log
-    outlives its chunk.  The admissible set is the frequencies where
-    neither base is 0; an empty one is an EmptyAdmissibleSetError.
-    The exponents are z or the pair (z, conj z), whose binomials have the
-    same moduli, and _binomial_tail bounds the truncation tail of z.
+    base is 0, and the frequencies excluded are those zeros.  It is formed
+    one block at a time, so no log outlives its block.  The exponents are z
+    or the pair (z, conj z), whose binomials have the same moduli, and
+    _binomial_tail bounds the truncation tail of z.
     """
     if K < 1:
         raise ParameterError("truncation K must be positive")
-    lhs = np.empty((len(exponents), om.size), dtype=complex)
-    zero = np.empty(om.shape, dtype=bool)
-    for part in _chunks(om.size):
-        (log1, zero1), (log2, zero2) = base_logs(om[part])
+
+    def block_lhs(w):
+        (log1, zero), (log2, zero2) = base_logs(w)
         log1 += log2
-        np.logical_or(zero1, zero2, out=zero[part])
-        lhs[:, part] = _principal_power(log1, zero[part], exponents)
-    if zero.all():
-        raise EmptyAdmissibleSetError(
-            f"no admissible frequencies on this grid: all {zero.size} are zeros of a base")
+        zero |= zero2
+        return _principal_power(log1, zero, exponents), zero
 
     binoms = np.stack([binom_complex_sequence(e, K + 1) for e in exponents], axis=1)
     k = np.arange(K + 1)
@@ -646,10 +660,9 @@ def _verify_binomial_atoms(family: str, order: str, K: int, om: np.ndarray,
 
     first = abs(binoms[K + 1, 0]) * math.exp(-damping * (K + 1))
     return _residual_report(
-        family, order, om, lhs, binoms[: K + 1] * weights[:, None],
+        family, order, grid, block_lhs, binoms[: K + 1] * weights[:, None],
         lambda lhs_scale, atom_scale: (_binomial_tail(exponents[0], K, first, damping)
-                                       + _float_fuzz(lhs_scale, atom_scale)),
-        ~zero)
+                                       + _float_fuzz(lhs_scale, atom_scale)))
 
 
 def _z_label(z: complex) -> str:
@@ -660,9 +673,8 @@ def verify_atom_identity_complex(z, K: int, grid) -> ResidualReport:
     """Check (iw)^z Omega(w)^z against the truncated exponential sum of the
     alternating binomial atom coefficients."""
     z = complex_order(z)
-    om = _as_omegas(grid)
     return _verify_binomial_atoms(
-        "complex", _z_label(z), K, om,
+        "complex", _z_label(z), K, grid,
         lambda w: (_log_iomega(w), _principal_log(omega_fn(w))), (z,))
 
 
@@ -671,9 +683,8 @@ def verify_atom_identity_expz(a: float, z, K: int, grid) -> ResidualReport:
     binomial atom sum."""
     a = positive_damping(a)
     z = complex_order(z)
-    om = _as_omegas(grid)
     return _verify_binomial_atoms(
-        "complex-exponential", f"a={a:g}, {_z_label(z)}", K, om,
+        "complex-exponential", f"a={a:g}, {_z_label(z)}", K, grid,
         lambda w: (_principal_log(a + 1j * w), _principal_log(omega_a_fn(a, w))), (z,),
         damping=a)
 
@@ -687,29 +698,20 @@ def verify_atom_identity_hc(upsilon: Paravector, K: int, grid) -> ResidualReport
     subalgebra_from_idempotent maps to the (1, u) components.
     """
     dec = hypercomplex_exponent(upsilon)
-    om = _as_omegas(grid)
     comps_label = ",".join(f"{c:g}" for c in [upsilon.s, *upsilon.v.tolist()])
     return _verify_binomial_atoms(
-        "hypercomplex", f"upsilon=({comps_label})", K, om,
+        "hypercomplex", f"upsilon=({comps_label})", K, grid,
         lambda w: (_log_iomega(w), _principal_log(omega_fn(w))), (dec.z, dec.z.conjugate()))
 
 
 def classical_atom_check(n: int, grid) -> ResidualReport:
-    """Check (iw)^n Omega(w)^n = sum (-1)^k C(n,k) e^{-ikw}; integer powers,
-    so the identity is polynomial and holds to rounding."""
+    """Check (iw)^n Omega(w)^n = (1 - e^{-iw})^n = sum (-1)^k C(n,k) e^{-ikw}:
+    the exponential check at n zero weights.  Its atoms sum to 2^n in
+    modulus, so n must not exceed 1023."""
     n = integer_order(n)
     if n > 1023:
         raise NumericError(f"the atoms of order n = {n} sum to 2^n, which overflows a float")
-    om = _as_omegas(grid)
-    lhs = np.empty((1, om.size), dtype=complex)
-    for part in _chunks(om.size):
-        w = om[part]
-        lhs[0, part] = (1j * w) ** n * omega_fn(w) ** n
-    coeffs = np.array([(-1.0) ** k * math.comb(n, k) for k in range(n + 1)],
-                      dtype=complex)
-    return _residual_report(
-        "classical", f"n={n}", om, lhs, coeffs[:, None],
-        lambda lhs_scale, _: _float_fuzz(lhs_scale, 2.0 ** n) * 2.0 ** n)
+    return _exact_atom_check("classical", f"n={n}", (0.0,) * n, grid)
 
 
 def exp_difference_check(weights, grid) -> ResidualReport:
@@ -718,18 +720,25 @@ def exp_difference_check(weights, grid) -> ResidualReport:
     B-spline equals prod_k (1 - e^{a_k} e^{-iw}), whose expansion in e^{-iw}
     gives the atoms."""
     wts = exponential_weights(weights)
-    om = _as_omegas(grid)
-    lhs = np.empty((1, om.size), dtype=complex)
-    for part in _chunks(om.size):
-        w = om[part]
-        value = hat_en(wts, w)
-        for a in wts:
-            value = np.multiply(value, 1j * w - a)  # as in hat_en
-        lhs[0, part] = value
-    poly = exp_difference_coefficients(wts)
+    return _exact_atom_check("exponential", "a=(" + ",".join(f"{a:g}" for a in wts) + ")",
+                             wts, grid)
+
+
+def _exact_atom_check(family: str, order: str, weights, grid) -> ResidualReport:
+    """The exact identity prod_k (iw - a_k) Omega_{-a_k}(w) = prod_k
+    (1 - e^{a_k} e^{-iw}) for any float weights, zero ones included.  The
+    left side is taken one factor (iw - a_k) Omega_{-a_k}(w) at a time, so
+    each partial product is bounded by prod_k (1 + e^{a_k}), and no
+    frequency is excluded.  The tail is _float_fuzz times the n + 1 atoms."""
+    def block_lhs(w):
+        lhs = np.ones(w.shape, dtype=complex)
+        for a, ratio in zip(weights, _exp_ratios(weights, w)):
+            lhs = np.multiply(lhs, np.multiply(1j * w - a, ratio))
+        return lhs[None], np.zeros(w.shape, dtype=bool)
+
+    poly = exp_difference_coefficients(weights)
     return _residual_report(
-        "exponential", "a=(" + ",".join(f"{a:g}" for a in wts) + ")", om, lhs,
-        poly.astype(complex)[:, None],
+        family, order, grid, block_lhs, poly.astype(complex)[:, None],
         lambda lhs_scale, atom_scale: _float_fuzz(lhs_scale, atom_scale) * poly.size)
 
 

@@ -1,6 +1,7 @@
 """Gamma function for real, complex and hypercomplex arguments,
 generalized binomial coefficients, and cis, the one complex exponential
-kernel of the array code.
+kernel of the array code, with the power t^p = e^{p log t} of a positive
+t built on it.
 """
 
 from __future__ import annotations
@@ -204,6 +205,15 @@ def cis(theta, scale=None, out=None) -> np.ndarray:
             np.multiply(t, d, out=im[start:stop])
             np.multiply(u, d, out=re[start:stop])
     return out
+
+
+def _complex_power(t, p: complex, out=None) -> np.ndarray:
+    """t^p for t > 0 as e^{re p log t} cis(im p log t), through two float
+    arrays of t's length; out is as for cis."""
+    log = np.log(t)
+    mod = np.multiply(log, p.real)
+    np.exp(mod, out=mod)
+    return cis(np.multiply(log, p.imag, out=log), mod, out=out)
 
 
 def binom_complex_sequence(z, kmax: int) -> np.ndarray:

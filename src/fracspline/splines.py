@@ -109,7 +109,7 @@ import numpy as np
 
 from .clifford import HypercomplexExponent, Paravector
 from .errors import NumericError, OrderError, ParameterError
-from .specialfn import binom_complex_sequence, cis, gamma
+from .specialfn import _complex_power, binom_complex_sequence, gamma
 
 __all__ = [
     "integer_order",
@@ -228,9 +228,9 @@ def series_terms(x):
     return _shaped(terms, shape)
 
 
-def _shifted_sum(xs: np.ndarray, coeffs, kernel, closed: bool) -> np.ndarray:
-    """sum_k coeffs[k] kernel(x - k) over the shifts k with x - k > 0
-    (x - k >= 0 when closed) at every x of xs, in one running total.
+def _shifted_sum(xs: np.ndarray, coeffs, kernel) -> np.ndarray:
+    """sum_k coeffs[k] kernel(x - k) over the shifts k with x - k >= 0 at
+    every x of xs, in one running total.
 
     The points a shift reaches are a suffix of the sorted abscissae, so each
     shift is one array pass over a slice; every point sees its terms in the
@@ -242,9 +242,8 @@ def _shifted_sum(xs: np.ndarray, coeffs, kernel, closed: bool) -> np.ndarray:
     xsorted = xs[order]
     total = np.zeros(xs.size, dtype=np.result_type(coeffs[0], float))
     term = np.empty_like(total)
-    side = "left" if closed else "right"
     for k, c in enumerate(coeffs):
-        start = int(np.searchsorted(xsorted, k, side))
+        start = int(np.searchsorted(xsorted, k))
         if start == xs.size:
             break
         # c stays the left operand: a complex product can round differently
@@ -285,22 +284,12 @@ def eval_bn(n: int, x):
     coeffs = [float((-1) ** k * math.comb(n, k)) for k in range(n)]
     # t_+^0 = 1 at t = 0 too: the left-closed unit box
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _shifted_sum(folded, coeffs, lambda t: np.float_power(t, n - 1),
-                             closed=True)
+        total = _shifted_sum(folded, coeffs, lambda t: np.float_power(t, n - 1))
     if not np.isfinite(total).all():
         raise NumericError(f"the series of classical order n = {n} leaves the float "
                            "range on this grid")
     out[live] = total / float(math.factorial(n - 1))
     return _shaped(out, shape)
-
-
-def _complex_power(t: np.ndarray, p: complex) -> np.ndarray:
-    """t^p for t > 0 as e^{re p log t} cis(im p log t), in place on two
-    float arrays of t's length."""
-    log = np.log(t)
-    mod = np.multiply(log, p.real)
-    np.exp(mod, out=mod)
-    return cis(np.multiply(log, p.imag, out=log), mod)
 
 
 _EPS = 2.0 ** -52
@@ -551,7 +540,7 @@ def _exp_green_sum(weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
     n = weights.size
     bidiagonal = np.diag(weights) + np.eye(n, k=-1)
     return _shifted_sum(ts, exp_difference_coefficients(weights)[:n],
-                        lambda t: _bidiagonal_corner(bidiagonal, t), closed=True)
+                        lambda t: _bidiagonal_corner(bidiagonal, t))
 
 
 def eval_exp_bspline(weights, x):

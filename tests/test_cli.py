@@ -1025,17 +1025,16 @@ def test_verify_empty_admissible_set(tmp_path, capsys):
 
 
 def test_verify_overflow_is_an_error(tmp_path, capsys):
-    # (iw)^n overflows at n = 300 on the default +-20 grid, the binomials of
-    # n = 1100 overflow a float, (iw)^z at z = 800, and e^800 for the
-    # weight 800: each used to write inf or NaN into the report, or to end
-    # in an OverflowError traceback; numpy's RuntimeWarnings about the
-    # overflow used to be printed ahead of the error line.  At z = 2+700i
-    # the binomials overflow from k = 506, and at K = 504 the tail bound
-    # overflows while the atoms and (iw)^z Omega^z on this grid stay
-    # finite; a tail_bound of inf used to be written into the report
-    for order in (["--family", "classical", "--n", "300"],
-                  ["--family", "classical", "--n", "1100"],
-                  ["--family", "complex", "--z", "800"],
+    # the binomials of n = 1100 overflow a float, (iw)^z Omega^z at
+    # z = 1100, and e^800 for the weight 800: each used to write inf or NaN
+    # into the report, or to end in an OverflowError traceback; numpy's
+    # RuntimeWarnings about the overflow used to be printed ahead of the
+    # error line.  At z = 2+700i the binomials overflow from k = 506, and at
+    # K = 504 the tail bound overflows while the atoms and (iw)^z Omega^z on
+    # this grid stay finite; a tail_bound of inf used to be written into
+    # the report
+    for order in (["--family", "classical", "--n", "1100"],
+                  ["--family", "complex", "--z", "1100"],
                   ["--family", "exponential", "--a", "800"],
                   ["--family", "complex", "--z", "2,700", "--K", "504", "--grid", "0.01:0.5:0.01"]):
         with warnings.catch_warnings(record=True) as caught:
@@ -1048,6 +1047,24 @@ def test_verify_overflow_is_an_error(tmp_path, capsys):
     out = tmp_path / "e800.csv"
     assert run_cli(["eval", "--family", "exponential", "--a", "800",
                     "--grid", "0:1:0.5", "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("order", [["--family", "classical", "--n", "300"],
+                                   ["--family", "classical", "--n", "600"],
+                                   ["--family", "classical", "--n", "1023"],
+                                   ["--family", "exponential", "--a", "360"],
+                                   ["--family", "complex", "--z", "800"]])
+def test_verify_whose_identity_fits_a_float_passes(tmp_path, order):
+    # every value of these identities fits a float: the classical left side
+    # is prod (iw) Omega(w) = (1 - e^{-iw})^n, one factor at a time, where
+    # (iw)^300 used to overflow alone, and atoms of e^360 = 2.2e156 and
+    # C(800, 200) = 1e192 used to overflow when the atom norm squared them
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["verify", *order, "-o", str(out)]) == 0, order
+    doc = json.loads(out.read_text())
+    assert doc["passed"] and 0 < doc["max_residual"] <= doc["tail_bound"] < math.inf, doc
 
 
 def test_verify_report_schema(tmp_path):

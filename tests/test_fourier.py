@@ -458,10 +458,11 @@ def test_principal_log_keeps_the_bits_of_its_old_formula():
 
 def test_hat_en_keeps_the_bits_of_its_product_of_damped_ratios():
     # sin^2(w/2) and sin w taken once for all weights change no bit; a
-    # zero weight is still omega_fn, and so is w = 0
+    # zero weight is still omega_fn, taken once for all zero weights, and so
+    # is w = 0
     om = np.concatenate([edge_frequencies()[:-6], np.linspace(-3.0, 3.0, 20001)])
     for weights in ((1.119155, -0.369429), (1.0, 0.0, -0.5), (0.0, 2.5), (-1.0,),
-                    (0.3, 0.3, -0.3, 1e-9)):
+                    (0.3, 0.3, -0.3, 1e-9), (0.0, 0.0, 1.0, 0.0)):
         ref = np.ones(om.shape, dtype=complex)
         for a in weights:
             ref = np.multiply(ref, omega_fn(om) if a == 0.0 else old_omega_a_fn(-a, om))

@@ -491,6 +491,41 @@ def test_exp_difference_residuals_do_not_depend_on_grid_size():
         assert exp_difference_check(weights, [ws[i]]).residuals[0] == whole[i], ws[i]
 
 
+# the default grid of `verify --family classical`
+CLASSICAL_GRID = np.linspace(-20.0, 20.0, 801)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 20, 40, 120, 300, 1023])
+def test_classical_check_sits_in_a_stated_band_below_its_bound(n):
+    # the classical check is the exponential one at n zero weights: its left
+    # side prod (iw) Omega(w) = (1 - e^{-iw})^n is formed one factor at a
+    # time, and its tail is the rounding fuzz of n + 1 atoms, about 2^n.  The
+    # ratio max_residual / tail_bound measured 0.013-0.036 for every n up
+    # to 1023; the band's floor keeps the bound within 200 times the
+    # residual, which a bound of 64 eps (1 + 2^n) 2^n misses from n = 5
+    rep = classical_atom_check(n, CLASSICAL_GRID)
+    assert rep.atoms.shifts.size == n + 1
+    assert 0.005 <= rep.max_residual / rep.tail_bound <= 0.1, rep.max_residual / rep.tail_bound
+
+
+def test_classical_check_refuses_a_left_side_off_by_a_billionth(monkeypatch):
+    # with the first ratio Omega(w) scaled by 1 + 1e-9 the left side is off
+    # by 1e-9 of itself, about 1e3 at n = 40, against a tail bound of 0.64
+    from fracspline import fourier, fracops
+
+    assert classical_atom_check(40, CLASSICAL_GRID).verified()
+
+    def scaled(weights, w):
+        ratios = fourier._exp_ratios(weights, w)
+        yield next(ratios) * (1.0 + 1e-9)
+        yield from ratios
+
+    monkeypatch.setattr(fracops, "_exp_ratios", scaled)
+    rep = classical_atom_check(40, CLASSICAL_GRID)
+    assert rep.max_residual > 1e3 * rep.tail_bound, (rep.max_residual, rep.tail_bound)
+    assert not rep.verified()
+
+
 def test_exp_difference_classical_limit():
     eps = 1e-6
     rep = exp_difference_check((eps, eps, eps), np.linspace(-8, 8, 201))
@@ -566,6 +601,36 @@ def test_atom_sum_container():
     assert abs(vals[0][0] - 0.0) < 1e-15
     with pytest.raises(ParameterError):
         AtomSum(np.arange(2), np.array([[1.0]]))
+
+
+def test_atom_sum_refuses_bad_shifts_and_an_empty_sum():
+    # a shift of 0.5 used to be truncated to 0, and an empty sum failed in
+    # evaluate with numpy's "zero-size array to reduction operation"
+    for shifts in ([0.5], [math.nan], [math.inf], [1e300], ["1"], [True], [1 + 0j]):
+        with pytest.raises(ParameterError, match="^atom shifts must be finite integers"):
+            AtomSum(shifts, [[1.0]])
+    with pytest.raises(ParameterError, match="^an atom sum needs at least one atom$"):
+        AtomSum([], np.empty((0, 1)))
+    # integral floats and any integer dtype are shifts
+    for shifts in ([2.0], np.array([2], dtype=np.uint8), [-3, 2]):
+        atoms = AtomSum(shifts, np.ones((len(shifts), 1)))
+        assert atoms.shifts.dtype == int and atoms.shifts.tolist() == list(map(int, shifts))
+
+
+def test_atom_sum_sup_norm_scales_before_it_squares():
+    # an atom above about 1.3e154 squared to inf with a RuntimeWarning
+    for big in (1e200, 1.7e308):
+        atoms = AtomSum([0, 1], np.array([[1.0, big], [-big, 0.5]]))
+        assert atoms.sup_norm() == pytest.approx(big, rel=1e-15)
+        assert AtomSum([0], [[big]]).sup_norm() == big
+    # in range it keeps the bits of the plain sum of squares
+    rng = np.random.default_rng(33)
+    for cols in (1, 2):
+        comps = rng.normal(size=(50, cols)) * 10.0 ** rng.uniform(-100, 100, (50, 1))
+        comps = comps + 1j * rng.normal(size=(50, cols))
+        plain = float(np.max(np.sqrt(np.sum(np.abs(comps) ** 2, axis=1))))
+        assert AtomSum(np.arange(50), comps).sup_norm() == plain
+    assert AtomSum([0], [[0.0]]).sup_norm() == 0.0
 
 
 def test_atom_sum_accepts_every_finite_dtype():
