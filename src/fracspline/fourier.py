@@ -34,6 +34,7 @@ from .errors import NumericError, ParameterError
 from .specialfn import _CIS_BLOCK, cis
 from .splines import (
     _abscissae,
+    _in_float_range,
     _shaped,
     complex_order,
     exponential_weights,
@@ -188,21 +189,13 @@ def _principal_power(log, zero, exponent):
     return out
 
 
-def _in_range(power, order):
-    """power, Omega(w)^order on a grid, or a NumericError naming the order
-    where it left the float range."""
-    if not np.isfinite(power).all():
-        raise NumericError(f"the transform of order {order} leaves the float range "
-                           "on this grid")
-    return power
-
-
 def hat_bz(z, omega):
     """Fourier transform of the order-z spline: omega_fn(w)^z.  Where its
     modulus leaves the float range, a NumericError names z."""
     z = complex_order(z)
     w, shape = _abscissae(omega)
-    return _shaped(_in_range(_principal_power(*_principal_log(omega_fn(w)), z), z), shape)
+    return _shaped(_in_float_range(_principal_power(*_principal_log(omega_fn(w)), z),
+                                   f"the transform of order {z}"), shape)
 
 
 def hat_en(weights, omega):
@@ -211,14 +204,17 @@ def hat_en(weights, omega):
     negated weights.
 
     The sign flip lives here: eval_exp_bspline convolves e^{+a_k x} 1_[0,1)
-    factors, and each such factor transforms to omega_a_fn(-a_k, w).
+    factors, and each such factor transforms to omega_a_fn(-a_k, w).  Where
+    the product leaves the float range, a NumericError names the weights.
     """
+    wts = exponential_weights(weights)
     w, shape = _abscissae(omega)
     out = np.ones(w.shape, dtype=complex)
-    for ratio in _exp_ratios(exponential_weights(weights), w):
-        # not in place, which rounds a single element differently
-        out = np.multiply(out, ratio)
-    return _shaped(out, shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ratio in _exp_ratios(wts, w):
+            # not in place, which rounds a single element differently
+            out = np.multiply(out, ratio)
+    return _shaped(_in_float_range(out, f"the transform of weights a = {wts}"), shape)
 
 
 def _exp_ratios(weights, w):
@@ -238,8 +234,8 @@ def hat_ez(a: float, z, omega):
     a = positive_damping(a)
     z = complex_order(z)
     w, shape = _abscissae(omega)
-    return _shaped(_in_range(_principal_power(*_principal_log(omega_a_fn(a, w)), z), z),
-                   shape)
+    return _shaped(_in_float_range(_principal_power(*_principal_log(omega_a_fn(a, w)), z),
+                                   f"the transform of order {z}"), shape)
 
 
 def hat_bupsilon_components(upsilon: Paravector, omega):
@@ -252,7 +248,8 @@ def hat_bupsilon_components(upsilon: Paravector, omega):
     range, a NumericError names the order."""
     dec = hypercomplex_exponent(upsilon)
     log, zero = _principal_log(omega_fn(np.atleast_1d(np.asarray(omega, dtype=float))))
-    pair = _in_range(_principal_power(log, zero, [dec.z, dec.z.conjugate()]), upsilon)
+    pair = _in_float_range(_principal_power(log, zero, [dec.z, dec.z.conjugate()]),
+                           f"the transform of order {upsilon}")
     alpha, beta = subalgebra_from_idempotent(*pair)
     return alpha, beta, dec
 

@@ -55,10 +55,19 @@ frequencies and K atoms holds its report, 41 bytes per frequency (73 for
 the pair), and the fixed blocks of AtomSum.evaluate, 16 (B + 1 + columns J)
 _CHUNK bytes with B and J about sqrt K.
 The sum is rounded by at most gamma_{2K} sum_k |c_k| (Higham,
-Accuracy and Stability of Numerical Algorithms, sec. 5.1).  The
-truncation tail of the binomial atoms is bounded by their explicit sum up
-to where they decay, then by a power majorant (_binomial_tail), so
-tail_bound is an upper bound on the dropped atoms for every order.
+Accuracy and Stability of Numerical Algorithms, sec. 5.1;
+AtomSum.rounding_bound).  The truncation tail of the binomial atoms is
+bounded by their explicit sum up to where they decay, then by a power
+majorant (_binomial_tail), so tail_bound, that bound plus the rounding
+bound of the atom sum and 64 eps (1 + lhs scale) for the left side, is an
+upper bound on the dropped atoms and the rounding for every order.  A
+report verifies, without a tolerance of its own, when max_residual <=
+tail_bound < the largest admissible RMS modulus of lhs: a bound as large
+as the identity itself says nothing about it.
+
+A value of a verifier or an operator that leaves the float range is a
+NumericError naming the order (splines._in_float_range), formed under
+np.errstate so that no numpy warning comes first.
 
 The Mellin-type identity int_0^inf t^{Y-1} e^{-iwt} dt = Gamma(Y)/(iw)^Y
 is checked in the same split, one complex integral per column x0 +- i|v|,
@@ -97,6 +106,7 @@ from .fourier import (FrequencyGrid, _exp_ratios, _log_iomega, _principal_log,
 from .specialfn import _complex_power, binom_complex_sequence, cis, gamma
 from .splines import (
     _abscissae,
+    _in_float_range,
     complex_order,
     exp_difference_coefficients,
     exponential_weights,
@@ -216,7 +226,8 @@ def frac_integral(z, signal: SampledSignal) -> SampledSignal:
     m^z takes one log and one exponential per sample m >= 1, m^{z+1} is
     m m^z, each weight array is freed once used, and a real signal enters
     the convolution as it is, at half length: the peak is about 80 bytes
-    per sample.  A sample that is not finite is a SignalFormatError.
+    per sample.  A sample that is not finite is a SignalFormatError, and a
+    value that leaves the float range a NumericError naming z.
     """
     _require_finite_samples(signal)
     return signal.with_values(_integral_values(z, signal, 0.0))
@@ -241,6 +252,7 @@ def _operator_order(z, operator: str) -> complex:
     return z
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integral_values(z, signal: SampledSignal, damping: float) -> np.ndarray:
     """The values of frac_integral, or with damping a > 0 those of
     e^{-ax} I^z[e^{ax} f] on the damped samples f: the weight at lag m is
@@ -248,7 +260,9 @@ def _integral_values(z, signal: SampledSignal, damping: float) -> np.ndarray:
     formed.  A damping of 0 leaves every weight as it is.
 
     Raises NumericError when Gamma(z + 2) overflows or underflows (large
-    |im z|): dividing by it is then meaningless."""
+    |im z|): dividing by it is then meaningless, and where a value leaves
+    the float range, which the transforms of the convolution can do on
+    samples near 1e307 though the integral fits."""
     z = _operator_order(z, "fractional integral")
     f = signal.values
     n = f.size
@@ -284,6 +298,7 @@ def _integral_values(z, signal: SampledSignal, damping: float) -> np.ndarray:
         out[2:] += _fft_convolve(f[1:n - 1], wmid)[:n - 2]
     del wmid
     out *= pref
+    _in_float_range(out, f"the fractional integral of order z = {z!r}")
     if not np.iscomplexobj(f) and z.imag == 0.0:
         out = out.real
     return out
@@ -304,7 +319,8 @@ def frac_derivative(z, signal: SampledSignal) -> SampledSignal:
     z must be finite with re z > 0 (DomainError).  Raises NumericError
     when the rounding noise bound eps (2/h)^n of n passes at step h leaves
     the float range, SignalFormatError when the signal has at most 2n
-    samples, which leaves no valid cell, or a sample that is not finite, and
+    samples, which leaves no valid cell, or a sample that is not finite,
+    NumericError where a value leaves the float range, and
     ConditioningWarning when the noise swamps the result.
     """
     return _derivative(z, signal, 0.0)
@@ -343,11 +359,13 @@ def _derivative(z, signal: SampledSignal, damping: float) -> SampledSignal:
     except NumericError as exc:
         raise NumericError(f"fractional derivative of order z = {z!r}: {exc}") from exc
     d = g
-    for _ in range(n):
-        dd = np.gradient(d, signal.step)
-        if damping:
-            dd += damping * d
-        d = dd
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            dd = np.gradient(d, signal.step)
+            if damping:
+                dd += damping * d
+            d = dd
+    _in_float_range(d, f"the fractional derivative of order z = {z!r}")
 
     noise = float(np.max(np.abs(g))) * math.exp(log_bound)
     scale = float(np.max(np.abs(d)))
@@ -403,7 +421,7 @@ class AtomSum:
     atom jB + r passes through the products that build q^r and q^B (about
     log2 B each), its own product, B - 1 sums inside its block and j
     products and sums in the outer rule, at most 2K roundings in all for
-    every K but K = 2, where it is 5.
+    every K but K = 2, where it is 5.  rounding_bound() gives that bound.
     """
 
     shifts: np.ndarray
@@ -428,6 +446,17 @@ class AtomSum:
         """The largest Euclidean norm of a row of coefficients, scaled by
         _scaled_norm so that the squares of its moduli cannot overflow."""
         return float(np.max(_scaled_norm(np.abs(self.components), axis=1)))
+
+    def rounding_bound(self) -> float:
+        """gamma_n sum_k |c_k| = n eps / (1 - n eps) sum_k |c_k|, n = 2K
+        roundings (5 at K = 2) for the span K of the shifts, taken with
+        eps = 2^-52 per rounding: the bound on the rounding error of
+        evaluate() stated above, as the root mean square of the columns'
+        bounds, through _scaled_norm so that no square overflows."""
+        span = int(self.shifts.max()) - int(self.shifts.min()) + 1
+        n = max(2 * span, 5) * np.finfo(float).eps
+        sums = np.sum(np.abs(self.components), axis=0)
+        return n / (1.0 - n) * float(_scaled_norm(sums)) / math.sqrt(sums.size)
 
     def evaluate(self, omegas: np.ndarray) -> np.ndarray:
         """Exponential sum sum_k c_k e^{-ik w}; returns one row per
@@ -486,7 +515,9 @@ class ResidualReport:
     column, the pair (z, conj z) for the hypercomplex check.  residuals
     holds NaN at excluded frequencies; max_residual is taken over the
     admissible set and certifies the identity at this resolution when it
-    does not exceed tail_bound.
+    does not exceed tail_bound, and tail_bound is below lhs_scale, the
+    largest admissible RMS modulus of lhs: a bound as large as the identity
+    itself says nothing about it.  lhs_scale is not part of the JSON report.
     """
 
     family: str
@@ -497,6 +528,7 @@ class ResidualReport:
     admissible: np.ndarray
     max_residual: float
     tail_bound: float
+    lhs_scale: float
     atoms: AtomSum
     lhs: np.ndarray
     rhs: np.ndarray
@@ -521,14 +553,18 @@ class ResidualReport:
         }
 
     def verified(self, tol: float | None = None) -> bool:
-        """Whether max_residual meets tol, by default tail_bound."""
-        return self.max_residual <= (self.tail_bound if tol is None else tol)
+        """Whether max_residual meets tol; without one, whether it meets
+        tail_bound and tail_bound is below lhs_scale."""
+        if tol is None:
+            return self.max_residual <= self.tail_bound < self.lhs_scale
+        return self.max_residual <= tol
 
 
 def _float_fuzz(*scales: float) -> float:
     return 64.0 * np.finfo(float).eps * (1.0 + max(scales, default=0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _residual_report(family: str, order: str, grid, block_lhs,
                      coeffs: np.ndarray, tail) -> ResidualReport:
     """The report on L^(w) B^(w) = sum_{k<=K} c_k e^{-ikw} over the grid,
@@ -542,19 +578,16 @@ def _residual_report(family: str, order: str, grid, block_lhs,
     report's.  The residual at a frequency is the root mean square of the
     column moduli (for the conjugate pair (z, conj z) that is the modulus
     of the (1, u) components), NaN off the admissible set; an empty
-    admissible set is an EmptyAdmissibleSetError.  tail(lhs_scale,
-    atom_scale) gives tail_bound from the largest admissible RMS modulus of
-    lhs and the largest RMS modulus of an atom.  An lhs, an atom or a tail
-    bound that overflowed is a NumericError.
+    admissible set is an EmptyAdmissibleSetError.  tail(lhs_scale, atoms)
+    gives tail_bound from the largest admissible RMS modulus of lhs and the
+    AtomSum.  An atom, an lhs or a tail bound that left the float range is
+    a NumericError, and none of them raises a numpy warning first.
     """
     om, _ = _abscissae(grid.omegas if isinstance(grid, FrequencyGrid) else grid)
     if not om.size:
         raise ParameterError("empty frequency grid")
-    overflow = NumericError(f"the {family} identity at {order} overflows a float "
-                            "on this grid")
-    if not np.isfinite(coeffs).all():
-        raise overflow
-    atoms = AtomSum(np.arange(len(coeffs)), coeffs)
+    what = f"the {family} identity at {order}"
+    atoms = AtomSum(np.arange(len(coeffs)), _in_float_range(coeffs, what))
     rhs = atoms.evaluate(om)
     lhs = np.empty(rhs.shape, dtype=complex)
     admissible = np.empty(om.shape, dtype=bool)
@@ -564,9 +597,7 @@ def _residual_report(family: str, order: str, grid, block_lhs,
     for start in range(0, om.size, _CHUNK):
         part = slice(start, start + _CHUNK)
         block, zero = block_lhs(om[part])
-        if not np.isfinite(block).all():
-            raise overflow
-        lhs[:, part] = block
+        lhs[:, part] = _in_float_range(block, what)
         ok = np.logical_not(zero, out=admissible[part])
         residuals[part] = np.where(
             ok, _column_norms(np.abs(block - rhs[:, part])) / rms, np.nan)
@@ -575,13 +606,12 @@ def _residual_report(family: str, order: str, grid, block_lhs,
     if not admissible.any():
         raise EmptyAdmissibleSetError(
             f"no admissible frequencies on this grid: all {om.size} are zeros of a base")
-    tail_bound = float(tail(lhs_scale / rms, atoms.sup_norm() / rms))
-    if not math.isfinite(tail_bound):
-        raise overflow
+    lhs_scale /= rms
+    tail_bound = float(_in_float_range(tail(lhs_scale, atoms), what))
     return ResidualReport(
         family, order, len(coeffs) - 1, om, residuals, admissible,
         max_residual=float(np.nanmax(residuals)), tail_bound=tail_bound,
-        atoms=atoms, lhs=lhs, rhs=rhs)
+        lhs_scale=lhs_scale, atoms=atoms, lhs=lhs, rhs=rhs)
 
 
 def _column_norms(moduli: np.ndarray) -> np.ndarray:
@@ -609,7 +639,8 @@ def _binomial_tail(z: complex, K: int, first: float, damping: float) -> float:
     ratio drops below 1, (im z)^2 < (re z + 1)(2k + 1 - re z).  From k1 on
     |c_k| <= |c_k1| (k1/k)^p e^{-damping (k - k1)} with p = rate(k1) > 1,
     whose sum is at most |c_k1| min(1 + k1/(p - 1), 1/(1 - e^{-damping})).
-    Returns inf once the explicit sum overflows.
+    Returns inf once the explicit sum overflows; _residual_report, which
+    calls it, runs under np.errstate, so the overflow raises no warning.
     """
     x, y2 = z.real, z.imag ** 2
     decay = math.exp(-damping)
@@ -642,8 +673,10 @@ def _verify_binomial_atoms(family: str, order: str, K: int, grid,
     exp(a) exp(b) = exp(a + b), so it is base1^e base2^e, and 0 where a
     base is 0, and the frequencies excluded are those zeros.  It is formed
     one block at a time, so no log outlives its block.  The exponents are z
-    or the pair (z, conj z), whose binomials have the same moduli, and
-    _binomial_tail bounds the truncation tail of z.
+    or the pair (z, conj z), whose binomials have the same moduli.  The
+    tail is _binomial_tail's bound on the atoms past K, plus the rounding
+    of the atom sum, AtomSum.rounding_bound(), and that of the left side,
+    _float_fuzz(lhs_scale).
     """
     if K < 1:
         raise ParameterError("truncation K must be positive")
@@ -661,8 +694,8 @@ def _verify_binomial_atoms(family: str, order: str, K: int, grid,
     first = abs(binoms[K + 1, 0]) * math.exp(-damping * (K + 1))
     return _residual_report(
         family, order, grid, block_lhs, binoms[: K + 1] * weights[:, None],
-        lambda lhs_scale, atom_scale: (_binomial_tail(exponents[0], K, first, damping)
-                                       + _float_fuzz(lhs_scale, atom_scale)))
+        lambda lhs_scale, atoms: (_binomial_tail(exponents[0], K, first, damping)
+                                  + atoms.rounding_bound() + _float_fuzz(lhs_scale)))
 
 
 def _z_label(z: complex) -> str:
@@ -739,7 +772,7 @@ def _exact_atom_check(family: str, order: str, weights, grid) -> ResidualReport:
     poly = exp_difference_coefficients(weights)
     return _residual_report(
         family, order, grid, block_lhs, poly.astype(complex)[:, None],
-        lambda lhs_scale, atom_scale: _float_fuzz(lhs_scale, atom_scale) * poly.size)
+        lambda lhs_scale, atoms: _float_fuzz(lhs_scale, atoms.sup_norm()) * poly.size)
 
 
 # -- Mellin-type identity ----------------------------------------------------
@@ -809,7 +842,6 @@ def mellin_check(upsilon: Paravector, omega: float) -> MellinCheckResult:
         integrals = _MELLIN_STEP * (left + terms[:, 1:].sum(axis=1))
         columns = np.array([g, g.conjugate()]) * _principal_power(*_log_iomega(omega), -z)[:, 0]
         pairs = [subalgebra_from_idempotent(*integrals), subalgebra_from_idempotent(*columns)]
-    if not np.isfinite(pairs).all():
-        raise NumericError(f"the Mellin check overflows a float at scalar part {dec.x0:g}")
+    _in_float_range(pairs, f"the Mellin check at scalar part {dec.x0:g}")
     lhs, rhs = (dec.paravector(*pair) for pair in pairs)
     return MellinCheckResult(lhs, rhs, float((lhs - rhs).norm()))

@@ -95,8 +95,9 @@ both; the tests hold it to 16.  The terms alternate and cancel, so the relative
 error grows with x and with re z.  Against a 60-digit oracle it is below
 1e-9 at x = 5.5 for z = 1.5, 2.5 + i and 4 + 0.5i, but at re z >= 3 every
 digit is lost near x = 50.  The loss is not reported.  Where a term or the
-sum leaves the float range, eval_bn and eval_bz raise NumericError naming
-the order.
+sum leaves the float range, eval_bn, eval_bz and eval_exp_bspline raise
+NumericError naming the order or the weights: _in_float_range, the one
+float-range check of every evaluator, transform, operator and verifier.
 """
 
 from __future__ import annotations
@@ -198,6 +199,15 @@ def _abscissae(x):
     return xs.ravel(), xs.shape
 
 
+def _in_float_range(values, what: str):
+    """values, or a NumericError naming what where one of them is inf or
+    NaN.  Each evaluator, transform, operator and verifier computes the
+    values under its own np.errstate, so no numpy warning comes first."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"{what} leaves the float range on this grid")
+    return values
+
+
 def _shaped(values: np.ndarray, shape):
     """Values in the caller's shape; a Python number for a single abscissa.
 
@@ -285,10 +295,8 @@ def eval_bn(n: int, x):
     # t_+^0 = 1 at t = 0 too: the left-closed unit box
     with np.errstate(over="ignore", invalid="ignore"):
         total = _shifted_sum(folded, coeffs, lambda t: np.float_power(t, n - 1))
-    if not np.isfinite(total).all():
-        raise NumericError(f"the series of classical order n = {n} leaves the float "
-                           "range on this grid")
-    out[live] = total / float(math.factorial(n - 1))
+    out[live] = (_in_float_range(total, f"the series of classical order n = {n}")
+                 / float(math.factorial(n - 1)))
     return _shaped(out, shape)
 
 
@@ -488,9 +496,7 @@ def eval_bz(z, x):
                 out /= g
             else:
                 out[live] = _cell_sum(xs[live], z - 1.0, coeffs) / g
-        if not np.isfinite(out).all():
-            raise NumericError(f"the series of order {z} leaves the float range "
-                               "on this grid")
+        _in_float_range(out, f"the series of order {z}")
     return _shaped(out, shape)
 
 
@@ -559,20 +565,23 @@ def eval_exp_bspline(weights, x):
 
     The weight tuple is the one appearing inside the convolution product;
     the frequency-domain counterpart in the fourier module owns the sign
-    flip between the two conventions.
+    flip between the two conventions.  Where a term or a value leaves the
+    float range (e^{mu x} past e^709, say), a NumericError names the weights.
     """
-    w = np.array(exponential_weights(weights))
+    wts = exponential_weights(weights)
+    w = np.array(wts)
     n = w.size
     mu = float(np.mean(w))
     xs, shape = _abscissae(x)
     out = np.zeros(xs.size)
     left = (xs >= 0.0) & (xs < n / 2)
     right = (xs >= n / 2) & (xs < n)
-    out[left] = _exp_green_sum(w - mu, xs[left])
-    out[right] = _exp_green_sum(mu - w, n - xs[right])
-    live = left | right
-    out[live] *= np.exp(mu * xs[live])
-    return _shaped(out, shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[left] = _exp_green_sum(w - mu, xs[left])
+        out[right] = _exp_green_sum(mu - w, n - xs[right])
+        live = left | right
+        out[live] *= np.exp(mu * xs[live])
+    return _shaped(_in_float_range(out, f"the series of weights a = {wts}"), shape)
 
 
 def eval_ez(a: float, z, x):

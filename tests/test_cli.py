@@ -222,7 +222,8 @@ def test_non_finite_values_are_an_error(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), argv
     run_cli(["fracop", "--op", "integral", "--z", "1", "--input", str(big)])
-    assert capsys.readouterr().err == "error: fracop --op integral is not finite on this grid\n"
+    assert capsys.readouterr().err == ("error: the fractional integral of order z = (1+0j) "
+                                       "leaves the float range on this grid\n")
 
 
 def test_non_finite_grid_is_a_usage_error(capsys):
@@ -1053,18 +1054,60 @@ def test_verify_overflow_is_an_error(tmp_path, capsys):
                                    ["--family", "classical", "--n", "600"],
                                    ["--family", "classical", "--n", "1023"],
                                    ["--family", "exponential", "--a", "360"],
-                                   ["--family", "complex", "--z", "800"]])
+                                   ["--family", "complex", "--z", "800", "--K", "900"]])
 def test_verify_whose_identity_fits_a_float_passes(tmp_path, order):
     # every value of these identities fits a float: the classical left side
     # is prod (iw) Omega(w) = (1 - e^{-iw})^n, one factor at a time, where
     # (iw)^300 used to overflow alone, and atoms of e^360 = 2.2e156 and
-    # C(800, 200) = 1e192 used to overflow when the atom norm squared them
+    # C(800, 400) = 1e239 used to overflow when the atom norm squared them
+    # (at z = 800, K = 900 keeps every nonzero atom: the default K = 200
+    # leaves a tail larger than the identity, which fails)
     out = tmp_path / "rep.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(["verify", *order, "-o", str(out)]) == 0, order
     doc = json.loads(out.read_text())
     assert doc["passed"] and 0 < doc["max_residual"] <= doc["tail_bound"] < math.inf, doc
+
+
+def test_verify_fails_a_tail_bound_as_large_as_its_identity(tmp_path):
+    # at z = 800 the default K = 200 keeps 201 of the 801 nonzero atoms: the
+    # residual 9.0e239 meets the tail bound 6.7e240, but that bound exceeds
+    # the largest |lhs|, 9.0e239, so the certificate says nothing and the
+    # report fails; an explicit --tol still decides by max_residual alone
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--family", "complex", "--z", "800", "-o", str(out)]
+    assert run_cli(argv) == 2
+    doc = json.loads(out.read_text())
+    assert doc["max_residual"] <= doc["tail_bound"] == doc["tolerance"] and not doc["passed"]
+    assert run_cli(argv + ["--tol", repr(doc["tail_bound"])]) == 0
+
+
+@pytest.mark.parametrize("order", [["--family", "complex", "--z", "40"],
+                                   ["--family", "complex", "--z", "100"],
+                                   ["--family", "fractional", "--alpha", "40"],
+                                   ["--family", "fractional", "--alpha", "60"]])
+def test_verify_bounds_the_rounding_of_high_order_atoms(tmp_path, monkeypatch, order):
+    # the atom sum rounds by up to gamma_{2K} sum_k |c_k|, which the tail
+    # bound now holds: at z = 40 the residual 0.0177 exceeded the old bound
+    # 0.0141, made of 64 eps max |c_k|, and these correct identities failed.
+    # One atom moved by 10 times the bound must still fail
+    import fracspline.fracops
+
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", *order, "-o", str(out)]) == 0, order
+    bound = json.loads(out.read_text())["tail_bound"]
+    binoms = fracspline.fracops.binom_complex_sequence
+
+    def moved(z, kmax):
+        seq = binoms(z, kmax)
+        seq[3] += 10.0 * bound
+        return seq
+
+    monkeypatch.setattr(fracspline.fracops, "binom_complex_sequence", moved)
+    assert run_cli(["verify", *order, "-o", str(out)]) == 2, order
+    doc = json.loads(out.read_text())
+    assert doc["max_residual"] > 9.0 * doc["tail_bound"], doc
 
 
 def test_verify_report_schema(tmp_path):

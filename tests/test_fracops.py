@@ -1,7 +1,9 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -22,6 +24,7 @@ from fracspline import (
     SampledSignal,
     SignalFormatError,
     classical_atom_check,
+    eval_exp_bspline,
     exp_difference_check,
     frac_derivative,
     frac_integral,
@@ -226,6 +229,40 @@ def test_integral_gamma_underflow_is_a_numeric_error():
         frac_integral(0.5 + 1000j, sig)
     with pytest.raises(NumericError, match=r"derivative of order z = \(0.5\+600j\):.*Gamma"):
         frac_derivative(0.5 + 600j, sig)
+
+
+def test_values_past_the_float_range_are_an_error_without_a_warning():
+    # the exponential spline and its transform, the operators and the
+    # binomial tail used to return inf or NaN, or overflow, with numpy
+    # RuntimeWarnings that only the command line silenced; each names its
+    # order or weights now.  Samples of 1e307 overflow the convolution's
+    # transforms, and a jump between +-1e307 overflows the gradient
+    weights = (700, 700, -1)
+    huge = make_signal(lambda x: np.full(x.shape, 1e307), h=0.01)
+    jump = make_signal(lambda x: np.where(x < 1.0, 1e307, -1e307), h=0.01)
+    integral = "the fractional integral of order z = (0.5+0j)"
+    calls = [
+        (lambda: eval_exp_bspline(weights, [0.3, 1.2, 1.9]),
+         "the series of weights a = (700.0, 700.0, -1.0)"),
+        (lambda: hat_en(weights, [0.3, 1.2, 1.9]),
+         "the transform of weights a = (700.0, 700.0, -1.0)"),
+        (lambda: frac_integral(0.5, huge), integral),
+        (lambda: frac_derivative(0.5, huge),
+         f"fractional derivative of order z = (0.5+0j): {integral}"),
+        (lambda: shifted_frac_derivative(0.7, 0.5, huge),
+         f"fractional derivative of order z = (0.5+0j): {integral}"),
+        (lambda: frac_derivative(1, jump), "the fractional derivative of order z = (1+0j)"),
+        # the binomials overflow from k = 506: at K = 504 the atoms fit and the
+        # tail bound does not
+        (lambda: verify_atom_identity_complex(2 + 700j, 504, np.arange(1, 51) * 0.01),
+         "the complex identity at z=2+700i"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, named in calls:
+            with pytest.raises(NumericError, match="^" + re.escape(
+                    f"{named} leaves the float range on this grid") + "$"):
+                call()
 
 
 def test_conditioning_warning_names_the_caller():
@@ -582,7 +619,8 @@ def test_mellin_check_that_overflows_next_to_zero_is_an_error():
     # Gamma(x0) is finite from 5.6e-309, but below about 5.6e-308 the left
     # tail's 1/(1 - e^{-0.1 z}) or the columns' sum p + q overflows
     for x0 in (6e-309, 1e-308, 2e-308, 5e-308):
-        with pytest.raises(NumericError, match=f"at scalar part {x0:g}$"):
+        with pytest.raises(NumericError, match=f"^the Mellin check at scalar part {x0:g} "
+                                               "leaves the float range"):
             mellin_check(Paravector(x0, [0.0]), 1.0)
     # where neither overflows, the check keeps its values
     res = mellin_check(Paravector(1e-307, [0.0]), 1.0)
