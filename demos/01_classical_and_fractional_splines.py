@@ -17,10 +17,10 @@ for n in range(1, 6):
     print(f"  B_{n}({mid:.1f}) = {eval_bn(n, mid):.12f}")
 
 print()
-print("The order-3 spline at x = 1.5 from the closed-form sum:", eval_bn(3, 1.5))
-print("The same value from the general complex-order series: ",
+print("The order-3 spline at x = 1.5 by the Cox-de Boor recurrence:", eval_bn(3, 1.5))
+print("The same value from the general complex-order series:       ",
       eval_bz(3.0, 1.5).real)
-print("(the series terminates for integer orders, so the two agree exactly)")
+print("(the series terminates for integer orders: the two agree to rounding)")
 
 print()
 print("Fractional orders interpolate between the integer families.")

@@ -307,6 +307,7 @@ def _simpson(y: np.ndarray, dx: float):
     return np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
                        decay: float) -> InverseTransformResult:
     """Inverse Fourier transform (1/2pi) int value(w) e^{iwx} dw by composite
@@ -320,7 +321,10 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
     25 percent safety margin absorbs.  The in-range quadrature error is
     estimated by Richardson comparison against the half-resolution rule.
     A transform value that is not finite is a NumericError: it would make
-    the value and its certified error NaN.
+    the value and its certified error NaN.  So is a grid frequency, a
+    value, an envelope term or a bound past the float range (omega_max
+    near 1e308, or |w|^decay overflowing at omega_max = 1e300): the
+    function runs under np.errstate and checks them with _in_float_range.
 
     The grid is walked in blocks of _CIS_BLOCK = 8192 steps: the transform,
     which must be elementwise, is called once per block on at most 8193
@@ -333,6 +337,7 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
         raise ParameterError(f"x must be finite, got {x!r}")
     if not 1 < decay < math.inf:
         raise ParameterError(f"tail certification needs a finite decay > 1, got {decay!r}")
+    what = f"the inverse quadrature at x = {x:g} to omega_max = {grid.omega_max:g}"
     step, last = grid.step, grid.count - 1
     s_full = s_half = 0j
     env_pos = env_neg = 0.0
@@ -344,6 +349,7 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
         om = -grid.omega_max + step * np.arange(start, stop + 1)
         if stop == last:
             om[-1] = grid.omega_max
+        _in_float_range(om, what)
         vals = np.asarray(transform(om), dtype=complex)
         if vals.shape != om.shape:
             raise ParameterError("transform callable must evaluate elementwise")
@@ -370,13 +376,15 @@ def inverse_quadrature(transform, x: float, grid: FrequencyGrid,
 
     quad_est = abs(s_full - s_half) / 15.0 / (2.0 * math.pi)
     c_pos, c_neg = env_pos / n_pos, env_neg / n_neg
-    tail = 1.25 * (c_pos + c_neg) * grid.omega_max ** (1.0 - decay) / (
+    # a numpy power: Python's raises OverflowError at omega_max = 1e-300
+    tail = 1.25 * (c_pos + c_neg) * np.float64(grid.omega_max) ** (1.0 - decay) / (
         (decay - 1.0) * 2.0 * math.pi
     )
 
     err = tail + quad_est + 1e-16 * peak * grid.count ** 0.5
-    return InverseTransformResult(complex(s_full) / (2.0 * math.pi), float(err),
-                                  float(tail), float(quad_est))
+    value = complex(s_full) / (2.0 * math.pi)
+    _in_float_range(np.array([value, err]), what)
+    return InverseTransformResult(value, float(err), float(tail), float(quad_est))
 
 
 def fit_decay_slope(modulus_fn, omega_lo: float, omega_hi: float):
@@ -391,10 +399,11 @@ def fit_decay_slope(modulus_fn, omega_lo: float, omega_hi: float):
     """
     if not 0 < omega_lo < omega_hi < math.inf:
         raise ParameterError("need 0 < omega_lo < omega_hi < inf")
-    k_lo = math.ceil(omega_lo / (2 * math.pi) - 0.5)
-    k_hi = int(math.ceil(omega_hi / (2 * math.pi)))
+    # whole numbers as floats: past 2^63 they do not fit an int64
+    k_lo = float(math.ceil(omega_lo / (2 * math.pi) - 0.5))
+    k_hi = float(math.ceil(omega_hi / (2 * math.pi)))
     # geomspace cannot start at k = 0, the first peak when omega_lo <= pi
-    ks = np.unique(np.append(np.geomspace(max(k_lo, 1), k_hi, 200).astype(int), k_lo))
+    ks = np.unique(np.append(np.floor(np.geomspace(max(k_lo, 1.0), k_hi, 200)), k_lo))
     om = 2.0 * math.pi * (ks + 0.5)
     om = om[(om >= omega_lo) & (om <= omega_hi)]
     if om.size < 2:

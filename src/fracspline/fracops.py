@@ -105,6 +105,7 @@ from .fourier import (FrequencyGrid, _exp_ratios, _log_iomega, _principal_log,
                       _principal_power, omega_a_fn, omega_fn)
 from .specialfn import _complex_power, binom_complex_sequence, cis, gamma
 from .splines import (
+    _MAX_CLASSICAL_ORDER,
     _abscissae,
     _in_float_range,
     complex_order,
@@ -262,7 +263,9 @@ def _integral_values(z, signal: SampledSignal, damping: float) -> np.ndarray:
     Raises NumericError when Gamma(z + 2) overflows or underflows (large
     |im z|): dividing by it is then meaningless, and where a value leaves
     the float range, which the transforms of the convolution can do on
-    samples near 1e307 though the integral fits."""
+    samples near 1e307 though the integral fits.  The factor
+    h^z / Gamma(z + 2) is taken with h^{z/2} on each side of the division
+    where h^z alone overflows."""
     z = _operator_order(z, "fractional integral")
     f = signal.values
     n = f.size
@@ -274,7 +277,19 @@ def _integral_values(z, signal: SampledSignal, damping: float) -> np.ndarray:
     if g.real * g.real + g.imag * g.imag < 1e-300:
         raise NumericError(f"fractional integral of order z = {z!r} underflows: "
                            "Gamma(z + 2) is too small to divide by")
-    pref = cmath.exp(z * math.log(signal.step)) / g
+    log_power = z * math.log(signal.step)
+    try:
+        pref = cmath.exp(log_power) / g
+    except OverflowError:
+        # h^z past the float range: its square root on each side of the
+        # division, as gamma does.  Where the root overflows too, so does
+        # h^z / Gamma(z + 2), since Gamma(z + 2) fits a float
+        try:
+            root = cmath.exp(0.5 * log_power)
+        except OverflowError as exc:
+            raise NumericError(f"the fractional integral of order z = {z!r} leaves the "
+                               f"float range at step h = {signal.step:g}") from exc
+        pref = root / g * root
     pz = np.zeros(n + 1, dtype=complex)  # m^z, with 0^z = 0
     _complex_power(np.arange(1.0, n + 1), z, out=pz[1:])
     pz1 = np.arange(n + 1.0) * pz  # m^{z+1}
@@ -742,7 +757,7 @@ def classical_atom_check(n: int, grid) -> ResidualReport:
     the exponential check at n zero weights.  Its atoms sum to 2^n in
     modulus, so n must not exceed 1023."""
     n = integer_order(n)
-    if n > 1023:
+    if n > _MAX_CLASSICAL_ORDER:
         raise NumericError(f"the atoms of order n = {n} sum to 2^n, which overflows a float")
     return _exact_atom_check("classical", f"n={n}", (0.0,) * n, grid)
 

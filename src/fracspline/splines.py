@@ -11,9 +11,12 @@ exact 0 for x < 0.  The alternating truncated-power series are finite for
 every x because (x - k)_+ vanishes once k exceeds x, so no truncation
 heuristics are involved.
 
-eval_bn and eval_exp_bspline take one numpy pass per shift k: the term of
-shift k is added to all the points it reaches at once, into one running
-total (_shifted_sum).
+The classical family takes no series: eval_bn runs the Cox-de Boor
+recurrence, whose steps add nonnegative terms (its docstring).
+
+eval_exp_bspline takes one numpy pass per shift k: the term of shift k is
+added to all the points it reaches at once, into one running total
+(_shifted_sum).
 
 eval_bz holds the one series of the complex-order families,
 B_z(x) = (1/Gamma(z)) sum_{k <= x} c_k (x - k)_+^w with c_k = (-1)^k C(z, k)
@@ -95,7 +98,7 @@ both; the tests hold it to 16.  The terms alternate and cancel, so the relative
 error grows with x and with re z.  Against a 60-digit oracle it is below
 1e-9 at x = 5.5 for z = 1.5, 2.5 + i and 4 + 0.5i, but at re z >= 3 every
 digit is lost near x = 50.  The loss is not reported.  Where a term or the
-sum leaves the float range, eval_bn, eval_bz and eval_exp_bspline raise
+sum leaves the float range, eval_bz and eval_exp_bspline raise
 NumericError naming the order or the weights: _in_float_range, the one
 float-range check of every evaluator, transform, operator and verifier.
 """
@@ -266,37 +269,53 @@ def _shifted_sum(xs: np.ndarray, coeffs, kernel) -> np.ndarray:
 
 
 def eval_bn(n: int, x):
-    """Classical cardinal B-spline of order n by its closed-form sum
-    (1/Gamma(n)) sum_k (-1)^k C(n,k) (x-k)_+^{n-1}.
+    """Classical cardinal B-spline of order n by the Cox-de Boor recurrence
+    B_j(y) = [y B_{j-1}(y) + (j - y) B_{j-1}(y - 1)]/(j - 1), B_1 the unit
+    box (Cox, IMA J. Appl. Math. 10, 1972; de Boor, A Practical Guide to
+    Splines, 1978).
 
     Support is [0, n] with the half-open unit-box convention, so the value
-    is exactly 0 outside [0, n) and at x = n.  The powers are libm pow
-    (np.float_power), the rounding of Python's float power.
+    is exactly 0 outside [0, n) and at x = n.  With m = floor(x) and
+    t = x - m, step j forms B_j(t + r) for r = 0..j-1 from the row of
+    step j - 1, and the value is B_n(t + m).  The weights t + r and
+    (j - 1 - r - t) = (1 - t) + (j - 2 - r) are sums of two nonnegative
+    floats, so each step adds nonnegative terms: nothing cancels, and no
+    value leaves [0, 1].  Points are taken _TABLE_BLOCK // n (64 or more)
+    at a time, each in its own column.  Against exact rationals, at 40 to
+    420 points per order away from underflow, the relative error measured
+    at most 1.5 eps for n <= 5, 3.6 eps at n = 20, 13 eps at n = 100,
+    9 eps at n = 171 and 24 eps at n = 1023: at most 0.29 n eps, and the
+    tests hold it to 0.5 n eps.  B_1 and B_2 are exact.
 
-    B_n is symmetric, B_n(x) = B_n(n - x) on (0, n), and n - x is exact
-    for x > n/2 (Sterbenz's lemma), so the right half is summed from the
-    right end as that mirror image, where its terms do not cancel to a
-    value far below them.
-
-    Raises NumericError for n > 171, where (n-1)! overflows a float, and
-    where a term or the sum leaves the float range: from n = 160 on, the
-    terms (x-k)^{n-1} C(n,k) overflow next to the centre of the support.
+    The recurrence takes n^2/2 steps per point (on one core of a Xeon,
+    about 51 us per point at n = 171 and 2.6 ms at n = 1023, against
+    0.1 us at n = 5 on large grids): an order past
+    _MAX_CLASSICAL_ORDER = 1023, the cap of the classical verifier too, is
+    a NumericError before any work.
     """
     n = integer_order(n)
-    if n > 171:
-        raise NumericError(f"(n-1)! overflows at classical order n = {n}; "
-                           "division is meaningless")
+    if n > _MAX_CLASSICAL_ORDER:
+        raise NumericError(f"classical order n = {n} is past the cap n <= {_MAX_CLASSICAL_ORDER}")
     xs, shape = _abscissae(x)
     out = np.zeros(xs.size)
     live = (xs >= 0.0) & (xs < n)
-    folded = xs[live]
-    folded = np.where(folded > n / 2, n - folded, folded)
-    coeffs = [float((-1) ** k * math.comb(n, k)) for k in range(n)]
-    # t_+^0 = 1 at t = 0 too: the left-closed unit box
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = _shifted_sum(folded, coeffs, lambda t: np.float_power(t, n - 1))
-    out[live] = (_in_float_range(total, f"the series of classical order n = {n}")
-                 / float(math.factorial(n - 1)))
+    values = xs[live]
+    shifts = np.arange(n, dtype=float)[:, None]
+    block = _TABLE_BLOCK // n
+    for start in range(0, values.size, block):
+        t, cell = np.modf(values[start:start + block])
+        up, down = t + shifts, (1.0 - t) + shifts[::-1]  # t + r, (1 - t) + n - 1 - r
+        rows = np.zeros((n, t.size))
+        rows[0] = 1.0
+        for j in range(2, n + 1):
+            prev, moved, step = rows[:j - 1], rows[1:j], rows[:j]
+            # (j - 1 - r - t) B_{j-1}(t + r), the term of row r + 1
+            carry = prev * down[n + 1 - j:]
+            prev *= up[:j - 1]
+            moved += carry
+            step /= j - 1
+        values[start:start + block] = rows[cell.astype(np.int64), np.arange(t.size)]
+    out[live] = values
     return _shaped(out, shape)
 
 
@@ -308,8 +327,11 @@ _MAX_ATOMS = 2 ** 24
 # the per-point temporaries of the cell form stay small whatever the grid
 _CELL_BLOCK = 4096
 # the table takes far atoms a block at a time, with at most this many entries
-# in its gathered coefficients and expansions
+# in its gathered coefficients and expansions; eval_bn's rows hold as many
 _TABLE_BLOCK = 2 ** 16
+# eval_bn takes n^2/2 steps per point; the classical verifier's atoms sum to
+# 2^n, which fits a float up to the same n
+_MAX_CLASSICAL_ORDER = 1023
 
 
 def _tail_bound(binom_mods: np.ndarray, w_abs: float, degree: int, r: float) -> float:

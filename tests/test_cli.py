@@ -270,14 +270,35 @@ def test_binomial_sizes_no_array_holds_are_an_error(capsys):
         assert out == "" and err.startswith(prefix), argv
 
 
-def test_eval_classical_order_past_factorial_range(tmp_path, capsys):
-    # (n-1)! overflows a float from n = 172 on: an error, not a traceback
-    assert run_cli(["eval", "--family", "classical", "--n", "200",
-                    "--grid", "0:3:1"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    out = tmp_path / "b171.csv"
-    assert run_cli(["eval", "--family", "classical", "--n", "171",
-                    "--grid", "0:3:1", "-o", str(out)]) == 0
+def _classical_rows(capsys, n, grid):
+    assert run_cli(["eval", "--family", "classical", "--n", str(n), "--grid", grid]) == 0
+    return [[float(cell) for cell in line.split(",")]
+            for line in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_eval_classical_order_past_factorial_range(capsys):
+    # (n-1)! overflows a float from n = 172 on, which the alternating series
+    # divided by; the recurrence forms no factorial.  The exact values are
+    # rationals rounded to 17 digits, held to 0.5 n eps, as in test_splines
+    for n, grid, exact in ((200, "99:101:1", [0.09476971015804485, 0.09764718375128739,
+                                              0.09476971015804485]),
+                           (100, "49.3:49.3:1", [0.13401571729442338]),
+                           (150, "75.3:75.3:1", [0.11232155400868567])):
+        rows = _classical_rows(capsys, n, grid)
+        assert [row[2] for row in rows] == [math.floor(row[0]) + 1 for row in rows]
+        for row, want in zip(rows, exact, strict=True):
+            assert abs(row[1] - want) <= 0.5 * n * 2.0 ** -52 * want, (n, row)
+
+
+def test_eval_classical_order_past_the_cap_is_an_error(capsys):
+    # the recurrence takes n^2/2 steps per point: verify's cap n <= 1023 holds
+    # for eval too, and fails before any work
+    for command in ("eval", "verify"):
+        argv = [command, "--family", "classical", "--n", "1024", "--grid", "0:3:1"]
+        assert run_cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "order n = 1024" in err, err
+    assert run_cli(["eval", "--family", "classical", "--n", "1023", "--grid", "0:3:1"]) == 0
 
 
 @pytest.mark.parametrize("grid", ["0:1e9:1e8", "1e300:1e300:1"])
@@ -306,13 +327,14 @@ def test_eval_of_a_term_count_past_int64_is_an_error(capsys):
 
 
 def test_eval_past_the_float_range_names_the_order(capsys):
-    for argv, named in ((["--family", "complex", "--z", "120", "--grid", "200:300:50"],
-                         "order (120+0j)"),
-                        (["--family", "classical", "--n", "170", "--grid", "80:90:5"],
-                         "classical order n = 170")):
-        assert run_cli(["eval", *argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: the series of {named} leaves the float range"), err
+    assert run_cli(["eval", "--family", "complex", "--z", "120", "--grid", "200:300:50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the series of order (120+0j) leaves the float range"), err
+    # the alternating series of the classical family overflowed here; the
+    # recurrence forms no term past 1
+    exact = [0.04391847675677294, 0.1058992011828227, 0.04391847675677294]
+    for row, want in zip(_classical_rows(capsys, 170, "80:90:5"), exact, strict=True):
+        assert abs(row[1] - want) <= 0.5 * 170 * 2.0 ** -52 * want, row
     # Gamma(150) = 3.8e260 and its series near the origin stay in range
     assert run_cli(["eval", "--family", "fractional", "--alpha", "150",
                     "--grid", "0:3:0.5"]) == 0
@@ -384,6 +406,16 @@ def test_fracop_integral_of_ones(tmp_path):
     _, rows = read_csv(out)
     for r in rows:
         assert abs(float(r[1]) - float(r[0])) < 1e-10
+
+
+def test_fracop_integral_at_a_step_whose_power_overflows(tmp_path, capsys):
+    # 1000^150 overflows, 1000^150 / Gamma(152) fits: a table, not a
+    # traceback.  At x = 1000 the rule is exact: 1000^150 / 150! = 1.7502762e187
+    src = tmp_path / "in.csv"
+    src.write_text("x,value\n0,1\n1000,1\n2000,1\n")
+    assert run_cli(["fracop", "--op", "integral", "--z", "150", "--input", str(src)]) == 0
+    values = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert values[0] == 0.0 and abs(values[1] / 1.7502762e187 - 1) < 1e-7
 
 
 def test_fracop_derivative_matches_gradient(tmp_path):

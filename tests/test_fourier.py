@@ -623,6 +623,21 @@ def test_inverse_quadrature_rejects_a_transform_that_is_not_finite():
                            decay=2.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega_max, count", [(1e300, 5), (1e308, 5), (1e308, 100001),
+                                              (1e-300, 5)])
+def test_inverse_quadrature_past_the_float_range_is_a_numeric_error(omega_max, count):
+    # |w|^decay overflows at 1e300 and the tail bound read NaN; the grid
+    # points overflow at 1e308, where the transform's "abscissae must be
+    # finite" came after a warning; and omega_max^{1 - decay} overflows at
+    # 1e-300, a bare OverflowError from Python's power
+    grid = FrequencyGrid(omega_max, count)
+    with pytest.raises(NumericError, match=re.escape(
+            f"the inverse quadrature at x = 0.5 to omega_max = {omega_max:g} leaves the "
+            "float range")):
+        inverse_quadrature(lambda w: hat_bz(2.5, w), 0.5, grid, decay=2.5)
+
+
 @pytest.mark.parametrize("decay", [math.nan, math.inf])
 def test_inverse_quadrature_rejects_a_non_finite_decay(decay):
     grid = FrequencyGrid(20.0, 101)
@@ -670,6 +685,15 @@ def test_fit_decay_slope_needs_two_peaks_and_a_positive_modulus():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(NumericError, match="positive, finite modulus"):
             fit_decay_slope(lambda w: np.where(w > 50.0, bad, modulus(w)), 1e1, 1e2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_decay_slope_takes_peaks_past_the_int64_range():
+    # the peak indices k were cast to int64: past 5.8e19 that warned and fit
+    # wrong peaks, and at 1e308 geomspace met Python ints and raised a
+    # TypeError; they stay floats now
+    for hi in (6e19, 1e308):
+        assert abs(fit_decay_slope(lambda w: w ** -0.5, 1.0, hi) + 0.5) < 1e-12, hi
 
 
 def test_transforms_that_leave_the_float_range_raise_naming_the_order():

@@ -231,6 +231,26 @@ def test_integral_gamma_underflow_is_a_numeric_error():
         frac_derivative(0.5 + 600j, sig)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integral_whose_step_power_overflows_but_not_its_quotient():
+    # h^z = 1000^150 = 1e450 overflows a float, but h^z / Gamma(152) = 2.6e185
+    # does not: the power is split around the division.  cmath.exp used to
+    # raise a bare OverflowError.  The values are h^z times those at h = 1, up
+    # to the rounding of z log h (eps |z log h| = 1.6e-13 at z = 40, h = 1e8)
+    for z, h in ((40, 1e8), (150, 1000.0), (40 + 2j, 1e8)):
+        wide = frac_integral(z, SampledSignal(0.0, h, np.ones(5))).values
+        unit = frac_integral(z, SampledSignal(0.0, 1.0, np.ones(5))).values
+        assert wide[0] == 0.0
+        for got, at_one in zip(wide[1:].tolist(), unit[1:].tolist()):
+            scaled = mpmath.mpc(at_one) * mpmath.power(h, mpmath.mpc(z))
+            assert abs(mpmath.mpc(got) / scaled - 1) < 1e-12, (z, h)
+    # the root h^{z/2} overflows as well, so h^z / Gamma(z + 2) leaves the range
+    with pytest.raises(NumericError, match=re.escape(
+            "the fractional integral of order z = (169+0j) leaves the float range "
+            "at step h = 1e+07")):
+        frac_integral(169, SampledSignal(0.0, 1e7, np.ones(5)))
+
+
 def test_values_past_the_float_range_are_an_error_without_a_warning():
     # the exponential spline and its transform, the operators and the
     # binomial tail used to return inf or NaN, or overflow, with numpy
